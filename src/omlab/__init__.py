@@ -36,6 +36,7 @@ from .graphs import (
     Arc,
     Digraph,
     NodeId,
+    arc_connectivity,
     complete_digraph,
     cycle_digraph,
     digraph_from_json_dict,
@@ -48,7 +49,6 @@ from .graphs import (
     reachable_from,
     sources,
     symmetric_digraph,
-    vertex_connectivity,
 )
 from .oracle import (
     EqualRoundsReport,

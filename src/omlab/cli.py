@@ -45,6 +45,7 @@ from .simulator import (
 )
 from .solvability import (
     Answer,
+    BetaClassWitness,
     Verdict,
     check_broadcastable,
     check_consensus,
@@ -195,14 +196,17 @@ def _verdict_text(verdict: Verdict, family: EventFamily) -> str:
 def cmd_check(config: RunConfig) -> int:
     args = config.args
     family = _resolve_family(args)
+    partition = beta_partition(family) if args.format == "json" and args.beta else None
     if args.problem == "broadcast":
         verdict = check_broadcastable(family)
     else:
-        verdict = check_consensus(family)
+        verdict = check_consensus(family, partition)
     if args.format == "json":
         payload = verdict_to_json_dict(verdict, family)
-        if args.beta or verdict.rule.startswith("indistinguishable"):
-            payload["beta"] = beta_partition(family).to_json_dict()
+        if isinstance(verdict.witness, BetaClassWitness):
+            partition = verdict.witness.partition
+        if partition is not None:
+            payload["beta"] = partition.to_json_dict()
         _write_output(json.dumps(payload, indent=2), args)
     elif args.format == "dot":
         _write_output(dot.verdict_dot(verdict, family), args)

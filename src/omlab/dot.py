@@ -1,7 +1,6 @@
-"""Graphviz DOT rendering of graphs, events, partitions and witnesses."""
+"""Graphviz DOT rendering of graphs, events, families and verdict witnesses."""
 from __future__ import annotations
 
-from .equivalence import BetaPartition
 from .events import Event, EventFamily
 from .graphs import Digraph, mask_nodes
 from .solvability import (
@@ -10,11 +9,6 @@ from .solvability import (
     IncompatibilityWitness,
     NoSourceEventWitness,
     Verdict,
-)
-
-_PALETTE = (
-    "lightblue", "lightsalmon", "palegreen", "plum", "khaki",
-    "lightpink", "aquamarine", "wheat", "lightgray", "orange",
 )
 
 
@@ -67,24 +61,6 @@ def family_dot(family: EventFamily, name: str = "family") -> str:
     lines = [f"digraph {_quote(name)} {{"]
     for i, event in enumerate(family.events):
         lines.extend(_event_cluster(event, i, family.name(i), event.sources_mask))
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def beta_dot(bp: BetaPartition, name: str = "beta") -> str:
-    """Events as nodes colored by class; edges are the stored witness chains."""
-    fam = bp.family
-    lines = [f"digraph {_quote(name)} {{", "  node [style=filled];"]
-    for ci, members in enumerate(bp.classes):
-        color = _PALETTE[ci % len(_PALETTE)]
-        for i in members:
-            lines.append(f"  {_quote(fam.name(i))} [fillcolor={color}];")
-    for edges in bp.class_edges:
-        for e in edges:
-            lines.append(
-                f"  {_quote(fam.name(e.left))} -> {_quote(fam.name(e.right))}"
-                f" [dir=none,label={_quote(fam.name(e.witness))}];"
-            )
     lines.append("}")
     return "\n".join(lines)
 

@@ -8,14 +8,23 @@ partition.  The final partition ("beta") additionally requires that the
 relating chains stay inside each class: both the intermediate events and
 the witnessing events K must belong to the class being formed.
 
-That closure condition is not constructive, so the partition is computed
-as a greatest fixed point: start from the transitive-closure classes and
-repeatedly drop relation edges whose witness K left the class, splitting
-classes into the connected components of the surviving edges, until
-stable.  Each stabilized class keeps a spanning tree of surviving edges,
-so every intra-class pair has a replayable chain whose intermediates and
-witnesses all live in the class.  The result is self-verified before it
-is returned; a failure raises instead of silently producing a partition
+One grouping kernel, ``_connect``, does all of this work.  Given a list of
+events, it takes each distinct source set among them once, builds that
+set's head filter once, groups the events by the arcs they deliver into
+it, and joins each group.  It stops as soon as the events are connected,
+and it records each join that merges two components as a witness edge.
+Relations depend on a witness only through its source set, so one
+witness per distinct source set loses nothing.
+
+The closure condition is not constructive, so the partition is computed
+as a greatest fixed point.  It starts from the transitive-closure
+classes (one kernel call over all events).  Each round then calls the
+kernel once per class, with the class as its own witnesses, and splits
+each class into the components found.  When a round splits nothing, the
+witness edges of that round form a spanning tree of each class, so every
+intra-class pair has a replayable chain whose intermediates and witnesses
+all live in the class.  The result is self-verified before it is
+returned; a failure raises instead of silently producing a partition
 that does not satisfy the closure condition.
 
 Events without sources would relate every pair (their source set is
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .events import Event, EventFamily
-from .graphs import Arc, mask_nodes
+from .graphs import Arc, Digraph, mask_nodes
 
 
 def in_x(event: Event, x_mask: int) -> frozenset[Arc]:
@@ -37,24 +46,21 @@ def in_x(event: Event, x_mask: int) -> frozenset[Arc]:
     return frozenset(a for a in event.arcs if x_mask >> a[1] & 1)
 
 
-def _in_x_arc_mask(event: Event, x_mask: int) -> int:
-    """Same filter as :func:`in_x`, as a bitmask over the base arc order."""
-    in_bits = event.base.in_arc_bits
+def _head_filter(base: Digraph, x_mask: int) -> int:
+    """Bitmask over the base arc order of the arcs whose head lies in ``x_mask``."""
+    in_bits = base.in_arc_bits
     head_filter = 0
-    u = 0
-    while x_mask >> u:
-        if x_mask >> u & 1:
-            head_filter |= in_bits[u]
-        u += 1
-    return event.arc_mask & head_filter
+    for u in mask_nodes(x_mask):
+        head_filter |= in_bits[u]
+    return head_filter
 
 
 def alpha_related(left: Event, right: Event, k: Event) -> bool:
     """True when the sources of ``k`` receive identical arcs under both events."""
     if left.base != right.base or left.base != k.base:
         raise ValueError("events must share a base graph")
-    b = k.sources_mask
-    return _in_x_arc_mask(left, b) == _in_x_arc_mask(right, b)
+    head_filter = _head_filter(k.base, k.sources_mask)
+    return left.arc_mask & head_filter == right.arc_mask & head_filter
 
 
 @dataclass(frozen=True)
@@ -93,23 +99,50 @@ class _UnionFind:
         return True
 
 
-def _group_members(family: EventFamily, members: list[int], witnesses: list[int]):
-    """Yield (witness_index, groups) where each group shares the observed arcs.
+def _connect(
+    family: EventFamily, members: list[int]
+) -> tuple[list[list[int]], list[AlphaWitness]]:
+    """Split ``members`` by the relations whose witnesses are members too.
 
-    Witnesses with an empty source set are skipped: they observe nothing
-    and would relate every pair vacuously.
+    This is the one grouping kernel.  Each distinct nonzero source mask
+    among the members is taken once, in member order, with its first
+    carrier as the witness: its head filter is built once, the members
+    are grouped by the arcs they deliver into that source set, and each
+    group's first member is joined with the rest.  Every join that merges
+    two components becomes a witness edge, in order, so the edges form a
+    spanning forest.  The scan stops as soon as the members are connected.
+
+    Returns the connected components (member indices in member order) and
+    the witness edges.  Source-less members never act as witnesses: they
+    observe nothing and would relate every pair vacuously.
     """
+    arc_masks = [family.events[i].arc_mask for i in members]
+    uf = _UnionFind(len(members))
+    components = len(members)
+    edges: list[AlphaWitness] = []
     seen_source_masks: set[int] = set()
-    for k in witnesses:
+    for k in members:
+        if components == 1:
+            break
         b = family.source_masks[k]
         if b == 0 or b in seen_source_masks:
             continue
         seen_source_masks.add(b)
+        head_filter = _head_filter(family.base, b)
         groups: dict[int, list[int]] = {}
-        for i in members:
-            key = _in_x_arc_mask(family.events[i], b)
-            groups.setdefault(key, []).append(i)
-        yield k, [g for g in groups.values() if len(g) > 1]
+        for pos, arcs in enumerate(arc_masks):
+            groups.setdefault(arcs & head_filter, []).append(pos)
+        for first, *rest in groups.values():
+            for pos in rest:
+                if uf.union(first, pos):
+                    edges.append(AlphaWitness(members[first], members[pos], k))
+                    components -= 1
+    if components == 1:
+        return [list(members)], edges
+    pieces: dict[int, list[int]] = {}
+    for pos, i in enumerate(members):
+        pieces.setdefault(uf.find(pos), []).append(i)
+    return list(pieces.values()), edges
 
 
 def alpha_star(family: EventFamily) -> tuple[tuple[int, ...], ...]:
@@ -118,20 +151,8 @@ def alpha_star(family: EventFamily) -> tuple[tuple[int, ...], ...]:
     Classes are the connected components of the graph that joins two
     events whenever some member event's sources cannot distinguish them.
     """
-    order = list(family.canonical_order)
-    uf = _UnionFind(len(family))
-    for _k, groups in _group_members(family, order, order):
-        for group in groups:
-            for other in group[1:]:
-                uf.union(group[0], other)
-    return _partition_from_uf(uf, len(family))
-
-
-def _partition_from_uf(uf: _UnionFind, n: int) -> tuple[tuple[int, ...], ...]:
-    classes: dict[int, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(uf.find(i), []).append(i)
-    return tuple(tuple(sorted(c)) for c in sorted(classes.values()))
+    pieces, _edges = _connect(family, list(range(len(family))))
+    return tuple(sorted(tuple(p) for p in pieces))
 
 
 @dataclass(frozen=True)
@@ -185,20 +206,25 @@ class BetaPartition:
         return tuple(chain)
 
     def verify(self) -> bool:
-        """Replay every stored edge and recheck the closure condition."""
+        """Replay every stored edge and recheck the closure condition.
+
+        One union-find serves every class: the classes are checked to be
+        disjoint, and each edge must lie inside its class.
+        """
+        uf = _UnionFind(len(self.family))
+        seen: set[int] = set()
         for ci, members in enumerate(self.classes):
             member_set = set(members)
-            uf = _UnionFind(len(self.family))
+            if seen & member_set:
+                return False
+            seen |= member_set
             for edge in self.class_edges[ci]:
-                if edge.left not in member_set or edge.right not in member_set:
-                    return False
-                if edge.witness not in member_set:
+                if not {edge.left, edge.right, edge.witness} <= member_set:
                     return False
                 if not edge.holds(self.family):
                     return False
                 uf.union(edge.left, edge.right)
-            roots = {uf.find(i) for i in members}
-            if len(roots) != 1 and len(members) > 1:
+            if len({uf.find(i) for i in members}) > 1:
                 return False
         return True
 
@@ -226,78 +252,33 @@ class BetaPartition:
 def beta_partition(family: EventFamily) -> BetaPartition:
     """Greatest fixed point of the within-class witness refinement.
 
-    Starting from the transitive-closure partition, each round rebuilds
-    every class using only relation edges whose witness currently lies in
-    that class, then splits the class into the connected components of
-    the surviving edges.  Splitting can only remove witnesses from a
-    class, so the refinement is monotone and stabilizes after at most
-    one round per event.
+    Starting from the transitive-closure partition, each round runs the
+    grouping kernel once per class, with the class as both the events and
+    the witnesses: each distinct source set in the class is observed once,
+    and the scan stops as soon as the class is connected.  A class that is
+    not connected splits into its components.  Splitting can only remove
+    witnesses from a class, so the refinement is monotone and stabilizes
+    after at most one round per event.  The witness edges of the round in
+    which no class splits are the result's spanning trees.
     """
     classes = [list(c) for c in alpha_star(family)]
     iterations = 0
     while True:
         iterations += 1
         next_classes: list[list[int]] = []
-        changed = False
+        class_edges: list[tuple[AlphaWitness, ...]] = []
         for members in classes:
-            if len(members) == 1:
-                next_classes.append(members)
-                continue
-            uf = _UnionFind(len(family))
-            for _k, groups in _group_members(family, members, members):
-                for group in groups:
-                    for other in group[1:]:
-                        uf.union(group[0], other)
-            pieces: dict[int, list[int]] = {}
-            for i in members:
-                pieces.setdefault(uf.find(i), []).append(i)
-            if len(pieces) > 1:
-                changed = True
-            next_classes.extend(sorted(p) for p in pieces.values())
-        classes = sorted(next_classes)
-        if not changed:
+            pieces, edges = _connect(family, members)
+            next_classes.extend(pieces)
+            class_edges.append(tuple(edges))
+        if len(next_classes) == len(classes):
             break
+        classes = sorted(next_classes)
     result = BetaPartition(
-        family,
-        tuple(tuple(c) for c in classes),
-        tuple(_spanning_edges(family, c) for c in classes),
-        iterations,
+        family, tuple(tuple(c) for c in classes), tuple(class_edges), iterations
     )
     if not result.verify():
         raise AssertionError(
             "refinement produced a partition that fails its own closure check"
         )
     return result
-
-
-def _spanning_edges(family: EventFamily, members: list[int]) -> tuple[AlphaWitness, ...]:
-    """Spanning tree of the surviving relation edges within one class."""
-    if len(members) == 1:
-        return ()
-    # Map each distinct source mask back to a concrete in-class witness.
-    witness_for_mask: dict[int, int] = {}
-    for k in members:
-        b = family.source_masks[k]
-        if b != 0:
-            witness_for_mask.setdefault(b, k)
-    uf = _UnionFind(len(family))
-    edges: list[AlphaWitness] = []
-    for k, groups in _group_members(family, members, members):
-        b = family.source_masks[k]
-        witness = witness_for_mask[b]
-        for group in groups:
-            for other in group[1:]:
-                if uf.union(group[0], other):
-                    edges.append(AlphaWitness(group[0], other, witness))
-    return tuple(edges)
-
-
-# ---- reporting helpers -------------------------------------------------------
-
-def class_source_sets(bp: BetaPartition) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per class, the source sets of its member events (node tuples)."""
-    fam = bp.family
-    return tuple(
-        tuple(mask_nodes(fam.source_masks[i]) for i in members)
-        for members in bp.classes
-    )

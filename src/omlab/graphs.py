@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator
 
 Arc = tuple[int, int]
@@ -197,59 +196,47 @@ def sources_of_arcs(node_count: int, out_masks: tuple[int, ...]) -> int:
     return mask
 
 
-# ---- vertex connectivity ---------------------------------------------------
+# ---- arc connectivity ------------------------------------------------------
 
-def vertex_connectivity(g: Digraph) -> int:
-    """Minimum number of vertices whose removal disconnects ``g``.
+def arc_connectivity(g: Digraph) -> int:
+    """Minimum number of arcs whose removal leaves some node unable to reach another.
 
-    Requires a symmetric digraph on at least two nodes; complete graphs
-    use the usual convention ``c(K_n) = n - 1``.  Computed as the minimum
-    over non-adjacent pairs of the vertex-capacitated max flow between
-    them (node splitting, unit capacities).
+    Requires a symmetric digraph on at least two nodes, where this equals
+    the edge connectivity of the undirected graph.  Every arc cut separates
+    node 0 from some node, and in a symmetric digraph both directions have
+    the same minimum cut, so the value is the least max flow from node 0
+    to another node over unit-capacity arcs.
     """
     n = g.node_count
     if n < 2:
-        raise ValueError("vertex connectivity needs at least two nodes")
+        raise ValueError("arc connectivity needs at least two nodes")
     if not g.is_symmetric:
-        raise ValueError("vertex connectivity is defined for symmetric digraphs only")
-    nonadjacent = [
-        (s, t) for s, t in combinations(range(n), 2) if not g.has_arc(s, t)
-    ]
-    if not nonadjacent:
-        return n - 1
-    return min(_vertex_flow(g, s, t) for s, t in nonadjacent)
+        raise ValueError("arc connectivity is defined for symmetric digraphs only")
+    return min(_arc_flow(g, 0, t) for t in range(1, n))
 
 
-def _vertex_flow(g: Digraph, s: int, t: int) -> int:
-    """Max number of internally vertex-disjoint paths s -> t (non-adjacent)."""
-    n = g.node_count
-    big = n + 1
-    # Split node u into u_in = u and u_out = u + n; interior capacity 1.
-    cap: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        cap[(u, u + n)] = big if u in (s, t) else 1
-    for tail, head in g.arcs:
-        cap[(tail + n, head)] = big
-    source, sink = s + n, t
+def _arc_flow(g: Digraph, s: int, t: int) -> int:
+    """Max number of arc-disjoint paths s -> t in a symmetric digraph."""
+    # Symmetry keeps every residual arc, (y, x) for each arc (x, y), in g.arcs.
+    residual = dict.fromkeys(g.arcs, 1)
     flow = 0
     while True:
-        # BFS for an augmenting path in the residual graph.
-        prev: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue and sink not in prev:
+        prev = {s: s}
+        queue = deque([s])
+        while queue and t not in prev:
             x = queue.popleft()
-            for (a, b), c in cap.items():
-                if a == x and c > 0 and b not in prev:
-                    prev[b] = a
-                    queue.append(b)
-        if sink not in prev:
+            for y in g.out_neighbors(x):
+                if y not in prev and residual[(x, y)]:
+                    prev[y] = x
+                    queue.append(y)
+        if t not in prev:
             return flow
-        node = sink
-        while node != source:
-            p = prev[node]
-            cap[(p, node)] -= 1
-            cap[(node, p)] = cap.get((node, p), 0) + 1
-            node = p
+        y = t
+        while y != s:
+            x = prev[y]
+            residual[(x, y)] -= 1
+            residual[(y, x)] += 1
+            y = x
         flow += 1
 
 

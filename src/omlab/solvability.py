@@ -24,7 +24,7 @@ the game value is the optimal broadcast time from a given originator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import Union
@@ -32,7 +32,7 @@ from typing import Union
 from .budget import Budget, BudgetExceededError, effective_budget
 from .equivalence import BetaPartition, beta_partition
 from .events import EventFamily, generate_bounded_omissions, is_convex
-from .graphs import Digraph, mask_nodes, vertex_connectivity
+from .graphs import Digraph, arc_connectivity, mask_nodes
 
 UNBOUNDED = math.inf
 
@@ -88,10 +88,15 @@ class IncompatibilityWitness:
 
 @dataclass(frozen=True)
 class BetaClassWitness:
-    """A class of the partition together with its incompatibility witness."""
+    """A class of the partition together with its incompatibility witness.
+
+    ``partition`` is the class partition the class was taken from, kept so
+    that callers can report it without computing it again.
+    """
 
     class_events: tuple[int, ...]
     incompatibility: IncompatibilityWitness
+    partition: BetaPartition = field(compare=False, repr=False)
 
 
 Witness = Union[
@@ -229,7 +234,7 @@ def check_consensus(
             return Verdict(
                 "consensus", Answer.UNSOLVABLE,
                 "indistinguishable-class-unbroadcastable",
-                BetaClassWitness(members, sub),
+                BetaClassWitness(members, sub, bp),
             )
     return Verdict(
         "consensus", Answer.NECESSARY_CONDITION_HOLDS, "necessary-condition-only",
@@ -348,10 +353,12 @@ def connectivity_threshold_check(
 
     For each global bound f the family of events with at most f missing
     arcs is checked, and the verdict is compared against the prediction
-    that consensus is solvable exactly when f is below the vertex
-    connectivity of the graph.
+    that consensus is solvable exactly when f is below the arc
+    connectivity of the symmetric graph.  The family is convex, so
+    consensus holds exactly when some node stays a source after any f
+    arc omissions, that is, when f arcs cannot cut the graph.
     """
-    connectivity = vertex_connectivity(g)
+    connectivity = arc_connectivity(g)
     rows = []
     for f in range(f_max + 1):
         family = generate_bounded_omissions(g, f, "global", max_events=max_events)

@@ -8,6 +8,7 @@ import pytest
 
 from omlab import (
     Digraph,
+    arc_connectivity,
     complete_digraph,
     cycle_digraph,
     digraph_from_json_dict,
@@ -20,7 +21,6 @@ from omlab import (
     reachable_from,
     sources,
     symmetric_digraph,
-    vertex_connectivity,
 )
 
 from conftest import A, B, C, D, random_digraph
@@ -179,28 +179,19 @@ def test_heads_of_h1():
     assert heads(H1_ARCS) == node_mask([A, B, C, D])
 
 
-# ---- vertex connectivity -----------------------------------------------------------
+# ---- arc connectivity ----------------------------------------------------------------
 
-def _brute_force_connectivity(g: Digraph) -> int:
-    """Smallest vertex set whose removal disconnects the remaining graph."""
+def _brute_force_edge_connectivity(g: Digraph) -> int:
+    """Fewest undirected edges whose removal disconnects the graph."""
     n = g.node_count
-    for size in range(n - 1):
-        for cut in combinations(range(n), size):
-            rest = [u for u in range(n) if u not in cut]
-            if len(rest) < 2:
-                continue
-            keep = set(rest)
-            adj = {u: [v for v in g.out_neighbors(u) if v in keep] for u in keep}
-            seen = {rest[0]}
-            stack = [rest[0]]
-            while stack:
-                for v in adj[stack.pop()]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if len(seen) != len(rest):
+    edges = [(u, v) for u, v in g.arcs if u < v]
+    for size in range(len(edges) + 1):
+        for cut in combinations(edges, size):
+            kept = set(edges) - set(cut)
+            rest = symmetric_digraph(n, kept)
+            if reachable_from(rest, 0) != rest.full_mask:
                 return size
-    return n - 1
+    raise AssertionError("two or more nodes without edges cannot be connected")
 
 
 @pytest.mark.parametrize(
@@ -211,13 +202,15 @@ def _brute_force_connectivity(g: Digraph) -> int:
         (hypercube_digraph(3), 3),
         (path_digraph(4), 1),
         (complete_digraph(2), 1),
+        # Bowtie: two triangles sharing node 0, cut by one node but no one edge.
+        (symmetric_digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]), 2),
     ],
 )
-def test_vertex_connectivity_known_values(graph, expected):
-    assert vertex_connectivity(graph) == expected
+def test_arc_connectivity_known_values(graph, expected):
+    assert arc_connectivity(graph) == expected
 
 
-def test_vertex_connectivity_matches_brute_force():
+def test_arc_connectivity_matches_brute_force():
     rng = random.Random(19)
     for _ in range(40):
         n = rng.randint(2, 6)
@@ -225,17 +218,17 @@ def test_vertex_connectivity_matches_brute_force():
             (u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.55
         }
         g = symmetric_digraph(n, edges)
-        assert vertex_connectivity(g) == _brute_force_connectivity(g)
+        assert arc_connectivity(g) == _brute_force_edge_connectivity(g)
 
 
-def test_vertex_connectivity_rejects_asymmetric():
+def test_arc_connectivity_rejects_asymmetric():
     with pytest.raises(ValueError):
-        vertex_connectivity(Digraph(2, frozenset({(0, 1)})))
+        arc_connectivity(Digraph(2, frozenset({(0, 1)})))
 
 
-def test_vertex_connectivity_rejects_single_node():
+def test_arc_connectivity_rejects_single_node():
     with pytest.raises(ValueError):
-        vertex_connectivity(Digraph(1, frozenset()))
+        arc_connectivity(Digraph(1, frozenset()))
 
 
 # ---- bitmask helpers and JSON ---------------------------------------------------------

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omlab import (
     UNBOUNDED,
@@ -18,6 +21,7 @@ from omlab import (
     InitialConfig,
     NoSourceEventWitness,
     Scenario,
+    arc_connectivity,
     broadcast_consensus,
     broadcast_rounds,
     check_broadcastable,
@@ -27,6 +31,7 @@ from omlab import (
     cycle_digraph,
     exhaustive_check,
     generate_bounded_omissions,
+    symmetric_digraph,
     is_convex,
     mask_nodes,
     node_mask,
@@ -290,3 +295,31 @@ def test_connectivity_sweep_k4():
 def test_connectivity_sweep_respects_family_cap():
     with pytest.raises(BudgetExceededError):
         connectivity_threshold_check(complete_digraph(4), 3, max_events=10)
+
+
+def test_connectivity_sweep_bowtie_follows_arc_connectivity():
+    # Node 0 cuts the bowtie (vertex connectivity 1), but no single arc
+    # omission does (arc connectivity 2), so consensus survives f=1.
+    bowtie = symmetric_digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+    rows = connectivity_threshold_check(bowtie, 2)
+    assert [(r.f, r.answer is Answer.SOLVABLE, r.expected_solvable) for r in rows] == [
+        (0, True, True), (1, True, True), (2, False, False),
+    ]
+    assert all(r.agrees for r in rows)
+
+
+@st.composite
+def connected_symmetric_graphs(draw):
+    n = draw(st.integers(2, 5))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.sets(st.sampled_from(list(combinations(range(n), 2)))))
+    return symmetric_digraph(n, tree | extra)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(connected_symmetric_graphs())
+def test_connectivity_prediction_matches_consensus_verdicts(g):
+    # Sweeping up to f = arc connectivity covers both sides of the threshold.
+    rows = connectivity_threshold_check(g, arc_connectivity(g))
+    assert all(r.agrees for r in rows)
+    assert rows[-1].answer is Answer.UNSOLVABLE
