@@ -35,7 +35,6 @@ from .events import (
 from .graphs import (
     Arc,
     Digraph,
-    NodeId,
     arc_connectivity,
     complete_digraph,
     cycle_digraph,
@@ -53,13 +52,11 @@ from .graphs import (
 from .oracle import (
     EqualRoundsReport,
     Execution,
-    ExecutionView,
     IndistinguishabilityChain,
     OracleResult,
     equal_rounds_audit,
     execution_views,
     min_consensus_rounds,
-    node_view,
     verify_chain,
 )
 from .scenarios import (

@@ -54,10 +54,6 @@ def is_mobile(name: str) -> bool:
     return _entry(name).mobile
 
 
-def describe(name: str) -> str:
-    return _entry(name).description
-
-
 def _entry(name: str) -> BundledEntry:
     try:
         return REGISTRY[name]

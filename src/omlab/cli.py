@@ -21,6 +21,7 @@ from .events import (
     InitialConfig,
     family_from_json_dict,
     family_to_json_dict,
+    generate_bounded_omissions,
 )
 from .graphs import (
     Digraph,
@@ -84,6 +85,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def non_negative_int(text: str) -> int:
+    """Argument type of sizes, omission bounds, horizons and round counts."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated command-line invocation."""
@@ -98,12 +107,12 @@ class RunConfig:
 def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--graph", metavar="FILE", help="digraph JSON file")
-    group.add_argument("--hypercube", type=int, metavar="N",
+    group.add_argument("--hypercube", type=non_negative_int, metavar="N",
                        help="hypercube of dimension N")
-    group.add_argument("--complete", type=int, metavar="N",
+    group.add_argument("--complete", type=non_negative_int, metavar="N",
                        help="complete graph on N nodes")
-    group.add_argument("--cycle", type=int, metavar="N", help="cycle on N nodes")
-    group.add_argument("--path", type=int, metavar="N", help="path on N nodes")
+    group.add_argument("--cycle", type=non_negative_int, metavar="N", help="cycle on N nodes")
+    group.add_argument("--path", type=non_negative_int, metavar="N", help="path on N nodes")
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:
@@ -111,7 +120,7 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bundled", metavar="NAME",
                         help="bundled example: " + ", ".join(bundled.bundled_names()))
     _add_graph_flags(parser)
-    parser.add_argument("--bounded", type=int, metavar="F",
+    parser.add_argument("--bounded", type=non_negative_int, metavar="F",
                         help="generate events with at most F omissions")
     parser.add_argument("--metric", choices=("global", "send", "recv"),
                         default="global", help="how omissions are counted")
@@ -132,14 +141,15 @@ def _resolve_graph(args: argparse.Namespace) -> Digraph:
             return digraph_from_json_dict(_load_json(args.graph))
         except ValueError as exc:
             raise CliError(str(exc))
-    if args.hypercube is not None:
-        return hypercube_digraph(args.hypercube)
-    if args.complete is not None:
-        return complete_digraph(args.complete)
-    if args.cycle is not None:
-        return cycle_digraph(args.cycle)
-    if args.path is not None:
-        return path_digraph(args.path)
+    builders = (("hypercube", hypercube_digraph), ("complete", complete_digraph),
+                ("cycle", cycle_digraph), ("path", path_digraph))
+    for flag, build in builders:
+        size = getattr(args, flag)
+        if size is not None:
+            try:
+                return build(size)
+            except ValueError as exc:  # e.g. the self-loop of a one-node cycle
+                raise CliError(f"--{flag} {size}: {exc}")
     raise CliError("no graph given (use --graph/--hypercube/--complete/--cycle/--path)")
 
 
@@ -170,8 +180,6 @@ def _resolve_family(args: argparse.Namespace, allow_non_mobile: bool = False) ->
     if args.bounded is None:
         raise CliError("generated families need --bounded F")
     g = _resolve_graph(args)
-    from .events import generate_bounded_omissions
-
     return generate_bounded_omissions(g, args.bounded, args.metric)
 
 
@@ -224,8 +232,6 @@ def cmd_gen(config: RunConfig) -> int:
     if args.bounded is None:
         raise CliError("gen needs --bounded F")
     g = _resolve_graph(args)
-    from .events import generate_bounded_omissions
-
     family = generate_bounded_omissions(g, args.bounded, args.metric)
     if args.format == "dot":
         _write_output(dot.family_dot(family), args)
@@ -340,7 +346,10 @@ def cmd_simulate(config: RunConfig) -> int:
     args = config.args
     family = _resolve_family(args, allow_non_mobile=args.crash_horizon is not None)
     if args.crash_horizon is not None:
-        family, scenarios = crash_scheme_prefixes(family.base, args.crash_horizon)
+        try:
+            family, scenarios = crash_scheme_prefixes(family.base, args.crash_horizon)
+        except ValueError as exc:  # the graph is not the complete 2-node digraph
+            raise CliError(str(exc))
         protocol = _build_protocol(args, family)
         report = check_scenarios(
             protocol, family, sorted(scenarios, key=lambda s: s.word),
@@ -407,7 +416,10 @@ def cmd_audit(config: RunConfig) -> int:
         g = _resolve_graph(args)
         if args.f_max is None:
             raise CliError("audit connectivity needs --f-max")
-        rows = connectivity_threshold_check(g, args.f_max)
+        try:
+            rows = connectivity_threshold_check(g, args.f_max)
+        except ValueError as exc:  # the graph is not symmetric or has one node
+            raise CliError(str(exc))
         payload = [
             {
                 "f": row.f,
@@ -466,7 +478,7 @@ def build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="generate a bounded-omission family")
     _add_graph_flags(gen)
-    gen.add_argument("--bounded", type=int, metavar="F", required=True)
+    gen.add_argument("--bounded", type=non_negative_int, metavar="F", required=True)
     gen.add_argument("--metric", choices=("global", "send", "recv"), default="global")
 
     sim = sub.add_parser("simulate", help="run a protocol against scenarios")
@@ -474,29 +486,29 @@ def build_parser() -> _Parser:
     sim.add_argument("--protocol", required=True,
                      help="h-one-round | flooding | broadcast-consensus | event-detection")
     sim.add_argument("--origin", metavar="NODE", help="originator label")
-    sim.add_argument("--rounds", type=int, help="protocol round parameter")
+    sim.add_argument("--rounds", type=non_negative_int, help="protocol round parameter")
     sim.add_argument("--decide-map", metavar="MAP", help='e.g. "H1=c,H2=d"')
     sim.add_argument("--scenario", metavar="WORD", help='e.g. "H1,H2,H1"')
     sim.add_argument("--init", metavar="VALUES", help='e.g. "a=0,b=1"')
-    sim.add_argument("--all-scenarios", type=int, metavar="H",
+    sim.add_argument("--all-scenarios", type=non_negative_int, metavar="H",
                      help="check all words of length H against all inputs")
-    sim.add_argument("--random-scenarios", type=int, metavar="N",
+    sim.add_argument("--random-scenarios", type=non_negative_int, metavar="N",
                      help="check N seeded random words")
-    sim.add_argument("--length", type=int, help="word length for --random-scenarios")
+    sim.add_argument("--length", type=non_negative_int, help="word length for --random-scenarios")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--crash-horizon", type=int, metavar="H",
+    sim.add_argument("--crash-horizon", type=non_negative_int, metavar="H",
                      help="check all single-crash prefixes of length H (2-node)")
 
     oracle = sub.add_parser("oracle", help="brute-force consensus search")
     _add_family_flags(oracle)
-    oracle.add_argument("--max-horizon", type=int, default=3)
+    oracle.add_argument("--max-horizon", type=non_negative_int, default=3)
 
     audit = sub.add_parser("audit", help="cross-check theory against searches")
     audit_sub = audit.add_subparsers(dest="audit_kind", required=True)
     conn = audit_sub.add_parser(
         "connectivity", help="omission bound sweep vs graph connectivity")
     _add_graph_flags(conn)
-    conn.add_argument("--f-max", type=int, required=True)
+    conn.add_argument("--f-max", type=non_negative_int, required=True)
     eq = audit_sub.add_parser(
         "equal-rounds", help="broadcast rounds vs oracle consensus rounds")
     _add_family_flags(eq)

@@ -72,9 +72,6 @@ class Event:
     def omitted_arcs(self) -> tuple[Arc, ...]:
         return tuple(sorted(self.base.arcs - self.arcs))
 
-    def with_arc(self, arc: Arc) -> "Event":
-        return Event(self.base, self.arcs | {arc})
-
     def in_senders(self, u: int) -> int:
         """Bitmask of nodes with a delivering arc into ``u``."""
         return self.in_masks[u]
@@ -215,31 +212,25 @@ def convexity_violation(family: EventFamily) -> ConvexityViolation | None:
 
     A family is convex when for every pair of member events H, H' and
     every arc a of H', the event H + a is also a member.  Only arcs in
-    the union of the family matter, so the scan is |R| * |E| membership
-    tests on arc bitmasks.
+    the union of the family matter: one membership test per event and
+    missing arc, lowest first.  The witness's right event, the first in
+    ``canonical_order`` with the arc, is found only once a test fails.
     """
     if not family.events:
         raise ValueError("convexity is defined for nonempty families")
-    members = set(family.mask_index)
+    members = family.mask_index
     union = family.union_arc_mask
-    # For the witness, remember one member event containing each arc bit.
-    provider: dict[int, int] = {}
-    for idx in family.canonical_order:
-        mask = family.events[idx].arc_mask
-        bit = 0
-        while mask >> bit:
-            if mask >> bit & 1:
-                provider.setdefault(bit, idx)
-            bit += 1
-    arc_of_bit = family.base.sorted_arcs
-    for idx in family.canonical_order:
+    order = family.canonical_order
+    for idx in order:
         mask = family.events[idx].arc_mask
         missing = union & ~mask
-        bit = 0
-        while missing >> bit:
-            if missing >> bit & 1 and (mask | 1 << bit) not in members:
-                return ConvexityViolation(idx, provider[bit], arc_of_bit[bit])
-            bit += 1
+        while missing:
+            low = missing & -missing
+            if mask | low not in members:
+                right = next(i for i in order if family.events[i].arc_mask & low)
+                arc = family.base.sorted_arcs[low.bit_length() - 1]
+                return ConvexityViolation(idx, right, arc)
+            missing ^= low
     return None
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Arc = tuple[int, int]
-NodeId = int
 
 
 # ---- bitmask node sets -----------------------------------------------------
@@ -30,17 +29,11 @@ def node_mask(nodes: Iterable[int]) -> int:
 def mask_nodes(mask: int) -> tuple[int, ...]:
     """Sorted node indices contained in a bitmask."""
     nodes = []
-    u = 0
     while mask:
-        if mask & 1:
-            nodes.append(u)
-        mask >>= 1
-        u += 1
+        low = mask & -mask
+        nodes.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(nodes)
-
-
-def mask_contains(mask: int, u: int) -> bool:
-    return bool(mask >> u & 1)
 
 
 def heads(arcs: Iterable[Arc]) -> int:
@@ -106,13 +99,6 @@ class Digraph:
         return tuple(masks)
 
     @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.node_count
-        for tail, head in self.arcs:
-            masks[head] |= 1 << tail
-        return tuple(masks)
-
-    @cached_property
     def in_arc_bits(self) -> tuple[int, ...]:
         """Per node, bitmask over arc positions of the arcs entering it."""
         masks = [0] * self.node_count
@@ -133,12 +119,6 @@ class Digraph:
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         return mask_nodes(self.out_masks[u])
-
-    def in_neighbors(self, u: int) -> tuple[int, ...]:
-        return mask_nodes(self.in_masks[u])
-
-    def has_arc(self, tail: int, head: int) -> bool:
-        return (tail, head) in self.arcs
 
     # -- labels --
 
@@ -165,18 +145,15 @@ def reachable_from(g: Digraph, u: int) -> int:
     return _reach(g.out_masks, u)
 
 
-def _reach(out_masks: tuple[int, ...], u: int) -> int:
-    seen = 1 << u
-    frontier = seen
+def _reach(adjacency: tuple[int, ...], u: int) -> int:
+    """Closure of ``u`` under ``adjacency``; the frontier is walked by lowest set bit."""
+    seen = frontier = 1 << u
     while frontier:
         new = 0
-        f = frontier
-        v = 0
-        while f:
-            if f & 1:
-                new |= out_masks[v]
-            f >>= 1
-            v += 1
+        while frontier:
+            low = frontier & -frontier
+            new |= adjacency[low.bit_length() - 1]
+            frontier ^= low
         frontier = new & ~seen
         seen |= frontier
     return seen
@@ -188,12 +165,30 @@ def sources(g: Digraph) -> int:
 
 
 def sources_of_arcs(node_count: int, out_masks: tuple[int, ...]) -> int:
+    """Bitmask of nodes that reach every node, from out-neighbour masks.
+
+    A node reached from a non-source is not a source (else its reacher
+    would be one), so candidates are tried in order, skipping every node a
+    failed candidate reaches.  The sources are the nodes that reach the
+    first candidate with a full closure, all after it: two closures, not n.
+    """
     full = (1 << node_count) - 1
-    mask = 0
+    excluded = 0
     for u in range(node_count):
-        if _reach(out_masks, u) == full:
-            mask |= 1 << u
-    return mask
+        if excluded >> u & 1:
+            continue
+        reach = _reach(out_masks, u)
+        if reach == full:
+            found, grew = 1 << u, True
+            while grew:
+                grew = False
+                for v in range(u + 1, node_count):
+                    if out_masks[v] & found and not found >> v & 1:
+                        found |= 1 << v
+                        grew = True
+            return found
+        excluded |= reach
+    return 0
 
 
 # ---- arc connectivity ------------------------------------------------------
@@ -304,8 +299,3 @@ def digraph_from_json_dict(data: dict) -> Digraph:
             raise ValueError(f"arc {pair!r} references unknown node")
         arcs.add((index[str(tail)], index[str(head)]))
     return Digraph(len(nodes), frozenset(arcs), tuple(str(n) for n in nodes))
-
-
-def iter_arcs_by_label(g: Digraph) -> Iterator[tuple[str, str]]:
-    for tail, head in g.sorted_arcs:
-        yield g.label(tail), g.label(head)

@@ -38,15 +38,6 @@ ViewContent = Any  # nested tuples; (node, value) at depth 0
 
 
 @dataclass(frozen=True)
-class ExecutionView:
-    """A node's full-information view after ``depth`` rounds."""
-
-    node: int
-    depth: int
-    content: ViewContent
-
-
-@dataclass(frozen=True)
 class Execution:
     init: tuple[int, ...]
     word: tuple[int, ...]
@@ -72,12 +63,6 @@ def execution_views(
             for v in range(n)
         ]
     return tuple(views)
-
-
-def node_view(
-    family: EventFamily, word: tuple[int, ...], init: tuple[int, ...], node: int
-) -> ExecutionView:
-    return ExecutionView(node, len(word), execution_views(family, word, init)[node])
 
 
 def view_owner(content: ViewContent) -> int:

@@ -66,9 +66,6 @@ class SimulationTrace:
     def final_states(self) -> tuple[Any, ...]:
         return self.states[-1]
 
-    def decided_values(self) -> tuple[int | None, ...]:
-        return tuple(None if d is None else d[0] for d in self.decisions)
-
 
 def run(
     protocol: ProtocolSpec,

@@ -20,6 +20,8 @@ Round counts come from an adversarial flooding game over informed sets:
 each round the adversary picks the member event that slows flooding the
 most.  Flooding dominates every algorithm under the round semantics, so
 the game value is the optimal broadcast time from a given originator.
+It indexes the events carrying each arc once, and finds all successors
+of an informed set by splitting the events by the nodes they starve.
 """
 from __future__ import annotations
 
@@ -266,29 +268,64 @@ class BroadcastGame:
     rounds to reach the full node set against optimal adversary play, or
     ``UNBOUNDED`` when some event makes no progress (the adversary can
     repeat it forever).
+
+    Events are bits of an int; ``carriers[b]`` is the set of events that
+    deliver base arc ``b``.  From a state S, an uninformed node v with a
+    base arc from S is starved by ``all & ~OR(carriers of arcs S -> v)``.
+    Splitting all events by each nonzero starve column leaves groups that
+    starve the same nodes; each gives one distinct successor, S plus its
+    border minus the group's starved nodes: O(arcs + columns * groups).
     """
 
     def __init__(self, family: EventFamily, budget: Budget | None = None) -> None:
         budget = effective_budget(budget)
-        n = family.base.node_count
+        base = family.base
+        n = base.node_count
         if n > budget.max_game_nodes:
             raise BudgetExceededError(
                 f"game state space 2^{n} exceeds the {budget.max_game_nodes}-node cap"
             )
         self.family = family
-        self._event_out = [ev.out_masks for ev in family.events]
-        self._full = family.base.full_mask
+        self._all = (1 << len(family.events)) - 1
+        # Member events omit few arcs, so the index is built from the omissions.
+        omitters = [0] * len(base.arcs)
+        all_arcs = (1 << len(base.arcs)) - 1
+        for i, ev in enumerate(family.events):
+            missing = all_arcs & ~ev.arc_mask
+            while missing:
+                low = missing & -missing
+                omitters[low.bit_length() - 1] |= 1 << i
+                missing ^= low
+        self._carriers = [self._all & ~events for events in omitters]
+        self._full = base.full_mask
         self._memo: dict[int, Rounds] = {self._full: 0}
 
     def _successors(self, state: int) -> set[int]:
-        succs = set()
-        informed = mask_nodes(state)
-        for out in self._event_out:
-            grown = state
-            for u in informed:
-                grown |= out[u]
-            succs.add(grown)
-        return succs
+        base, carriers, everything = self.family.base, self._carriers, self._all
+        out_arc_bits, in_arc_bits = base.out_arc_bits, base.in_arc_bits
+        leaving = 0
+        for u in mask_nodes(state):
+            leaving |= out_arc_bits[u]
+        grown = state
+        groups = [(everything, 0)] if everything else []  # (events, nodes they starve)
+        for v in mask_nodes(self._full & ~state):
+            arcs = leaving & in_arc_bits[v]
+            if not arcs:
+                continue
+            grown |= 1 << v
+            fed = 0
+            while arcs:
+                low = arcs & -arcs
+                fed |= carriers[low.bit_length() - 1]
+                arcs ^= low
+            starve = everything & ~fed
+            if starve:
+                groups = [
+                    part for events, starved in groups
+                    for part in ((events & starve, starved | 1 << v), (events & ~starve, starved))
+                    if part[0]
+                ]
+        return {grown & ~starved for _events, starved in groups}
 
     def value(self, state: int) -> Rounds:
         memo = self._memo

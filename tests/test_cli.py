@@ -58,3 +58,35 @@ def test_check_json_class_verdict_computes_partition_once(partition_calls, capsy
     assert payload["rule"] == "indistinguishable-class-unbroadcastable"
     assert len(partition_calls) == 1
     assert payload["beta"] == beta_partition(family).to_json_dict()
+
+
+SIMULATE_K3 = ["simulate", "--complete", "3", "--bounded", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "connectivity", "--complete", "1", "--f-max", "1"],
+        ["audit", "connectivity", "--graph", "ASYMMETRIC", "--f-max", "1"],
+        ["check", "--complete", "3", "--bounded", "-1"],
+        ["check", "--hypercube", "-1", "--bounded", "1"],
+        ["gen", "--cycle", "1", "--bounded", "1"],
+        SIMULATE_K3 + ["--protocol", "flooding", "--origin", "v0", "--rounds", "2",
+                       "--all-scenarios", "-1"],
+        SIMULATE_K3 + ["--protocol", "flooding", "--origin", "v0", "--rounds", "-2"],
+        SIMULATE_K3 + ["--protocol", "h-one-round", "--crash-horizon", "2"],
+        ["oracle", "--complete", "2", "--bounded", "1", "--max-horizon", "-1"],
+    ],
+    ids=[
+        "one-node-connectivity", "asymmetric-connectivity", "negative-bound",
+        "negative-hypercube", "one-node-cycle", "negative-horizon", "negative-rounds",
+        "crash-on-k3", "negative-oracle-horizon",
+    ],
+)
+def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
+    graph = tmp_path / "asymmetric.json"
+    graph.write_text(json.dumps({"nodes": ["a", "b"], "arcs": [["a", "b"]]}))
+    code = cli.main([str(graph) if arg == "ASYMMETRIC" else arg for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith("omlab: error: ") and err.count("\n") == 1
