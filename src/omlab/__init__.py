@@ -25,7 +25,7 @@ from .events import (
     all_initial_configs,
     convex_closure,
     convexity_violation,
-    event_from_mask,
+    event_from_arcs,
     family_from_json_dict,
     family_to_json_dict,
     full_event,
@@ -79,7 +79,6 @@ from .simulator import (
     event_detection_consensus,
     exhaustive_check,
     flooding,
-    informed_set,
     run,
 )
 from .solvability import (

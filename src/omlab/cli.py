@@ -29,7 +29,6 @@ from .graphs import (
     cycle_digraph,
     digraph_from_json_dict,
     hypercube_digraph,
-    mask_nodes,
     path_digraph,
 )
 from .oracle import equal_rounds_audit, min_consensus_rounds
@@ -45,7 +44,6 @@ from .simulator import (
     run,
 )
 from .solvability import (
-    Answer,
     BetaClassWitness,
     Verdict,
     check_broadcastable,
@@ -514,7 +512,8 @@ def build_parser() -> _Parser:
     _add_family_flags(eq)
 
     for p in (check, gen, sim, oracle, conn, eq):
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        formats = ("text", "json", "dot") if p in (check, gen) else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("-o", "--output", metavar="FILE")
     return parser
 

@@ -6,9 +6,13 @@ mobile scheme in which any member event may occur in any round.  Families
 are the unit of analysis for everything downstream (equivalence classes,
 solvability verdicts, simulation, the oracle).
 
-Events carry a cached bitmask over the base graph's canonical arc order,
-so set membership, convexity checks and the head-filtered arc sets used
-by the indistinguishability relations are single integer operations.
+An event is one plain ``int``, its arc mask: bit ``i`` is set when the
+base graph's arc ``base.sorted_arcs[i]`` delivers.  Set membership,
+convexity checks and the head-filtered arc sets used by the
+indistinguishability relations are single integer operations.  The arc
+tuples and the per-node neighbour masks are views derived from the mask
+and cached.  Events are ordered by their sorted arc tuples; ``_arc_order``
+computes that order from the mask alone.
 """
 from __future__ import annotations
 
@@ -19,47 +23,72 @@ from math import comb
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .budget import FamilyCapExceededError, effective_budget
-from .graphs import Arc, Digraph, sources_of_arcs
+from .graphs import Arc, Digraph, mask_nodes, sources_of_arcs
 
 OmissionMetric = Literal["global", "send", "recv"]
+
+_ORDER_DIGITS = str.maketrans("01", "21")
+
+
+def _arc_order(mask: int) -> str:
+    """Sort key of an arc mask that orders events by their sorted arc tuples.
+
+    Character ``i`` stands for bit ``i``: ``1`` when set, ``2`` when clear,
+    up to the highest set bit.  At the first arc where two tuples differ,
+    the smaller arc is set in one mask only, and its ``1`` sorts first; a
+    tuple that is a prefix of another gives a prefix string.
+    """
+    return bin(mask)[:1:-1].translate(_ORDER_DIGITS) if mask else ""
 
 
 @dataclass(frozen=True)
 class Event:
-    """One letter of the omission alphabet: the arcs delivered in a round."""
+    """One letter of the omission alphabet: the arcs delivered in a round.
+
+    ``arc_mask`` is the whole event: bit ``i`` set means the arc
+    ``base.sorted_arcs[i]`` delivers.  Build an event from arc pairs with
+    ``event_from_arcs``.
+    """
 
     base: Digraph
-    arcs: frozenset[Arc]
+    arc_mask: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
-        extra = self.arcs - self.base.arcs
-        if extra:
-            raise ValueError(f"event arcs not in base graph: {sorted(extra)}")
-
-    @cached_property
-    def arc_mask(self) -> int:
-        bit = self.base.arc_bit
-        mask = 0
-        for arc in self.arcs:
-            mask |= 1 << bit[arc]
-        return mask
+        if not 0 <= self.arc_mask < 1 << len(self.base.arcs):
+            raise ValueError(
+                f"arc mask {self.arc_mask:#x} out of range for {len(self.base.arcs)} base arcs"
+            )
 
     @cached_property
     def sorted_arcs(self) -> tuple[Arc, ...]:
-        return tuple(sorted(self.arcs))
+        return _arcs_of(self.base, self.arc_mask)
+
+    @cached_property
+    def arcs(self) -> frozenset[Arc]:
+        return frozenset(self.sorted_arcs)
+
+    @cached_property
+    def omitted_arcs(self) -> tuple[Arc, ...]:
+        return _arcs_of(self.base, (1 << len(self.base.arcs)) - 1 & ~self.arc_mask)
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.base.node_count
-        for tail, head in self.arcs:
-            masks[tail] |= 1 << head
+        # Source sets read these for every event, and member events omit few
+        # arcs: start from the base graph's masks and drop the omitted arcs.
+        masks = list(self.base.out_masks)
+        arcs = self.base.sorted_arcs
+        omitted = (1 << len(arcs)) - 1 & ~self.arc_mask
+        while omitted:
+            low = omitted & -omitted
+            tail, head = arcs[low.bit_length() - 1]
+            masks[tail] ^= 1 << head
+            omitted ^= low
         return tuple(masks)
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
         masks = [0] * self.base.node_count
-        for tail, head in self.arcs:
+        for tail, head in self.sorted_arcs:
             masks[head] |= 1 << tail
         return tuple(masks)
 
@@ -68,24 +97,24 @@ class Event:
         """Nodes from which every node is reachable inside this event."""
         return sources_of_arcs(self.base.node_count, self.out_masks)
 
-    @cached_property
-    def omitted_arcs(self) -> tuple[Arc, ...]:
-        return tuple(sorted(self.base.arcs - self.arcs))
 
-    def in_senders(self, u: int) -> int:
-        """Bitmask of nodes with a delivering arc into ``u``."""
-        return self.in_masks[u]
+def _arcs_of(base: Digraph, mask: int) -> tuple[Arc, ...]:
+    arcs = base.sorted_arcs
+    return tuple(arcs[i] for i in mask_nodes(mask))
 
 
 def full_event(base: Digraph) -> Event:
-    return Event(base, base.arcs)
+    return Event(base, (1 << len(base.arcs)) - 1)
 
 
-def event_from_mask(base: Digraph, mask: int) -> Event:
-    arcs = frozenset(
-        arc for arc, bit in base.arc_bit.items() if mask >> bit & 1
-    )
-    return Event(base, arcs)
+def event_from_arcs(base: Digraph, arcs: Iterable[Arc]) -> Event:
+    """The event delivering exactly ``arcs``, which must be arcs of ``base``."""
+    arcs = {tuple(a) for a in arcs}
+    extra = arcs - base.arcs
+    if extra:
+        raise ValueError(f"event arcs not in base graph: {sorted(extra)}")
+    bit = base.arc_bit
+    return Event(base, sum(1 << bit[a] for a in arcs))
 
 
 @dataclass(frozen=True)
@@ -98,10 +127,12 @@ class EventFamily:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
+        if not self.events:
+            raise ValueError("an event family needs at least one event")
         for ev in self.events:
             if ev.base != self.base:
                 raise ValueError("all events must share the family's base graph")
-        if len({ev.arcs for ev in self.events}) != len(self.events):
+        if len(self.mask_index) != len(self.events):
             raise ValueError("duplicate events in family")
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
@@ -138,7 +169,8 @@ class EventFamily:
     @cached_property
     def canonical_order(self) -> tuple[int, ...]:
         """Indices sorted by arc list; used for deterministic processing."""
-        return tuple(sorted(range(len(self.events)), key=lambda i: self.events[i].sorted_arcs))
+        keys = [_arc_order(ev.arc_mask) for ev in self.events]
+        return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
     @cached_property
     def union_arc_mask(self) -> int:
@@ -216,8 +248,6 @@ def convexity_violation(family: EventFamily) -> ConvexityViolation | None:
     missing arc, lowest first.  The witness's right event, the first in
     ``canonical_order`` with the arc, is found only once a test fails.
     """
-    if not family.events:
-        raise ValueError("convexity is defined for nonempty families")
     members = family.mask_index
     union = family.union_arc_mask
     order = family.canonical_order
@@ -264,34 +294,33 @@ def generate_bounded_omissions(
     if f < 0:
         raise ValueError("omission bound must be non-negative")
     cap = max_events if max_events is not None else effective_budget(None).max_family_events
-    arcs = base.sorted_arcs
+    bits = [1 << i for i in range(len(base.arcs))]
+    full = sum(bits)
     if metric == "global":
-        count = sum(comb(len(arcs), k) for k in range(min(f, len(arcs)) + 1))
+        count = sum(comb(len(bits), k) for k in range(min(f, len(bits)) + 1))
         _check_cap(count, cap)
-        arc_sets = []
-        for k in range(min(f, len(arcs)) + 1):
-            for omitted in combinations(arcs, k):
-                arc_sets.append(base.arcs - set(omitted))
+        masks = [
+            full ^ sum(omitted)
+            for k in range(min(f, len(bits)) + 1)
+            for omitted in combinations(bits, k)
+        ]
     elif metric in ("send", "recv"):
-        group_of = (lambda a: a[0]) if metric == "send" else (lambda a: a[1])
-        groups: list[list[Arc]] = [[] for _ in range(base.node_count)]
-        for arc in arcs:
-            groups[group_of(arc)].append(arc)
+        end = 0 if metric == "send" else 1
+        groups: list[list[int]] = [[] for _ in range(base.node_count)]
+        for bit, arc in zip(bits, base.sorted_arcs):
+            groups[arc[end]].append(bit)
         count = _count_bounded([len(g) for g in groups], f)
         _check_cap(count, cap)
+        # One omission mask per node; the nodes' arc groups are disjoint.
         per_node_choices = [
-            [set(ch) for k in range(min(f, len(g)) + 1) for ch in combinations(g, k)]
+            [sum(ch) for k in range(min(f, len(g)) + 1) for ch in combinations(g, k)]
             for g in groups
         ]
-        arc_sets = []
-        for omissions in product(*per_node_choices):
-            omitted = set().union(*omissions) if omissions else set()
-            arc_sets.append(base.arcs - omitted)
+        masks = [full ^ sum(omissions) for omissions in product(*per_node_choices)]
     else:
         raise ValueError(f"unknown omission metric {metric!r}")
-    events = sorted((Event(base, frozenset(s)) for s in arc_sets),
-                    key=lambda ev: ev.sorted_arcs)
-    return EventFamily(base, tuple(events))
+    masks.sort(key=_arc_order)
+    return EventFamily(base, tuple(Event(base, m) for m in masks))
 
 
 def _check_cap(count: int, cap: int) -> None:
@@ -333,9 +362,8 @@ def convex_closure(
                 if grown not in closed:
                     frontier.append(grown)
             bit += 1
-    events = sorted((event_from_mask(base, m) for m in closed),
-                    key=lambda ev: ev.sorted_arcs)
-    return EventFamily(base, tuple(events))
+    masks = sorted(closed, key=_arc_order)
+    return EventFamily(base, tuple(Event(base, m) for m in masks))
 
 
 # ---- JSON ----------------------------------------------------------------------
@@ -368,11 +396,9 @@ def family_from_json_dict(data: dict) -> EventFamily:
     names = []
     for i, entry in enumerate(raw_events):
         try:
-            arcs = frozenset(
-                (base.node(str(t)), base.node(str(h))) for t, h in entry["arcs"]
-            )
+            arcs = [(base.node(str(t)), base.node(str(h))) for t, h in entry["arcs"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed event entry {i}: {exc}") from exc
-        events.append(Event(base, arcs))
+        events.append(event_from_arcs(base, arcs))
         names.append(str(entry.get("name", f"E{i}")))
     return EventFamily(base, tuple(events), tuple(names))

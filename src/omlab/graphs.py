@@ -294,7 +294,10 @@ def digraph_from_json_dict(data: dict) -> Digraph:
         raise ValueError("duplicate node names in digraph JSON")
     arcs = set()
     for pair in raw_arcs:
-        tail, head = pair
+        try:
+            tail, head = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"malformed digraph JSON: arc {pair!r} is not a pair") from None
         if str(tail) not in index or str(head) not in index:
             raise ValueError(f"arc {pair!r} references unknown node")
         arcs.add((index[str(tail)], index[str(head)]))

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Iterator
+from typing import Any
 
 from .budget import Budget, BudgetExceededError, effective_budget
+from .equivalence import _UnionFind
 from .events import EventFamily, is_convex
 from .graphs import mask_nodes
 from .simulator import ProtocolSpec, ProtocolError
@@ -254,26 +255,15 @@ class _Search:
         self.exec_views = [
             execution_views(family, ex.word, ex.init) for ex in self.executions
         ]
-        parent = list(range(len(self.executions)))
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
+        uf = _UnionFind(len(self.executions))
         self.view_groups: dict[ViewContent, list[int]] = {}
         for idx, views in enumerate(self.exec_views):
             for content in views:
                 group = self.view_groups.setdefault(content, [])
                 if group:
-                    ra, rb = find(group[0]), find(idx)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
+                    uf.union(group[0], idx)
                 group.append(idx)
-        self.root = [find(i) for i in range(len(self.executions))]
+        self.root = [uf.find(i) for i in range(len(self.executions))]
         self.has_uniform: dict[int, set[int]] = {}
         for idx, ex in enumerate(self.executions):
             uniform = ex.init[0] if len(set(ex.init)) == 1 else None

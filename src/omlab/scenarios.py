@@ -111,9 +111,8 @@ def crash_scheme_prefixes(
         raise ValueError("horizon must be non-negative")
     if g.node_count != 2 or len(g.arcs) != 2:
         raise ValueError("the crash scheme is defined on the complete 2-node digraph")
-    ok = Event(g, g.arcs)
-    silent_first = Event(g, g.arcs - {(0, 1)})
-    silent_second = Event(g, g.arcs - {(1, 0)})
+    # Bit 0 of an arc mask is the arc (0, 1), bit 1 the arc (1, 0).
+    ok, silent_first, silent_second = Event(g, 0b11), Event(g, 0b10), Event(g, 0b01)
     family = EventFamily(
         g,
         (ok, silent_first, silent_second),

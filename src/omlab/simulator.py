@@ -36,8 +36,7 @@ class ProtocolSpec:
     mapping of in-neighbour to payload for delivered messages only;
     ``decision(node, state)`` reports 0/1 once decided, else None.
     After ``halting_round`` rounds the node stops sending and its state
-    freezes.  ``informed`` optionally exposes which states count as
-    having the originator's value, for flooding-style protocols.
+    freezes.
     """
 
     name: str
@@ -47,7 +46,6 @@ class ProtocolSpec:
     transition: Callable[[int, Any, Mapping[int, Any]], Any]
     decision: Callable[[int, Any], int | None]
     halting_round: int | None = None
-    informed: Callable[[int, Any], bool] | None = None
 
 
 @dataclass(frozen=True)
@@ -61,10 +59,6 @@ class SimulationTrace:
     @property
     def rounds(self) -> int:
         return len(self.scenario.word)
-
-    @property
-    def final_states(self) -> tuple[Any, ...]:
-        return self.states[-1]
 
 
 def run(
@@ -93,9 +87,9 @@ def run(
             continue
         delivered: list[dict[int, Any]] = [{} for _ in range(n)]
         arcs_used: list[Arc] = []
-        for tail, head in family.base.sorted_arcs:
+        for bit, (tail, head) in enumerate(family.base.sorted_arcs):
             payload = protocol.message(tail, states[tail], head)
-            if payload is not None and (tail, head) in event.arcs:
+            if payload is not None and event.arc_mask >> bit & 1:
                 delivered[head][tail] = payload
                 arcs_used.append((tail, head))
         states = [
@@ -128,15 +122,6 @@ def _record_decisions(
             )
 
 
-def informed_set(protocol: ProtocolSpec, trace: SimulationTrace) -> int:
-    """Bitmask of nodes holding the originator's value at the end of the trace."""
-    if protocol.informed is None:
-        raise ValueError(f"protocol {protocol.name} does not track informedness")
-    return node_mask(
-        v for v, state in enumerate(trace.final_states) if protocol.informed(v, state)
-    )
-
-
 # ---- standard protocols -------------------------------------------------------
 
 def flooding(u: int, rounds: int) -> ProtocolSpec:
@@ -165,7 +150,6 @@ def flooding(u: int, rounds: int) -> ProtocolSpec:
         transition=transition,
         decision=lambda v, state: None,
         halting_round=rounds,
-        informed=lambda v, state: state is not None,
     )
 
 
@@ -208,7 +192,6 @@ def broadcast_consensus(u: int, rounds: int) -> ProtocolSpec:
         transition=transition,
         decision=decision,
         halting_round=rounds,
-        informed=lambda v, state: state[1] is not None,
     )
 
 
@@ -230,7 +213,7 @@ def event_detection_consensus(
     for e, origin in decision_map.items():
         event = family.events[e]
         for v in range(n):
-            if v != origin and not (origin, v) in event.arcs:
+            if v != origin and not event.out_masks[origin] >> v & 1:
                 raise ValueError(
                     f"originator {family.base.label(origin)} does not reach "
                     f"{family.base.label(v)} in one round of {family.name(e)}"
@@ -239,7 +222,7 @@ def event_detection_consensus(
     for v in range(n):
         senders_to_event: dict[int, int] = {}
         for e, event in enumerate(family.events):
-            senders = event.in_senders(v)
+            senders = event.in_masks[v]
             if senders in senders_to_event:
                 other = senders_to_event[senders]
                 raise ValueError(

@@ -123,8 +123,6 @@ class Verdict:
 
 def check_broadcastable(family: EventFamily) -> Verdict:
     """Solvable iff some node is a source for every member event."""
-    if not family.events:
-        raise ValueError("solvability is defined for nonempty families")
     source_masks = family.source_masks
     for idx, mask in enumerate(source_masks):
         if mask == 0:
@@ -206,8 +204,6 @@ def check_consensus(
     ``partition`` may be supplied to reuse a previously computed class
     partition; it is only consulted on the non-convex path.
     """
-    if not family.events:
-        raise ValueError("solvability is defined for nonempty families")
     for idx, mask in enumerate(family.source_masks):
         if mask == 0:
             return Verdict(

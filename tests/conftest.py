@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from omlab import Digraph, Event, EventFamily, symmetric_digraph
+from omlab import Digraph, Event, EventFamily, event_from_arcs, symmetric_digraph
 from omlab.bundled import load_family
 
 # Node indices in the bundled two-node families.
@@ -20,18 +20,18 @@ def two_node() -> Digraph:
 
 @pytest.fixture
 def ok_event(two_node) -> Event:
-    return Event(two_node, two_node.arcs)
+    return event_from_arcs(two_node, two_node.arcs)
 
 
 @pytest.fixture
 def omit_white(two_node) -> Event:
     """White's message is lost: only black -> white delivers."""
-    return Event(two_node, frozenset({(BLACK, WHITE)}))
+    return event_from_arcs(two_node, frozenset({(BLACK, WHITE)}))
 
 
 @pytest.fixture
 def omit_black(two_node) -> Event:
-    return Event(two_node, frozenset({(WHITE, BLACK)}))
+    return event_from_arcs(two_node, frozenset({(WHITE, BLACK)}))
 
 
 @pytest.fixture
@@ -77,6 +77,6 @@ def random_connected_symmetric(rng: random.Random, n: int) -> Digraph:
 
 
 def random_event(rng: random.Random, base: Digraph, keep_prob: float = 0.6) -> Event:
-    return Event(
+    return event_from_arcs(
         base, frozenset(a for a in base.arcs if rng.random() < keep_prob)
     )

@@ -5,12 +5,12 @@ import json
 import pytest
 
 from omlab import (
-    Event,
     EventFamily,
     beta_partition,
     cli,
     cycle_digraph,
     equivalence,
+    event_from_arcs,
     family_to_json_dict,
     solvability,
 )
@@ -49,7 +49,7 @@ def test_check_json_class_verdict_computes_partition_once(partition_calls, capsy
         [(0, 1), (0, 3), (1, 2), (2, 1), (3, 0)],
         [(0, 3), (1, 0), (1, 2), (2, 3)],
     ]
-    family = EventFamily(c4, tuple(Event(c4, frozenset(arcs)) for arcs in arc_lists))
+    family = EventFamily(c4, tuple(event_from_arcs(c4, frozenset(arcs)) for arcs in arc_lists))
     path = tmp_path / "family.json"
     path.write_text(json.dumps(family_to_json_dict(family)))
     code = cli.main(["check", "--family", str(path), "--format", "json"])
@@ -61,6 +61,16 @@ def test_check_json_class_verdict_computes_partition_once(partition_calls, capsy
 
 
 SIMULATE_K3 = ["simulate", "--complete", "3", "--bounded", "1"]
+
+# Placeholders in an argument list, replaced by the path of a file holding this JSON.
+INPUT_FILES = {
+    "ASYMMETRIC": {"nodes": ["a", "b"], "arcs": [["a", "b"]]},
+    "NOT_A_PAIR": {"nodes": ["a", "b"], "arcs": [5]},
+    "EMPTY_FAMILY": {
+        "graph": {"nodes": ["a", "b"], "arcs": [["a", "b"], ["b", "a"]]},
+        "events": [],
+    },
+}
 
 
 @pytest.mark.parametrize(
@@ -76,17 +86,26 @@ SIMULATE_K3 = ["simulate", "--complete", "3", "--bounded", "1"]
         SIMULATE_K3 + ["--protocol", "flooding", "--origin", "v0", "--rounds", "-2"],
         SIMULATE_K3 + ["--protocol", "h-one-round", "--crash-horizon", "2"],
         ["oracle", "--complete", "2", "--bounded", "1", "--max-horizon", "-1"],
+        ["gen", "--graph", "NOT_A_PAIR", "--bounded", "1"],
+        ["check", "--family", "EMPTY_FAMILY"],
+        ["oracle", "--family", "EMPTY_FAMILY"],
+        SIMULATE_K3 + ["--protocol", "h-one-round", "--all-scenarios", "1", "--format", "dot"],
+        ["oracle", "--bundled", "fig12", "--format", "dot"],
+        ["audit", "connectivity", "--complete", "3", "--f-max", "1", "--format", "dot"],
+        ["audit", "equal-rounds", "--bundled", "O1-2node", "--format", "dot"],
     ],
     ids=[
         "one-node-connectivity", "asymmetric-connectivity", "negative-bound",
         "negative-hypercube", "one-node-cycle", "negative-horizon", "negative-rounds",
-        "crash-on-k3", "negative-oracle-horizon",
+        "crash-on-k3", "negative-oracle-horizon", "arc-not-a-pair", "empty-family-check",
+        "empty-family-oracle", "dot-simulate", "dot-oracle", "dot-audit-connectivity",
+        "dot-audit-equal-rounds",
     ],
 )
 def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
-    graph = tmp_path / "asymmetric.json"
-    graph.write_text(json.dumps({"nodes": ["a", "b"], "arcs": [["a", "b"]]}))
-    code = cli.main([str(graph) if arg == "ASYMMETRIC" else arg for arg in argv])
+    for name, data in INPUT_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    code = cli.main([str(tmp_path / f"{arg}.json") if arg in INPUT_FILES else arg for arg in argv])
     err = capsys.readouterr().err
     assert code == 64
     assert err.startswith("omlab: error: ") and err.count("\n") == 1

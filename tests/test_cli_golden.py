@@ -1,0 +1,88 @@
+"""Golden command-line runs: the exact stdout and the exit code of each.
+
+Each case runs ``cli.main`` on one argument list, with ``OMLAB_BUDGET``
+set where the case says so.  The exit code is pinned here, next to the
+arguments; the stdout is pinned in ``data/cli_golden.json``.  The cases
+cover ``check`` in every format on every bundled example, ``gen``,
+``simulate``, ``oracle`` and both ``audit`` kinds, so they also pin the
+DOT renderer, the oracle and the simulator end to end.
+
+When a change of output is intended, rewrite the file with
+``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
+"""
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from omlab import cli
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+CHECK_CODES = {"reliable-2node": 0, "O1-2node": 2, "H-2node": 3, "fig12": 0, "crash-C1": 64}
+
+# name -> (argv, OMLAB_BUDGET or None, exit code)
+CASES: dict[str, tuple[list[str], str | None, int]] = {
+    f"check-{name}-{fmt}": (["check", "--bundled", name, "--format", fmt], None, code)
+    for name, code in CHECK_CODES.items()
+    for fmt in ("text", "json", "dot")
+}
+CASES.update({
+    "gen-k3-f1-json": (["gen", "--complete", "3", "--bounded", "1", "--format", "json"], None, 0),
+    "gen-k3-f1-dot": (["gen", "--complete", "3", "--bounded", "1", "--format", "dot"], None, 0),
+    "simulate-h-one-round-all": (
+        ["simulate", "--bundled", "H-2node", "--protocol", "h-one-round",
+         "--all-scenarios", "2"], None, 0),
+    "simulate-o1-broadcast-consensus-all-json": (
+        ["simulate", "--bundled", "O1-2node", "--protocol", "broadcast-consensus",
+         "--origin", "white", "--rounds", "1", "--all-scenarios", "1", "--format", "json"],
+        None, 2),
+    "simulate-fig12-flooding-trace": (
+        ["simulate", "--bundled", "fig12", "--protocol", "flooding", "--origin", "a",
+         "--rounds", "2", "--scenario", "H1,H2", "--init", "a=1,b=0,c=0,d=1"], None, 0),
+    "oracle-fig12-json": (["oracle", "--bundled", "fig12", "--format", "json"], None, 0),
+    "oracle-o1-json": (
+        ["oracle", "--bundled", "O1-2node", "--max-horizon", "2", "--format", "json"], None, 2),
+    "audit-connectivity-k4": (
+        ["audit", "connectivity", "--complete", "4", "--f-max", "3"], None, 0),
+    "audit-equal-rounds-k3-f1-json": (
+        ["audit", "equal-rounds", "--complete", "3", "--bounded", "1", "--format", "json"],
+        None, 0),
+    "oracle-fig12-over-budget": (["oracle", "--bundled", "fig12"], "10", 65),
+})
+
+
+def run_case(name: str, monkeypatch: pytest.MonkeyPatch) -> tuple[int, str]:
+    argv, budget, _code = CASES[name]
+    if budget is None:
+        monkeypatch.delenv("OMLAB_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("OMLAB_BUDGET", budget)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_golden(name, monkeypatch):
+    code, out = run_case(name, monkeypatch)
+    assert code == CASES[name][2]
+    assert out == json.loads(GOLDEN.read_text())[name]
+
+
+def write_golden() -> None:
+    outputs = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in sorted(CASES):
+            code, outputs[name] = run_case(name, monkeypatch)
+            assert code == CASES[name][2], (name, code)
+    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()

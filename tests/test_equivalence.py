@@ -7,13 +7,13 @@ import pytest
 
 from omlab import (
     AlphaWitness,
-    Event,
     EventFamily,
     alpha_related,
     alpha_star,
     beta_partition,
     complete_digraph,
     cycle_digraph,
+    event_from_arcs,
     generate_bounded_omissions,
     in_x,
     node_mask,
@@ -59,7 +59,7 @@ def test_alpha_fig_events_differ(fig12):
 
 def test_alpha_requires_shared_base(ok_event):
     other = complete_digraph(2)
-    foreign = Event(other, other.arcs)
+    foreign = event_from_arcs(other, other.arcs)
     with pytest.raises(ValueError):
         alpha_related(ok_event, foreign, ok_event)
 
@@ -105,7 +105,7 @@ def test_beta_refines_alpha_star():
             frozenset(a for a in g.arcs if rng.random() < 0.65)
             for _ in range(rng.randint(1, 5))
         }
-        family = EventFamily(g, tuple(Event(g, arcs) for arcs in sorted(events, key=sorted)))
+        family = EventFamily(g, tuple(event_from_arcs(g, arcs) for arcs in sorted(events, key=sorted)))
         coarse = {frozenset(c) for c in alpha_star(family)}
         bp = beta_partition(family)
         assert bp.verify()
@@ -154,7 +154,7 @@ def test_alpha_witness_holds(o1):
 
 
 def test_beta_tolerates_no_source_events(two_node, omit_white, omit_black):
-    silent = Event(two_node, frozenset())
+    silent = event_from_arcs(two_node, frozenset())
     family = EventFamily(two_node, (omit_white, omit_black, silent))
     bp = beta_partition(family)
     assert bp.verify()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from math import comb
 
 import pytest
@@ -14,15 +15,18 @@ from omlab import (
     complete_digraph,
     convex_closure,
     convexity_violation,
+    event_from_arcs,
     family_from_json_dict,
     family_to_json_dict,
     full_event,
     generate_bounded_omissions,
     hypercube_digraph,
     is_convex,
+    mask_nodes,
     node_mask,
     symmetric_digraph,
 )
+from omlab.events import _arc_order
 
 from conftest import BLACK, WHITE, random_connected_symmetric
 
@@ -31,7 +35,43 @@ from conftest import BLACK, WHITE, random_connected_symmetric
 
 def test_event_arcs_must_be_subset(two_node):
     with pytest.raises(ValueError):
-        Event(two_node, frozenset({(0, 1), (1, 1)}))
+        event_from_arcs(two_node, frozenset({(0, 1), (1, 1)}))
+
+
+def test_event_is_its_arc_mask():
+    assert [f.name for f in fields(Event)] == ["base", "arc_mask"]
+    rng = random.Random(11)
+    for _ in range(50):
+        g = random_connected_symmetric(rng, rng.randint(2, 6))
+        arcs = frozenset(a for a in g.arcs if rng.random() < 0.6)
+        event = event_from_arcs(g, arcs)
+        assert event == Event(g, event.arc_mask)
+        assert event.arcs == arcs
+        assert event.sorted_arcs == tuple(sorted(arcs))
+        assert event.omitted_arcs == tuple(sorted(g.arcs - arcs))
+        assert event.out_masks == tuple(
+            node_mask(h for t, h in arcs if t == u) for u in range(g.node_count)
+        )
+        assert event.in_masks == tuple(
+            node_mask(t for t, h in arcs if h == u) for u in range(g.node_count)
+        )
+
+
+def test_event_mask_must_fit_the_base(two_node):
+    assert full_event(two_node).arc_mask == 0b11
+    for mask in (-1, 0b100):
+        with pytest.raises(ValueError):
+            Event(two_node, mask)
+
+
+def test_arc_order_sorts_like_arc_tuples():
+    rng = random.Random(3)
+    wide = [rng.getrandbits(300) for _ in range(2000)]
+    # Masks sharing long prefixes, and prefixes of one another.
+    wide += [m >> rng.randrange(300) << rng.randrange(4) for m in wide[:500]]
+    for masks in (list(range(1 << 10)), wide):
+        rng.shuffle(masks)
+        assert sorted(masks, key=_arc_order) == sorted(masks, key=mask_nodes)
 
 
 def test_event_sources(omit_white, omit_black, ok_event):
@@ -41,12 +81,17 @@ def test_event_sources(omit_white, omit_black, ok_event):
 
 
 def test_empty_event_has_no_source(two_node):
-    assert Event(two_node, frozenset()).sources_mask == 0
+    assert event_from_arcs(two_node, frozenset()).sources_mask == 0
 
 
 def test_family_rejects_duplicates(two_node, ok_event):
     with pytest.raises(ValueError):
-        EventFamily(two_node, (ok_event, Event(two_node, two_node.arcs)))
+        EventFamily(two_node, (ok_event, event_from_arcs(two_node, two_node.arcs)))
+
+
+def test_family_rejects_no_events(two_node):
+    with pytest.raises(ValueError, match="at least one event"):
+        EventFamily(two_node, ())
 
 
 def test_family_rejects_foreign_base(two_node, ok_event):
@@ -151,9 +196,18 @@ def test_negative_bound_rejected(two_node):
 
 
 def test_generator_output_is_canonically_ordered(two_node):
-    family = generate_bounded_omissions(two_node, 2, "global")
-    orders = [ev.sorted_arcs for ev in family]
-    assert orders == sorted(orders)
+    k4 = complete_digraph(4)
+    families = [generate_bounded_omissions(two_node, 2, "global")]
+    families += [generate_bounded_omissions(k4, 2, metric) for metric in ("global", "send", "recv")]
+    families.append(convex_closure(k4, generate_bounded_omissions(k4, 3).events[-5:]))
+    for family in families:
+        orders = [ev.sorted_arcs for ev in family]
+        assert orders == sorted(orders)
+        assert family.canonical_order == tuple(range(len(family)))
+    shuffled = list(families[1].events)
+    random.Random(4).shuffle(shuffled)
+    family = EventFamily(k4, tuple(shuffled))
+    assert [shuffled[i] for i in family.canonical_order] == list(families[1].events)
 
 
 # ---- convex closure  -----------------------------------------------------------------
@@ -168,7 +222,7 @@ def test_closure_is_convex_and_contains_seeds():
     for _ in range(20):
         g = random_connected_symmetric(rng, rng.randint(3, 5))
         seeds = [
-            Event(g, frozenset(a for a in g.arcs if rng.random() < 0.7))
+            event_from_arcs(g, frozenset(a for a in g.arcs if rng.random() < 0.7))
             for _ in range(rng.randint(1, 3))
         ]
         closed = convex_closure(g, seeds, max_events=4096)
@@ -178,7 +232,7 @@ def test_closure_is_convex_and_contains_seeds():
 
 
 def test_closure_cap(two_node):
-    seeds = [Event(two_node, frozenset()), full_event(two_node)]
+    seeds = [event_from_arcs(two_node, frozenset()), full_event(two_node)]
     with pytest.raises(FamilyCapExceededError):
         convex_closure(two_node, seeds, max_events=2)
 

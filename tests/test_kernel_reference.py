@@ -18,11 +18,11 @@ from omlab import (
     BroadcastGame,
     ConvexityViolation,
     Digraph,
-    Event,
     EventFamily,
     complete_digraph,
     convexity_violation,
     cycle_digraph,
+    event_from_arcs,
     generate_bounded_omissions,
     mask_nodes,
     sources,
@@ -126,7 +126,7 @@ def random_nonconvex_family(rng: random.Random) -> EventFamily:
     base = random_connected_symmetric(rng, n) if rng.random() < 0.5 else complete_digraph(n)
     keep = rng.uniform(0.3, 0.95)
     masks = {random_event(rng, base, keep).arcs for _ in range(rng.randint(1, 15))}
-    return EventFamily(base, tuple(Event(base, arcs) for arcs in sorted(masks, key=sorted)))
+    return EventFamily(base, tuple(event_from_arcs(base, arcs) for arcs in sorted(masks, key=sorted)))
 
 
 def test_game_matches_reference_on_random_families():
@@ -143,7 +143,7 @@ def test_game_matches_reference_on_random_families():
 def test_game_matches_reference_with_a_stalling_event():
     # The event without arcs out of node 0 starves every state {0} forever.
     g = complete_digraph(4)
-    stall = Event(g, frozenset(a for a in g.arcs if a[0] != 0))
+    stall = event_from_arcs(g, frozenset(a for a in g.arcs if a[0] != 0))
     family = EventFamily(g, (stall,) + generate_bounded_omissions(g, 1).events)
     values = assert_game_matches_reference(family)
     assert values[0b0001] == UNBOUNDED

@@ -16,12 +16,12 @@ from pathlib import Path
 import pytest
 
 from omlab import (
-    Event,
     EventFamily,
     alpha_related,
     beta_partition,
     complete_digraph,
     cycle_digraph,
+    event_from_arcs,
     generate_bounded_omissions,
 )
 from omlab.bundled import load_family
@@ -47,7 +47,7 @@ def random_family(seed: int) -> EventFamily:
         frozenset(a for a in arcs if rng.random() < 0.6)
         for _ in range(rng.randint(2, 12))
     }
-    return EventFamily(g, tuple(Event(g, m) for m in sorted(chosen, key=sorted)))
+    return EventFamily(g, tuple(event_from_arcs(g, m) for m in sorted(chosen, key=sorted)))
 
 
 def k4_subset(seed: int, size: int) -> EventFamily:

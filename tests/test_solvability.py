@@ -15,7 +15,6 @@ from omlab import (
     Budget,
     BudgetExceededError,
     CommonSourceWitness,
-    Event,
     EventFamily,
     IncompatibilityWitness,
     InitialConfig,
@@ -29,6 +28,7 @@ from omlab import (
     complete_digraph,
     connectivity_threshold_check,
     cycle_digraph,
+    event_from_arcs,
     exhaustive_check,
     generate_bounded_omissions,
     symmetric_digraph,
@@ -77,7 +77,7 @@ def test_fig12_broadcast_solvable_everywhere(fig12):
 
 
 def test_no_source_event_wins(two_node, omit_white):
-    silent = Event(two_node, frozenset())
+    silent = event_from_arcs(two_node, frozenset())
     verdict = check_broadcastable(_family(two_node, omit_white, silent))
     assert verdict.answer is Answer.UNSOLVABLE
     assert verdict.rule == "no-source-event"
@@ -108,7 +108,7 @@ def test_h_scheme_consensus_condition_only(h_scheme):
 
 
 def test_consensus_no_source_event(two_node, ok_event):
-    silent = Event(two_node, frozenset())
+    silent = event_from_arcs(two_node, frozenset())
     verdict = check_consensus(_family(two_node, ok_event, silent))
     assert verdict.answer is Answer.UNSOLVABLE
     assert verdict.rule == "no-source-event"
@@ -131,7 +131,7 @@ def _deaf_node_family(n: int) -> EventFamily:
     """
     g = complete_digraph(n)
     events = tuple(
-        Event(g, frozenset(a for a in g.arcs if a[1] != v)) for v in range(n)
+        event_from_arcs(g, frozenset(a for a in g.arcs if a[1] != v)) for v in range(n)
     )
     return EventFamily(g, events)
 
@@ -155,7 +155,7 @@ def test_consensus_never_solvable_for_nonconvex_unbroadcastable():
         g = random_connected_symmetric(rng, rng.randint(2, 4))
         events = {random_event(rng, g).arcs for _ in range(rng.randint(2, 4))}
         family = EventFamily(
-            g, tuple(Event(g, arcs) for arcs in sorted(events, key=sorted))
+            g, tuple(event_from_arcs(g, arcs) for arcs in sorted(events, key=sorted))
         )
         broadcast = check_broadcastable(family)
         consensus = check_consensus(family)
@@ -210,7 +210,7 @@ def test_game_finite_iff_common_source():
         g = random_connected_symmetric(rng, rng.randint(2, 5))
         events = {random_event(rng, g, 0.7).arcs for _ in range(rng.randint(1, 3))}
         family = EventFamily(
-            g, tuple(Event(g, arcs) for arcs in sorted(events, key=sorted))
+            g, tuple(event_from_arcs(g, arcs) for arcs in sorted(events, key=sorted))
         )
         common = family.common_sources_mask()
         game = BroadcastGame(family)
@@ -265,7 +265,7 @@ def test_broadcast_reduction_on_random_families():
         g = random_connected_symmetric(rng, rng.randint(2, 4))
         events = {random_event(rng, g, 0.8).arcs for _ in range(rng.randint(1, 2))}
         family = EventFamily(
-            g, tuple(Event(g, arcs) for arcs in sorted(events, key=sorted))
+            g, tuple(event_from_arcs(g, arcs) for arcs in sorted(events, key=sorted))
         )
         best = optimal_broadcast_rounds(family)
         if best is None or len(family) ** best[1] * 2 ** g.node_count > 50_000:
