@@ -3,14 +3,15 @@
 Exit codes: 0 solvable / checks passed, 2 unsolvable / violations found,
 3 necessary condition holds (inconclusive), 64 usage or parse error,
 65 resource budget exceeded.  The ``OMLAB_BUDGET`` environment variable
-overrides the default state-space caps.
+overrides the default state-space caps; a malformed value exits 64.
+``check`` and ``gen`` render DOT with ``--format dot``; ``-o FILE``
+writes any format to a file instead of stdout.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import bundled, dot
@@ -50,6 +51,7 @@ from .solvability import (
     check_consensus,
     connectivity_threshold_check,
     verdict_to_json_dict,
+    witness_to_json_dict,
 )
 
 EXIT_OK = 0
@@ -91,33 +93,31 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated command-line invocation."""
-
-    command: str
-    args: argparse.Namespace
-    budget: Budget
-
-
 # ---- input resolution ---------------------------------------------------------
 
-def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
+# flag -> (builder taking the size N, help text)
+GRAPH_BUILDERS = {
+    "hypercube": (hypercube_digraph, "hypercube of dimension N"),
+    "complete": (complete_digraph, "complete graph on N nodes"),
+    "cycle": (cycle_digraph, "cycle on N nodes"),
+    "path": (path_digraph, "path on N nodes"),
+}
+
+
+def _add_graph_flags(parser: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
+    """The graph sources, exactly one of which must be given."""
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph", metavar="FILE", help="digraph JSON file")
-    group.add_argument("--hypercube", type=non_negative_int, metavar="N",
-                       help="hypercube of dimension N")
-    group.add_argument("--complete", type=non_negative_int, metavar="N",
-                       help="complete graph on N nodes")
-    group.add_argument("--cycle", type=non_negative_int, metavar="N", help="cycle on N nodes")
-    group.add_argument("--path", type=non_negative_int, metavar="N", help="path on N nodes")
+    for flag, (_build, text) in GRAPH_BUILDERS.items():
+        group.add_argument(f"--{flag}", type=non_negative_int, metavar="N", help=text)
+    return group
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", metavar="FILE", help="event family JSON file")
-    parser.add_argument("--bundled", metavar="NAME",
-                        help="bundled example: " + ", ".join(bundled.bundled_names()))
-    _add_graph_flags(parser)
+    group = _add_graph_flags(parser)
+    group.add_argument("--family", metavar="FILE", help="event family JSON file")
+    group.add_argument("--bundled", metavar="NAME",
+                       help="bundled example: " + ", ".join(bundled.bundled_names()))
     parser.add_argument("--bounded", type=non_negative_int, metavar="F",
                         help="generate events with at most F omissions")
     parser.add_argument("--metric", choices=("global", "send", "recv"),
@@ -127,44 +127,33 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
 def _load_json(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise CliError(f"file not found: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise CliError(f"cannot parse {path}: {exc}")
 
 
 def _resolve_graph(args: argparse.Namespace) -> Digraph:
-    if args.graph:
+    if args.graph is not None:
         try:
             return digraph_from_json_dict(_load_json(args.graph))
         except ValueError as exc:
             raise CliError(str(exc))
-    builders = (("hypercube", hypercube_digraph), ("complete", complete_digraph),
-                ("cycle", cycle_digraph), ("path", path_digraph))
-    for flag, build in builders:
-        size = getattr(args, flag)
-        if size is not None:
-            try:
-                return build(size)
-            except ValueError as exc:  # e.g. the self-loop of a one-node cycle
-                raise CliError(f"--{flag} {size}: {exc}")
-    raise CliError("no graph given (use --graph/--hypercube/--complete/--cycle/--path)")
+    flag = next(flag for flag in GRAPH_BUILDERS if getattr(args, flag) is not None)
+    size = getattr(args, flag)
+    try:
+        return GRAPH_BUILDERS[flag][0](size)
+    except ValueError as exc:  # e.g. the self-loop of a one-node cycle
+        raise CliError(f"--{flag} {size}: {exc}")
 
 
 def _resolve_family(args: argparse.Namespace, allow_non_mobile: bool = False) -> EventFamily:
-    chosen = [
-        bool(args.family), bool(args.bundled),
-        any(getattr(args, k) is not None for k in
-            ("hypercube", "complete", "cycle", "path")) or bool(args.graph),
-    ]
-    if sum(chosen) != 1:
-        raise CliError("give exactly one of --family, --bundled, or a graph + --bounded")
-    if args.family:
+    if args.family is not None:
         try:
             return family_from_json_dict(_load_json(args.family))
         except ValueError as exc:
             raise CliError(str(exc))
-    if args.bundled:
+    if args.bundled is not None:
         try:
             family = bundled.load_family(args.bundled)
         except KeyError as exc:
@@ -177,12 +166,11 @@ def _resolve_family(args: argparse.Namespace, allow_non_mobile: bool = False) ->
         return family
     if args.bounded is None:
         raise CliError("generated families need --bounded F")
-    g = _resolve_graph(args)
-    return generate_bounded_omissions(g, args.bounded, args.metric)
+    return generate_bounded_omissions(_resolve_graph(args), args.bounded, args.metric)
 
 
 def _write_output(text: str, args: argparse.Namespace) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -193,14 +181,13 @@ def _write_output(text: str, args: argparse.Namespace) -> None:
 def _verdict_text(verdict: Verdict, family: EventFamily) -> str:
     lines = [f"{verdict.problem}: {verdict.answer.value}"]
     lines.append(f"rule: {verdict.rule} ({RULE_TEXT.get(verdict.rule, '')})")
-    payload = verdict_to_json_dict(verdict, family)["witness"]
+    payload = witness_to_json_dict(verdict.witness, family)
     if payload is not None:
         lines.append("witness: " + json.dumps(payload))
     return "\n".join(lines)
 
 
-def cmd_check(config: RunConfig) -> int:
-    args = config.args
+def cmd_check(args: argparse.Namespace, budget: Budget) -> int:
     family = _resolve_family(args)
     partition = beta_partition(family) if args.format == "json" and args.beta else None
     if args.problem == "broadcast":
@@ -218,19 +205,13 @@ def cmd_check(config: RunConfig) -> int:
         _write_output(dot.verdict_dot(verdict, family), args)
     else:
         _write_output(_verdict_text(verdict, family), args)
-    if args.emit_dot:
-        Path(args.emit_dot).write_text(dot.verdict_dot(verdict, family) + "\n")
     return verdict.exit_code
 
 
 # ---- gen ----------------------------------------------------------------------
 
-def cmd_gen(config: RunConfig) -> int:
-    args = config.args
-    if args.bounded is None:
-        raise CliError("gen needs --bounded F")
-    g = _resolve_graph(args)
-    family = generate_bounded_omissions(g, args.bounded, args.metric)
+def cmd_gen(args: argparse.Namespace, budget: Budget) -> int:
+    family = generate_bounded_omissions(_resolve_graph(args), args.bounded, args.metric)
     if args.format == "dot":
         _write_output(dot.family_dot(family), args)
     else:
@@ -340,45 +321,39 @@ def _report_text(report: CheckReport, family: EventFamily) -> str:
     return "\n".join(lines)
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    args = config.args
+def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
     family = _resolve_family(args, allow_non_mobile=args.crash_horizon is not None)
     if args.crash_horizon is not None:
         try:
             family, scenarios = crash_scheme_prefixes(family.base, args.crash_horizon)
         except ValueError as exc:  # the graph is not the complete 2-node digraph
             raise CliError(str(exc))
-        protocol = _build_protocol(args, family)
+    protocol = _build_protocol(args, family)
+    if args.crash_horizon is not None:
         report = check_scenarios(
             protocol, family, sorted(scenarios, key=lambda s: s.word),
-            args.crash_horizon, config.budget,
+            args.crash_horizon, budget,
         )
-        return _emit_report(report, family, args)
-    protocol = _build_protocol(args, family)
-    if args.all_scenarios is not None:
-        report = exhaustive_check(protocol, family, args.all_scenarios, config.budget)
-        return _emit_report(report, family, args)
-    if args.random_scenarios is not None:
+    elif args.all_scenarios is not None:
+        report = exhaustive_check(protocol, family, args.all_scenarios, budget)
+    elif args.random_scenarios is not None:
         if args.length is None:
             raise CliError("--random-scenarios needs --length L")
         scenarios = [
             random_scenario(range(len(family)), args.length, args.seed + i)
             for i in range(args.random_scenarios)
         ]
-        report = check_scenarios(protocol, family, scenarios, args.length, config.budget)
-        return _emit_report(report, family, args)
-    if args.scenario is None or args.init is None:
-        raise CliError(
-            "give --scenario and --init for a single run, or --all-scenarios / "
-            "--random-scenarios / --crash-horizon for a sweep"
-        )
-    scenario = _parse_scenario(args.scenario, family)
-    init = _parse_init(args.init, family)
-    _write_output(json.dumps(_trace_json(protocol, family, scenario, init), indent=2), args)
-    return EXIT_OK
-
-
-def _emit_report(report: CheckReport, family: EventFamily, args) -> int:
+        report = check_scenarios(protocol, family, scenarios, args.length, budget)
+    else:
+        if args.scenario is None or args.init is None:
+            raise CliError(
+                "give --scenario and --init for a single run, or --all-scenarios / "
+                "--random-scenarios / --crash-horizon for a sweep"
+            )
+        scenario = _parse_scenario(args.scenario, family)
+        init = _parse_init(args.init, family)
+        _write_output(json.dumps(_trace_json(protocol, family, scenario, init), indent=2), args)
+        return EXIT_OK
     if args.format == "json":
         _write_output(json.dumps(report.to_json_dict(family), indent=2), args)
     else:
@@ -388,10 +363,9 @@ def _emit_report(report: CheckReport, family: EventFamily, args) -> int:
 
 # ---- oracle ---------------------------------------------------------------------
 
-def cmd_oracle(config: RunConfig) -> int:
-    args = config.args
+def cmd_oracle(args: argparse.Namespace, budget: Budget) -> int:
     family = _resolve_family(args)
-    result = min_consensus_rounds(family, args.max_horizon, config.budget)
+    result = min_consensus_rounds(family, args.max_horizon, budget)
     if args.format == "json":
         _write_output(json.dumps(result.to_json_dict(family), indent=2), args)
     else:
@@ -408,39 +382,37 @@ def cmd_oracle(config: RunConfig) -> int:
 
 # ---- audit ----------------------------------------------------------------------
 
-def cmd_audit(config: RunConfig) -> int:
-    args = config.args
-    if args.audit_kind == "connectivity":
-        g = _resolve_graph(args)
-        if args.f_max is None:
-            raise CliError("audit connectivity needs --f-max")
-        try:
-            rows = connectivity_threshold_check(g, args.f_max)
-        except ValueError as exc:  # the graph is not symmetric or has one node
-            raise CliError(str(exc))
-        payload = [
-            {
-                "f": row.f,
-                "answer": row.answer.value,
-                "expected_solvable": row.expected_solvable,
-                "agrees": row.agrees,
-            }
-            for row in rows
+def cmd_audit_connectivity(args: argparse.Namespace, budget: Budget) -> int:
+    try:
+        rows = connectivity_threshold_check(_resolve_graph(args), args.f_max)
+    except ValueError as exc:  # the graph is not symmetric or has one node
+        raise CliError(str(exc))
+    payload = [
+        {
+            "f": row.f,
+            "answer": row.answer.value,
+            "expected_solvable": row.expected_solvable,
+            "agrees": row.agrees,
+        }
+        for row in rows
+    ]
+    if args.format == "json":
+        _write_output(json.dumps(payload, indent=2), args)
+    else:
+        lines = [
+            f"f={r['f']}: {r['answer']} "
+            f"(expected {'solvable' if r['expected_solvable'] else 'unsolvable'})"
+            + ("" if r["agrees"] else "  << MISMATCH")
+            for r in payload
         ]
-        if args.format == "json":
-            _write_output(json.dumps(payload, indent=2), args)
-        else:
-            lines = [
-                f"f={r['f']}: {r['answer']} "
-                f"(expected {'solvable' if r['expected_solvable'] else 'unsolvable'})"
-                + ("" if r["agrees"] else "  << MISMATCH")
-                for r in payload
-            ]
-            _write_output("\n".join(lines), args)
-        return EXIT_OK if all(row.agrees for row in rows) else EXIT_NEGATIVE
+        _write_output("\n".join(lines), args)
+    return EXIT_OK if all(row.agrees for row in rows) else EXIT_NEGATIVE
+
+
+def cmd_audit_equal_rounds(args: argparse.Namespace, budget: Budget) -> int:
     family = _resolve_family(args)
     try:
-        report = equal_rounds_audit(family, config.budget)
+        report = equal_rounds_audit(family, budget)
     except ValueError as exc:
         raise CliError(str(exc))
     if args.format == "json":
@@ -457,6 +429,15 @@ def cmd_audit(config: RunConfig) -> int:
 
 # ---- parser ---------------------------------------------------------------------
 
+def _add_command(sub, name: str, run, text: str, formats=("text", "json")) -> _Parser:
+    """A subcommand parser that dispatches to ``run(args, budget)``."""
+    parser = sub.add_parser(name, help=text)
+    parser.set_defaults(run=run)
+    parser.add_argument("--format", choices=formats, default="text")
+    parser.add_argument("-o", "--output", metavar="FILE")
+    return parser
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="omlab",
@@ -464,22 +445,21 @@ def build_parser() -> _Parser:
         epilog="Set OMLAB_BUDGET to override state-space caps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    with_dot = ("text", "json", "dot")
 
-    check = sub.add_parser("check", help="solvability verdict for a family")
+    check = _add_command(sub, "check", cmd_check, "solvability verdict for a family", with_dot)
     _add_family_flags(check)
     check.add_argument("--problem", choices=("consensus", "broadcast"),
                        default="consensus")
     check.add_argument("--beta", action="store_true",
                        help="include the class partition in JSON output")
-    check.add_argument("--emit-dot", metavar="FILE",
-                       help="also write the witness as DOT")
 
-    gen = sub.add_parser("gen", help="generate a bounded-omission family")
+    gen = _add_command(sub, "gen", cmd_gen, "generate a bounded-omission family", with_dot)
     _add_graph_flags(gen)
     gen.add_argument("--bounded", type=non_negative_int, metavar="F", required=True)
     gen.add_argument("--metric", choices=("global", "send", "recv"), default="global")
 
-    sim = sub.add_parser("simulate", help="run a protocol against scenarios")
+    sim = _add_command(sub, "simulate", cmd_simulate, "run a protocol against scenarios")
     _add_family_flags(sim)
     sim.add_argument("--protocol", required=True,
                      help="h-one-round | flooding | broadcast-consensus | event-detection")
@@ -497,42 +477,30 @@ def build_parser() -> _Parser:
     sim.add_argument("--crash-horizon", type=non_negative_int, metavar="H",
                      help="check all single-crash prefixes of length H (2-node)")
 
-    oracle = sub.add_parser("oracle", help="brute-force consensus search")
+    oracle = _add_command(sub, "oracle", cmd_oracle, "brute-force consensus search")
     _add_family_flags(oracle)
     oracle.add_argument("--max-horizon", type=non_negative_int, default=3)
 
     audit = sub.add_parser("audit", help="cross-check theory against searches")
     audit_sub = audit.add_subparsers(dest="audit_kind", required=True)
-    conn = audit_sub.add_parser(
-        "connectivity", help="omission bound sweep vs graph connectivity")
+    conn = _add_command(audit_sub, "connectivity", cmd_audit_connectivity,
+                        "omission bound sweep vs graph connectivity")
     _add_graph_flags(conn)
     conn.add_argument("--f-max", type=non_negative_int, required=True)
-    eq = audit_sub.add_parser(
-        "equal-rounds", help="broadcast rounds vs oracle consensus rounds")
+    eq = _add_command(audit_sub, "equal-rounds", cmd_audit_equal_rounds,
+                      "broadcast rounds vs oracle consensus rounds")
     _add_family_flags(eq)
-
-    for p in (check, gen, sim, oracle, conn, eq):
-        formats = ("text", "json", "dot") if p in (check, gen) else ("text", "json")
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("-o", "--output", metavar="FILE")
     return parser
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "gen": cmd_gen,
-    "simulate": cmd_simulate,
-    "oracle": cmd_oracle,
-    "audit": cmd_audit,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = RunConfig(args.command, args, Budget.from_env())
-        return COMMANDS[args.command](config)
+        args = build_parser().parse_args(argv)
+        try:
+            budget = Budget.from_env()
+        except ValueError as exc:
+            raise CliError(f"OMLAB_BUDGET: {exc}")
+        return args.run(args, budget)
     except CliError as exc:
         print(f"omlab: error: {exc}", file=sys.stderr)
         return EXIT_PARSE

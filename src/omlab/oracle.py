@@ -66,13 +66,6 @@ def execution_views(
     return tuple(views)
 
 
-def view_owner(content: ViewContent) -> int:
-    """The node a view belongs to (depth-0 views embed the node id)."""
-    while not isinstance(content[0], int):
-        content = content[0]
-    return content[0]
-
-
 # ---- full-information protocol ----------------------------------------------
 
 def full_information_protocol(
@@ -178,10 +171,11 @@ class OracleResult:
             "rounds": self.rounds,
         }
         if self.decision_table is not None:
+            # Distinct views have distinct reprs, so sorting the pairs orders by view.
             data["decision_table"] = [
-                {"view": repr(view), "decision": value}
+                {"view": view, "decision": value}
                 for view, value in sorted(
-                    self.decision_table.items(), key=lambda kv: repr(kv[0])
+                    (repr(view), value) for view, value in self.decision_table.items()
                 )
             ]
         if self.witness is not None:
@@ -300,10 +294,10 @@ class _Search:
             for idx in frontier:
                 if goal is not None:
                     break
-                for content in self.exec_views[idx]:
+                for owner, content in enumerate(self.exec_views[idx]):
                     for other in self.view_groups[content]:
                         if other not in prev:
-                            prev[other] = (idx, view_owner(content))
+                            prev[other] = (idx, owner)
                             if set(self.executions[other].init) == {1}:
                                 goal = other
                                 break

@@ -93,13 +93,17 @@ INPUT_FILES = {
         ["oracle", "--bundled", "fig12", "--format", "dot"],
         ["audit", "connectivity", "--complete", "3", "--f-max", "1", "--format", "dot"],
         ["audit", "equal-rounds", "--bundled", "O1-2node", "--format", "dot"],
+        ["check", "--bundled", "fig12", "--complete", "3", "--bounded", "1"],
+        ["check"],
+        ["check", "--family", "."],
     ],
     ids=[
         "one-node-connectivity", "asymmetric-connectivity", "negative-bound",
         "negative-hypercube", "one-node-cycle", "negative-horizon", "negative-rounds",
         "crash-on-k3", "negative-oracle-horizon", "arc-not-a-pair", "empty-family-check",
         "empty-family-oracle", "dot-simulate", "dot-oracle", "dot-audit-connectivity",
-        "dot-audit-equal-rounds",
+        "dot-audit-equal-rounds", "two-family-sources", "no-family-source",
+        "family-is-a-directory",
     ],
 )
 def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):

@@ -53,6 +53,29 @@ CASES.update({
         ["audit", "equal-rounds", "--complete", "3", "--bounded", "1", "--format", "json"],
         None, 0),
     "oracle-fig12-over-budget": (["oracle", "--bundled", "fig12"], "10", 65),
+    "oracle-o1-text": (["oracle", "--bundled", "O1-2node", "--max-horizon", "2"], None, 2),
+    "audit-equal-rounds-k3-f1-text": (
+        ["audit", "equal-rounds", "--complete", "3", "--bounded", "1"], None, 0),
+    "audit-connectivity-c4-json": (
+        ["audit", "connectivity", "--cycle", "4", "--f-max", "2", "--format", "json"], None, 0),
+    "simulate-o1-broadcast-consensus-random": (
+        ["simulate", "--bundled", "O1-2node", "--protocol", "broadcast-consensus",
+         "--origin", "white", "--rounds", "1", "--random-scenarios", "3", "--length", "2",
+         "--seed", "5"], None, 2),
+    "simulate-crash-c1-h-one-round": (
+        ["simulate", "--bundled", "crash-C1", "--protocol", "h-one-round",
+         "--crash-horizon", "2"], None, 2),
+    "simulate-fig12-event-detection-all": (
+        ["simulate", "--bundled", "fig12", "--protocol", "event-detection",
+         "--decide-map", "H1=c,H2=d", "--all-scenarios", "1"], None, 0),
+    "check-fig12-broadcast": (["check", "--bundled", "fig12", "--problem", "broadcast"], None, 0),
+    "check-H-2node-json-beta": (
+        ["check", "--bundled", "H-2node", "--format", "json", "--beta"], None, 3),
+    "gen-c3-f1-send-json": (
+        ["gen", "--cycle", "3", "--bounded", "1", "--metric", "send", "--format", "json"],
+        None, 0),
+    "check-fig12-budget-not-a-number": (["check", "--bundled", "fig12"], "foo", 64),
+    "check-fig12-budget-zero": (["check", "--bundled", "fig12"], "0", 64),
 })
 
 
