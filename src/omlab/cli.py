@@ -37,6 +37,7 @@ from .scenarios import Scenario, crash_scheme_prefixes, random_scenario
 from .simulator import (
     CheckReport,
     ProtocolSpec,
+    SimulationTrace,
     broadcast_consensus,
     check_scenarios,
     event_detection_consensus,
@@ -121,7 +122,7 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bounded", type=non_negative_int, metavar="F",
                         help="generate events with at most F omissions")
     parser.add_argument("--metric", choices=("global", "send", "recv"),
-                        default="global", help="how omissions are counted")
+                        help="how omissions are counted (default global)")
 
 
 def _load_json(path: str) -> dict:
@@ -148,6 +149,9 @@ def _resolve_graph(args: argparse.Namespace) -> Digraph:
 
 
 def _resolve_family(args: argparse.Namespace, allow_non_mobile: bool = False) -> EventFamily:
+    given = args.family is not None or args.bundled is not None
+    if given and (args.bounded is not None or args.metric is not None):
+        raise CliError("--bounded and --metric apply only to a family generated from a graph")
     if args.family is not None:
         try:
             return family_from_json_dict(_load_json(args.family))
@@ -166,7 +170,9 @@ def _resolve_family(args: argparse.Namespace, allow_non_mobile: bool = False) ->
         return family
     if args.bounded is None:
         raise CliError("generated families need --bounded F")
-    return generate_bounded_omissions(_resolve_graph(args), args.bounded, args.metric)
+    return generate_bounded_omissions(
+        _resolve_graph(args), args.bounded, args.metric or "global"
+    )
 
 
 def _write_output(text: str, args: argparse.Namespace) -> None:
@@ -285,9 +291,9 @@ def _parse_init(spec: str, family: EventFamily) -> InitialConfig:
         raise CliError(str(exc.args[0]))
 
 
-def _trace_json(protocol, family, scenario, init) -> dict:
-    trace = run(protocol, family, scenario, init)
+def _trace_json(trace: SimulationTrace, protocol: ProtocolSpec, family: EventFamily) -> dict:
     g = family.base
+    scenario, init = trace.scenario, trace.init
     return {
         "protocol": protocol.name,
         "scenario": list(scenario.names(family)),
@@ -306,6 +312,21 @@ def _trace_json(protocol, family, scenario, init) -> dict:
             for u, d in enumerate(trace.decisions)
         },
     }
+
+
+def _trace_text(trace: SimulationTrace, protocol: ProtocolSpec, family: EventFamily) -> str:
+    g = family.base
+    values = " ".join(f"{g.label(u)}={x}" for u, x in enumerate(trace.init.values))
+    lines = [f"protocol {protocol.name}: init {values}"]
+    for r, letter in enumerate(trace.scenario.word):
+        arcs = " ".join(f"{g.label(t)}->{g.label(h)}" for t, h in trace.deliveries[r])
+        lines.append(f"  round {r + 1} {family.name(letter)}: {arcs or '(nothing delivered)'}")
+    decided = [
+        f"{g.label(u)}={'undecided' if d is None else f'{d[0]} (round {d[1]})'}"
+        for u, d in enumerate(trace.decisions)
+    ]
+    lines.append("decisions: " + " ".join(decided))
+    return "\n".join(lines)
 
 
 def _report_text(report: CheckReport, family: EventFamily) -> str:
@@ -350,9 +371,14 @@ def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
                 "give --scenario and --init for a single run, or --all-scenarios / "
                 "--random-scenarios / --crash-horizon for a sweep"
             )
-        scenario = _parse_scenario(args.scenario, family)
-        init = _parse_init(args.init, family)
-        _write_output(json.dumps(_trace_json(protocol, family, scenario, init), indent=2), args)
+        trace = run(
+            protocol, family, _parse_scenario(args.scenario, family),
+            _parse_init(args.init, family),
+        )
+        if args.format == "json":
+            _write_output(json.dumps(_trace_json(trace, protocol, family), indent=2), args)
+        else:
+            _write_output(_trace_text(trace, protocol, family), args)
         return EXIT_OK
     if args.format == "json":
         _write_output(json.dumps(report.to_json_dict(family), indent=2), args)

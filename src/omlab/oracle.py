@@ -10,13 +10,29 @@ hence by agreement everyone, must decide the same value in both), and
 check that no connected component contains both an all-zeros-input and an
 all-ones-input execution.
 
+The search works on interned integer view ids, one level per round,
+each level built once from the one before for the whole horizon loop.
+Executions are numbered input-major, then by word in lexicographic
+order, so execution s*k + e of depth r is execution s of depth r - 1
+followed by letter e.  At depth 0 node v's id is 2v + x_v.  At depth r
+its id interns the tuple (v's id at depth r - 1, then the depth r - 1
+ids of v's in-neighbours under the letter, in node order), in one table
+per depth shared by all nodes.  Equal ids mean equal views, by induction
+on depth: a view holds its owner from depth 0, so an id fixes the node
+that holds it, the in-neighbour ids fix who delivered, and their order
+pairs each sender with its view.  So executions that share an id are
+exactly those that share a view, and no nested view is built or hashed
+during the search.  Nested tuples are rendered only for the decision
+table, once per distinct view.
+
 On success the component labelling *is* a protocol: run full-information
 exchange for r rounds, then decide by looking the final view up in the
 component's decision.  On failure at the horizon, the offending component
 yields a replayable chain of executions from an all-0 input to an all-1
 input, adjacent executions sharing one node's view: no algorithm can
 decide by round r without breaking agreement or validity somewhere along
-the chain.
+the chain.  ``verify_chain`` replays it with ``execution_views``, which
+builds the nested views directly and shares no code with the search.
 
 Because a mobile scheme branches finitely, solvable consensus always has
 some uniform round bound, so "unsolvable up to horizon h" is meaningful
@@ -210,7 +226,8 @@ def min_consensus_rounds(
     n = family.base.node_count
     k = len(family)
     table: list[tuple[int, bool]] = []
-    last_search: _Search | None = None
+    views = _Views(family)
+    search: _Search | None = None
     for r in range(max_horizon + 1):
         cost = (1 << n) * k**r
         if cost > budget.max_executions:
@@ -218,8 +235,9 @@ def min_consensus_rounds(
                 f"{cost} executions at horizon {r} exceed the cap "
                 f"{budget.max_executions}"
             )
-        search = _Search(family, r)
-        last_search = search
+        if r:
+            views.extend()
+        search = _Search(family, r, views)
         if search.solvable:
             table.append((r, True))
             decision_table = search.decision_table()
@@ -230,80 +248,124 @@ def min_consensus_rounds(
                 max_horizon, tuple(table), r, protocol, decision_table, None
             )
         table.append((r, False))
-    assert last_search is not None
+    assert search is not None
     return OracleResult(
-        max_horizon, tuple(table), None, None, None, last_search.mixing_chain()
+        max_horizon, tuple(table), None, None, None, search.mixing_chain()
     )
 
 
-class _Search:
-    """One-horizon component search over all executions."""
+class _Views:
+    """Interned view ids of every execution, one level per round.
 
-    def __init__(self, family: EventFamily, rounds: int) -> None:
-        self.family = family
-        self.rounds = rounds
+    ``ids[v][s]`` is node v's view id in execution s of the current depth;
+    ``keys[d][i]`` is what id i of depth d interns, and ``owners[d][i]``
+    the node that holds it.  The depth-0 keys are the views ``(v, x)``.
+    """
+
+    def __init__(self, family: EventFamily) -> None:
         n = family.base.node_count
-        inits = list(product((0, 1), repeat=n))
-        words = list(product(range(len(family)), repeat=rounds))
-        self.executions = [Execution(i, w) for i in inits for w in words]
-        self.exec_views = [
-            execution_views(family, ex.word, ex.init) for ex in self.executions
+        self.k = len(family)
+        self.in_nodes = [
+            [mask_nodes(event.in_masks[v]) for v in range(n)] for event in family.events
         ]
-        uf = _UnionFind(len(self.executions))
-        self.view_groups: dict[ViewContent, list[int]] = {}
-        for idx, views in enumerate(self.exec_views):
-            for content in views:
-                group = self.view_groups.setdefault(content, [])
-                if group:
-                    uf.union(group[0], idx)
-                group.append(idx)
-        self.root = [uf.find(i) for i in range(len(self.executions))]
-        self.has_uniform: dict[int, set[int]] = {}
-        for idx, ex in enumerate(self.executions):
-            uniform = ex.init[0] if len(set(ex.init)) == 1 else None
-            if uniform is not None:
-                self.has_uniform.setdefault(self.root[idx], set()).add(uniform)
-        self.solvable = not any(
-            values >= {0, 1} for values in self.has_uniform.values()
-        )
+        inits = list(product((0, 1), repeat=n))
+        self.ids = [[2 * v + x[v] for x in inits] for v in range(n)]
+        self.keys: list[list[tuple[int, ...]]] = [
+            [(v, x) for v in range(n) for x in (0, 1)]
+        ]
+        self.owners = [[v for v in range(n) for _x in (0, 1)]]
+
+    def extend(self) -> None:
+        """Go one round deeper: state s*k + e is state s under letter e."""
+        k = self.k
+        old = self.ids
+        intern: dict[tuple[int, ...], int] = {}
+        owners: list[int] = []
+        ids = []
+        for v, own in enumerate(old):
+            col = [0] * (len(own) * k)
+            for e, in_nodes in enumerate(self.in_nodes):
+                keys = zip(own, *(old[u] for u in in_nodes[v]))
+                col[e::k] = [intern.setdefault(key, len(intern)) for key in keys]
+            owners.extend([v] * (len(intern) - len(owners)))
+            ids.append(col)
+        self.ids = ids
+        self.keys.append(list(intern))
+        self.owners.append(owners)
+
+    def nested(self) -> list[ViewContent]:
+        """The nested-tuple view of every id at the current depth."""
+        views = self.keys[0]
+        for keys, owners in zip(self.keys[1:], self.owners):
+            views = [
+                (views[key[0]], tuple((owners[u], views[u]) for u in key[1:]))
+                for key in keys
+            ]
+        return views
+
+
+class _Search:
+    """One-horizon component search: executions sharing a view id are joined."""
+
+    def __init__(self, family: EventFamily, rounds: int, views: _Views) -> None:
+        self.rounds = rounds
+        self.views = views
+        self.n = n = family.base.node_count
+        self.k = k = len(family)
+        # Execution i runs input vector i // k^r under word i % k^r.
+        self.executions = range((1 << n) * k**rounds)
+        size = len(self.executions)
+        uf = _UnionFind(size)
+        for col in views.ids:
+            first: dict[int, int] = {}
+            # f is the first execution that holds the id execution s holds.
+            for s, f in enumerate(map(first.setdefault, col, range(size))):
+                if f != s:
+                    uf.union(f, s)
+        self.root = list(map(uf.find, range(size)))
+        # The all-0 input comes first and the all-1 input last.
+        self.block = block = k**rounds if n else 0
+        self.ones = set(self.root[size - block:])
+        self.solvable = self.ones.isdisjoint(self.root[:block])
 
     def decision_table(self) -> dict[ViewContent, int]:
-        decide_of_root = {
-            root: min(values) for root, values in self.has_uniform.items()
-        }
-        table: dict[ViewContent, int] = {}
-        for idx, views in enumerate(self.exec_views):
-            value = decide_of_root.get(self.root[idx], 0)
-            for content in views:
-                table[content] = value
-        return table
+        decision = [int(root in self.ones) for root in self.root]
+        by_id: dict[int, int] = {}
+        for col in self.views.ids:
+            by_id.update(zip(col, decision))
+        nested = self.views.nested()
+        return {nested[i]: value for i, value in by_id.items()}
 
     def mixing_chain(self) -> IndistinguishabilityChain:
-        mixed_root = next(
-            root for root, values in self.has_uniform.items() if values >= {0, 1}
-        )
-        start = next(
-            i for i, ex in enumerate(self.executions)
-            if self.root[i] == mixed_root and set(ex.init) == {0}
-        )
+        """BFS from the first all-0 execution of a mixed component, by owner,
+        then by execution index, to the first all-1 execution reached."""
+        ids = self.views.ids
+        size = len(self.root)
+        first_one = size - self.block
+        start = next(s for s in range(self.block) if self.root[s] in self.ones)
+        groups: dict[int, list[int]] = {}
+        for col in ids:
+            for s, i in enumerate(col):
+                groups.setdefault(i, []).append(s)
         prev: dict[int, tuple[int, int]] = {start: (start, -1)}
         frontier = [start]
         goal = None
         while frontier and goal is None:
             next_frontier: list[int] = []
             for idx in frontier:
-                if goal is not None:
-                    break
-                for owner, content in enumerate(self.exec_views[idx]):
-                    for other in self.view_groups[content]:
+                for owner, col in enumerate(ids):
+                    # A group scanned once holds no unvisited execution.
+                    for other in groups.pop(col[idx], ()):
                         if other not in prev:
                             prev[other] = (idx, owner)
-                            if set(self.executions[other].init) == {1}:
+                            if other >= first_one:
                                 goal = other
                                 break
                             next_frontier.append(other)
                     if goal is not None:
                         break
+                if goal is not None:
+                    break
             frontier = next_frontier
         assert goal is not None, "mixed component must join both uniform inputs"
         path = [goal]
@@ -316,7 +378,14 @@ class _Search:
         path.reverse()
         nodes.reverse()
         return IndistinguishabilityChain(
-            tuple(self.executions[i] for i in path), tuple(nodes), self.rounds
+            tuple(map(self.execution, path)), tuple(nodes), self.rounds
+        )
+
+    def execution(self, idx: int) -> Execution:
+        init, word = divmod(idx, self.k**self.rounds)
+        return Execution(
+            tuple(init >> (self.n - 1 - v) & 1 for v in range(self.n)),
+            tuple(word // self.k**i % self.k for i in reversed(range(self.rounds))),
         )
 
 

@@ -13,8 +13,7 @@ reporting a different value (or none) later is a protocol error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .budget import Budget, BudgetExceededError, effective_budget
 from .events import EventFamily, InitialConfig, all_initial_configs
@@ -74,33 +73,56 @@ def run(
         raise ValueError(
             f"initial configuration has {len(init.values)} values, graph has {n} nodes"
         )
-    states = [protocol.init(u, init.values[u]) for u in range(n)]
+    states, decisions = _start(protocol, init)
     all_states = [tuple(states)]
     deliveries: list[tuple[Arc, ...]] = []
-    decisions: list[tuple[int, int] | None] = [None] * n
-    _record_decisions(protocol, states, decisions, 0)
     for round_no, letter in enumerate(scenario.word, start=1):
-        event = family.events[letter]
-        if protocol.halting_round is not None and round_no > protocol.halting_round:
-            all_states.append(tuple(states))
-            deliveries.append(())
-            continue
-        delivered: list[dict[int, Any]] = [{} for _ in range(n)]
-        arcs_used: list[Arc] = []
-        for bit, (tail, head) in enumerate(family.base.sorted_arcs):
-            payload = protocol.message(tail, states[tail], head)
-            if payload is not None and event.arc_mask >> bit & 1:
-                delivered[head][tail] = payload
-                arcs_used.append((tail, head))
-        states = [
-            protocol.transition(v, states[v], delivered[v]) for v in range(n)
-        ]
+        states, arcs_used = _step(
+            protocol, family, states, letter, decisions, round_no
+        )
         all_states.append(tuple(states))
-        deliveries.append(tuple(arcs_used))
-        _record_decisions(protocol, states, decisions, round_no)
+        deliveries.append(arcs_used)
     return SimulationTrace(
         scenario, init, tuple(all_states), tuple(deliveries), tuple(decisions)
     )
+
+
+def _start(
+    protocol: ProtocolSpec, init: InitialConfig
+) -> tuple[list[Any], list[tuple[int, int] | None]]:
+    """The initial states and the decisions taken at round 0."""
+    states = [protocol.init(u, value) for u, value in enumerate(init.values)]
+    decisions: list[tuple[int, int] | None] = [None] * len(states)
+    _record_decisions(protocol, states, decisions, 0)
+    return states, decisions
+
+
+def _step(
+    protocol: ProtocolSpec,
+    family: EventFamily,
+    states: list[Any],
+    letter: int,
+    decisions: list[tuple[int, int] | None],
+    round_no: int,
+) -> tuple[list[Any], tuple[Arc, ...]]:
+    """One round under ``letter``: the new states and the arcs that carried a
+    message.  Records new decisions in ``decisions``; a halted protocol
+    keeps its states and decides nothing more."""
+    if protocol.halting_round is not None and round_no > protocol.halting_round:
+        return states, ()
+    arc_mask = family.events[letter].arc_mask
+    delivered: list[dict[int, Any]] = [{} for _ in states]
+    arcs_used: list[Arc] = []
+    for bit, (tail, head) in enumerate(family.base.sorted_arcs):
+        payload = protocol.message(tail, states[tail], head)
+        if payload is not None and arc_mask >> bit & 1:
+            delivered[head][tail] = payload
+            arcs_used.append((tail, head))
+    states = [
+        protocol.transition(v, state, delivered[v]) for v, state in enumerate(states)
+    ]
+    _record_decisions(protocol, states, decisions, round_no)
+    return states, tuple(arcs_used)
 
 
 def _record_decisions(
@@ -321,31 +343,35 @@ def check_scenarios(
     for scenario in scenario_list:
         for init in all_initial_configs(n):
             trace = run(protocol, family, scenario, init)
-            violations.extend(_check_trace(trace))
+            violations.extend(_check_run(scenario.word, init, trace.decisions))
     return CheckReport(protocol.name, horizon, runs, tuple(violations))
 
 
-def _check_trace(trace: SimulationTrace) -> list[Violation]:
-    word = trace.scenario.word
-    init = trace.init.values
+def _check_run(
+    word: tuple[int, ...],
+    init: InitialConfig,
+    decisions: Sequence[tuple[int, int] | None],
+) -> list[Violation]:
+    """The consensus requirements that one run, with these final decisions, breaks."""
+    values = init.values
     violations = []
-    undecided = [v for v, d in enumerate(trace.decisions) if d is None]
+    undecided = [v for v, d in enumerate(decisions) if d is None]
     if undecided:
         violations.append(
-            Violation("termination", word, init, f"nodes {undecided} never decided")
+            Violation("termination", word, values, f"nodes {undecided} never decided")
         )
-    decided = [d[0] for d in trace.decisions if d is not None]
-    uniform = trace.init.all_same
+    decided = [d[0] for d in decisions if d is not None]
+    uniform = init.all_same
     if uniform is not None and any(value != uniform for value in decided):
         violations.append(
             Violation(
-                "validity", word, init,
+                "validity", word, values,
                 f"uniform input {uniform} but decisions {decided}",
             )
         )
     if len(set(decided)) > 1:
         violations.append(
-            Violation("agreement", word, init, f"conflicting decisions {decided}")
+            Violation("agreement", word, values, f"conflicting decisions {decided}")
         )
     return violations
 
@@ -356,7 +382,14 @@ def exhaustive_check(
     horizon: int,
     budget: Budget | None = None,
 ) -> CheckReport:
-    """``check_scenarios`` over every length-``horizon`` word of the family."""
+    """``check_scenarios`` over every length-``horizon`` word of the family.
+
+    The words are walked as a prefix tree, depth first in lexicographic
+    order, carrying the runs of every input, so each prefix is simulated
+    once.  A run that raises ``ProtocolError`` stops, and keeps the error
+    until the walk reaches a full word: errors surface in word-major,
+    input-minor order, so the same one is raised as by ``check_scenarios``.
+    """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     budget = effective_budget(budget)
@@ -366,7 +399,30 @@ def exhaustive_check(
         raise BudgetExceededError(
             f"{runs} runs exceed the execution cap {budget.max_executions}"
         )
-    words = product(range(len(family)), repeat=horizon)
-    return check_scenarios(
-        protocol, family, (Scenario(w) for w in words), horizon, budget
-    )
+    inits = list(all_initial_configs(n))
+    violations: list[Violation] = []
+
+    def walk(word: tuple[int, ...], carried: list) -> None:
+        if len(word) == horizon:
+            for init, (states, decisions) in zip(inits, carried):
+                if isinstance(states, ProtocolError):
+                    raise states
+                violations.extend(_check_run(word, init, decisions))
+            return
+        round_no = len(word) + 1
+        for letter in range(len(family)):
+            stepped = []
+            for states, decisions in carried:
+                if not isinstance(states, ProtocolError):
+                    decisions = list(decisions)
+                    try:
+                        states, _arcs = _step(
+                            protocol, family, states, letter, decisions, round_no
+                        )
+                    except ProtocolError as exc:
+                        states = exc
+                stepped.append((states, decisions))
+            walk(word + (letter,), stepped)
+
+    walk((), [_start(protocol, init) for init in inits])
+    return CheckReport(protocol.name, horizon, runs, tuple(violations))

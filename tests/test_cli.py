@@ -96,6 +96,8 @@ INPUT_FILES = {
         ["check", "--bundled", "fig12", "--complete", "3", "--bounded", "1"],
         ["check"],
         ["check", "--family", "."],
+        ["check", "--bundled", "fig12", "--bounded", "3", "--metric", "send"],
+        ["oracle", "--bundled", "O1-2node", "--metric", "recv"],
     ],
     ids=[
         "one-node-connectivity", "asymmetric-connectivity", "negative-bound",
@@ -103,7 +105,7 @@ INPUT_FILES = {
         "crash-on-k3", "negative-oracle-horizon", "arc-not-a-pair", "empty-family-check",
         "empty-family-oracle", "dot-simulate", "dot-oracle", "dot-audit-connectivity",
         "dot-audit-equal-rounds", "two-family-sources", "no-family-source",
-        "family-is-a-directory",
+        "family-is-a-directory", "bounded-with-bundled", "metric-with-bundled",
     ],
 )
 def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):

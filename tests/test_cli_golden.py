@@ -76,6 +76,12 @@ CASES.update({
         None, 0),
     "check-fig12-budget-not-a-number": (["check", "--bundled", "fig12"], "foo", 64),
     "check-fig12-budget-zero": (["check", "--bundled", "fig12"], "0", 64),
+    "check-fig12-bounded-with-bundled": (
+        ["check", "--bundled", "fig12", "--bounded", "3", "--metric", "send"], None, 64),
+    "simulate-fig12-flooding-trace-json": (
+        ["simulate", "--bundled", "fig12", "--protocol", "flooding", "--origin", "a",
+         "--rounds", "2", "--scenario", "H1,H2", "--init", "a=1,b=0,c=0,d=1",
+         "--format", "json"], None, 0),
 })
 
 

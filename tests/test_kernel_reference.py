@@ -1,13 +1,18 @@
-"""Source sets, the flooding game and the convexity witness against naive references.
+"""Source sets, the flooding game, the convexity witness, the oracle's search
+and the exhaustive check against naive references.
 
 Each reference is the plain version of its kernel, kept here: one closure
 per node for source sets, one successor per event for the flooding game,
-and a provider table over every arc of every event for the convexity
-witness.  The kernels must give the same answers, witnesses included.
+a provider table over every arc of every event for the convexity
+witness, a component search over the nested-tuple views of every
+execution for the oracle, and one simulator run per word and input for
+the exhaustive check.  The kernels must give the same answers, witnesses
+included.
 """
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,9 +32,23 @@ from omlab import (
     mask_nodes,
     sources,
 )
+from omlab import oracle
+from omlab.bundled import bundled_names, h_one_round, load_family
+from omlab.equivalence import _UnionFind
 from omlab.graphs import sources_of_arcs
+from omlab.oracle import Execution, IndistinguishabilityChain, execution_views
+from omlab.scenarios import Scenario
+from omlab.simulator import (
+    ProtocolError,
+    ProtocolSpec,
+    check_scenarios,
+    exhaustive_check,
+    flooding,
+)
 
 from conftest import random_connected_symmetric, random_digraph, random_event
+from test_oracle import HORIZON as ORACLE_HORIZON
+from test_oracle import random_family
 
 
 # ---- source sets -------------------------------------------------------------------
@@ -212,3 +231,161 @@ def test_convexity_witness_matches_on_bounded_subsets():
         family = EventFamily(full.base, tuple(picked))
         assert convexity_violation(family) == reference_violation(family)
     assert convexity_violation(full) is None and reference_violation(full) is None
+
+
+# ---- the oracle's layered search ---------------------------------------------------
+
+def reference_oracle(family: EventFamily, max_horizon: int):
+    """Horizon table, decision table and chain of the nested-tuple component search."""
+    n, k = family.base.node_count, len(family)
+    table = []
+    for r in range(max_horizon + 1):
+        execs = [Execution(x, w) for x in product((0, 1), repeat=n)
+                 for w in product(range(k), repeat=r)]
+        views = [execution_views(family, ex.word, ex.init) for ex in execs]
+        uf = _UnionFind(len(execs))
+        groups: dict = {}
+        for idx, contents in enumerate(views):
+            for content in contents:
+                group = groups.setdefault(content, [])
+                if group:
+                    uf.union(group[0], idx)
+                group.append(idx)
+        root = [uf.find(i) for i in range(len(execs))]
+        uniform: dict[int, set[int]] = {}
+        for idx, ex in enumerate(execs):
+            if len(set(ex.init)) == 1:
+                uniform.setdefault(root[idx], set()).add(ex.init[0])
+        mixed = [c for c, values in uniform.items() if values == {0, 1}]
+        table.append((r, not mixed))
+        if not mixed:
+            decide = {c: min(values) for c, values in uniform.items()}
+            decisions = {content: decide.get(root[idx], 0)
+                         for idx, contents in enumerate(views) for content in contents}
+            return table, decisions, None
+    start = next(i for i, ex in enumerate(execs)
+                 if root[i] == mixed[0] and set(ex.init) == {0})
+    prev = {start: (start, -1)}
+    frontier, goal = [start], None
+    while goal is None and frontier:
+        frontier, reached = [], frontier
+        for idx in reached:
+            for owner, content in enumerate(views[idx]):
+                for other in groups[content]:
+                    if goal is None and other not in prev:
+                        prev[other] = (idx, owner)
+                        if set(execs[other].init) == {1}:
+                            goal = other
+                        frontier.append(other)
+    path, nodes = [goal], []
+    while path[-1] != start:
+        idx, node = prev[path[-1]]
+        path.append(idx)
+        nodes.append(node)
+    chain = IndistinguishabilityChain(
+        tuple(execs[i] for i in reversed(path)), tuple(reversed(nodes)), max_horizon
+    )
+    return table, None, chain
+
+
+def assert_oracle_matches_reference(family: EventFamily, horizon: int, monkeypatch) -> None:
+    sizes = []
+    search_class = oracle._Search
+
+    def recorded(*args):
+        search = search_class(*args)
+        sizes.append(len(search.executions))
+        return search
+
+    monkeypatch.setattr(oracle, "_Search", recorded)
+    result = oracle.min_consensus_rounds(family, horizon)
+    table, decisions, chain = reference_oracle(family, horizon)
+    assert result.horizon_table == tuple(table)
+    assert result.decision_table == decisions
+    assert result.witness == chain
+    n, k = family.base.node_count, len(family)
+    assert sizes == [2**n * k**r for r, _ok in table]
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_oracle_matches_nested_tuple_search_on_random_families(block, monkeypatch):
+    for seed in range(50 * block, 50 * block + 50):
+        assert_oracle_matches_reference(random_family(seed), ORACLE_HORIZON, monkeypatch)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_oracle_matches_nested_tuple_search_on_bundled_families(name, monkeypatch):
+    assert_oracle_matches_reference(load_family(name), 3, monkeypatch)
+
+
+@pytest.mark.parametrize("base", [complete_digraph(3), cycle_digraph(4)], ids=["K3", "C4"])
+def test_oracle_matches_nested_tuple_search_on_bounded_families(base, monkeypatch):
+    assert_oracle_matches_reference(generate_bounded_omissions(base, 1), 2, monkeypatch)
+
+
+# ---- the prefix-tree exhaustive check ------------------------------------------------
+
+def assert_exhaustive_matches_scenarios(protocol, family: EventFamily, horizon: int):
+    words = product(range(len(family)), repeat=horizon)
+    expected = check_scenarios(protocol, family, map(Scenario, words), horizon)
+    assert exhaustive_check(protocol, family, horizon) == expected
+    return expected
+
+
+@pytest.mark.parametrize("horizon", range(4))
+def test_exhaustive_check_reports_violations_in_word_then_input_order(horizon):
+    report = assert_exhaustive_matches_scenarios(
+        h_one_round(), load_family("crash-C1"), horizon
+    )
+    assert report.violations
+
+
+def test_exhaustive_check_past_the_halting_round():
+    report = assert_exhaustive_matches_scenarios(flooding(0, 1), load_family("fig12"), 3)
+    assert report.runs == 16 * 2**3 and len(report.violations) == report.runs
+
+
+def test_exhaustive_check_certifies_oracle_protocols():
+    for seed in range(40):
+        family = random_family(seed)
+        result = oracle.min_consensus_rounds(family, ORACLE_HORIZON)
+        if result.solvable:
+            assert assert_exhaustive_matches_scenarios(result.protocol, family, result.rounds).passed
+
+
+def flip_flop(rounds: int) -> ProtocolSpec:
+    """Decides the parity of its input plus the messages heard so far, which
+    flips at every delivery; a node with input 0 first decides at round 1."""
+    return ProtocolSpec(
+        name="flip-flop",
+        state_space="(round, own value, messages heard)",
+        init=lambda v, value: (0, value, 0),
+        message=lambda v, state, neighbor: state[1],
+        transition=lambda v, state, got: (state[0] + 1, state[1], state[2] + len(got)),
+        decision=lambda v, state: (
+            None if state[0] == state[1] == 0 else (state[1] + state[2]) % 2
+        ),
+        halting_round=rounds,
+    )
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_exhaustive_check_raises_the_first_protocol_error(horizon):
+    family = load_family("O1-2node")
+    words = list(product(range(len(family)), repeat=horizon))
+    with pytest.raises(ProtocolError) as expected:
+        check_scenarios(flip_flop(horizon), family, map(Scenario, words), horizon)
+    with pytest.raises(ProtocolError) as got:
+        exhaustive_check(flip_flop(horizon), family, horizon)
+    # Input (0, 1) fails at round 1, on a shorter prefix than the first
+    # failing run, input (0, 0) at round 2.
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).endswith("at round 2")
+
+
+def test_exhaustive_check_freezes_a_halted_protocol():
+    family = load_family("O1-2node")
+    report = assert_exhaustive_matches_scenarios(flip_flop(0), family, 3)
+    assert {v.kind for v in report.violations} == {"termination"}
+    with pytest.raises(ProtocolError):
+        exhaustive_check(flip_flop(1), family, 3)
