@@ -7,6 +7,9 @@ which may occur in any round.  This package decides broadcastability and
 the indistinguishability-class partition behind the consensus condition,
 runs protocols in an exact round simulator, and cross-checks everything
 against a brute-force execution-view oracle on small instances.
+
+Scenario words and input vectors are plain tuples of ints: a word holds
+one event index per round, an input one 0/1 value per node.
 """
 from .budget import Budget, BudgetExceededError, FamilyCapExceededError
 from .equivalence import (
@@ -15,20 +18,15 @@ from .equivalence import (
     alpha_related,
     alpha_star,
     beta_partition,
-    in_x,
 )
 from .events import (
     ConvexityViolation,
     Event,
     EventFamily,
-    InitialConfig,
-    all_initial_configs,
-    convex_closure,
     convexity_violation,
     event_from_arcs,
     family_from_json_dict,
     family_to_json_dict,
-    full_event,
     generate_bounded_omissions,
     is_convex,
 )
@@ -40,13 +38,10 @@ from .graphs import (
     cycle_digraph,
     digraph_from_json_dict,
     digraph_to_json_dict,
-    heads,
     hypercube_digraph,
     mask_nodes,
     node_mask,
     path_digraph,
-    reachable_from,
-    sources,
     symmetric_digraph,
 )
 from .oracle import (
@@ -58,16 +53,6 @@ from .oracle import (
     execution_views,
     min_consensus_rounds,
     verify_chain,
-)
-from .scenarios import (
-    Scenario,
-    ScenarioRecipe,
-    constant_scenario,
-    crash_scheme_prefixes,
-    eventually_constant_scenario,
-    random_scenario,
-    round_robin_scenario,
-    subword,
 )
 from .simulator import (
     CheckReport,
@@ -91,7 +76,6 @@ from .solvability import (
     NoSourceEventWitness,
     ThresholdRow,
     Verdict,
-    broadcast_rounds,
     check_broadcastable,
     check_consensus,
     connectivity_threshold_check,

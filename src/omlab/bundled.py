@@ -5,7 +5,10 @@ two-node schemes (reliable, at-most-one-omission, at-most-one-delivery),
 the four-node two-event family where consensus is faster than broadcast,
 and the support family of the two-node single-crash scheme.  The crash
 scheme is not mobile, so it is valid for simulation only; solvability
-commands reject it.
+commands reject it.  A crash is permanent, so the scheme is not a family
+of freely repeatable events; ``crash_scheme_prefixes`` enumerates its
+finite prefixes instead, as words: tuples of indices into the support
+family.
 """
 from __future__ import annotations
 
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Mapping
 
-from .events import EventFamily, family_from_json_dict
+from .events import Event, EventFamily, family_from_json_dict
+from .graphs import Digraph
 from .simulator import ProtocolSpec
 
 
@@ -99,3 +103,33 @@ def h_one_round() -> ProtocolSpec:
         decision=lambda v, state: state[0],
         halting_round=1,
     )
+
+
+# ---- the two-node single-crash scheme -----------------------------------------
+
+def crash_scheme_prefixes(
+    g: Digraph, horizon: int
+) -> tuple[EventFamily, frozenset[tuple[int, ...]]]:
+    """All length-``horizon`` prefixes of the two-node single-crash scheme.
+
+    At most one of the two processes stops transmitting, permanently,
+    after an arbitrary round.  Returns the three-event support family
+    (all delivered / first silent / second silent) together with every
+    prefix of the given length, as words over that family.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    if g.node_count != 2 or len(g.arcs) != 2:
+        raise ValueError("the crash scheme is defined on the complete 2-node digraph")
+    # Bit 0 of an arc mask is the arc (0, 1), bit 1 the arc (1, 0).
+    ok, silent_first, silent_second = Event(g, 0b11), Event(g, 0b10), Event(g, 0b01)
+    family = EventFamily(
+        g,
+        (ok, silent_first, silent_second),
+        ("ok", f"crash-{g.label(0)}", f"crash-{g.label(1)}"),
+    )
+    words = {(0,) * horizon}
+    for crashed in (1, 2):
+        for start in range(horizon):
+            words.add((0,) * start + (crashed,) * (horizon - start))
+    return family, frozenset(words)

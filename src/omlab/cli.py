@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from .budget import Budget, BudgetExceededError
 from .equivalence import beta_partition
 from .events import (
     EventFamily,
-    InitialConfig,
     family_from_json_dict,
     family_to_json_dict,
     generate_bounded_omissions,
@@ -33,7 +33,6 @@ from .graphs import (
     path_digraph,
 )
 from .oracle import equal_rounds_audit, min_consensus_rounds
-from .scenarios import Scenario, crash_scheme_prefixes, random_scenario
 from .simulator import (
     CheckReport,
     ProtocolSpec,
@@ -57,7 +56,6 @@ from .solvability import (
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
-EXIT_CONDITION = 3
 EXIT_PARSE = 64
 EXIT_BUDGET = 65
 
@@ -148,7 +146,9 @@ def _resolve_graph(args: argparse.Namespace) -> Digraph:
         raise CliError(f"--{flag} {size}: {exc}")
 
 
-def _resolve_family(args: argparse.Namespace, allow_non_mobile: bool = False) -> EventFamily:
+def _resolve_family(
+    args: argparse.Namespace, budget: Budget, allow_non_mobile: bool = False
+) -> EventFamily:
     given = args.family is not None or args.bundled is not None
     if given and (args.bounded is not None or args.metric is not None):
         raise CliError("--bounded and --metric apply only to a family generated from a graph")
@@ -171,7 +171,7 @@ def _resolve_family(args: argparse.Namespace, allow_non_mobile: bool = False) ->
     if args.bounded is None:
         raise CliError("generated families need --bounded F")
     return generate_bounded_omissions(
-        _resolve_graph(args), args.bounded, args.metric or "global"
+        _resolve_graph(args), args.bounded, args.metric or "global", budget
     )
 
 
@@ -194,7 +194,7 @@ def _verdict_text(verdict: Verdict, family: EventFamily) -> str:
 
 
 def cmd_check(args: argparse.Namespace, budget: Budget) -> int:
-    family = _resolve_family(args)
+    family = _resolve_family(args, budget)
     partition = beta_partition(family) if args.format == "json" and args.beta else None
     if args.problem == "broadcast":
         verdict = check_broadcastable(family)
@@ -217,7 +217,9 @@ def cmd_check(args: argparse.Namespace, budget: Budget) -> int:
 # ---- gen ----------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace, budget: Budget) -> int:
-    family = generate_bounded_omissions(_resolve_graph(args), args.bounded, args.metric)
+    family = generate_bounded_omissions(
+        _resolve_graph(args), args.bounded, args.metric, budget
+    )
     if args.format == "dot":
         _write_output(dot.family_dot(family), args)
     else:
@@ -265,7 +267,7 @@ def _build_protocol(args: argparse.Namespace, family: EventFamily) -> ProtocolSp
     )
 
 
-def _parse_scenario(spec: str, family: EventFamily) -> Scenario:
+def _parse_scenario(spec: str, family: EventFamily) -> tuple[int, ...]:
     word = []
     for token in spec.split(","):
         token = token.strip()
@@ -275,33 +277,37 @@ def _parse_scenario(spec: str, family: EventFamily) -> Scenario:
             word.append(int(token))
         else:
             raise CliError(f"unknown event {token!r} in --scenario")
-    return Scenario(tuple(word))
+    return tuple(word)
 
 
-def _parse_init(spec: str, family: EventFamily) -> InitialConfig:
+def _parse_init(spec: str, family: EventFamily) -> tuple[int, ...]:
     mapping = {}
     for part in spec.split(","):
         label, sep, value = part.partition("=")
         if not sep or value.strip() not in ("0", "1"):
             raise CliError(f"cannot parse --init entry {part!r}")
         mapping[label.strip()] = int(value)
+    g = family.base
     try:
-        return InitialConfig.from_mapping(family.base, mapping)
-    except (KeyError, ValueError) as exc:
+        values = {g.node(label): value for label, value in mapping.items()}
+    except KeyError as exc:
         raise CliError(str(exc.args[0]))
+    missing = [g.label(u) for u in range(g.node_count) if u not in values]
+    if missing:
+        raise CliError(f"initial value missing for nodes: {missing}")
+    return tuple(values[u] for u in range(g.node_count))
 
 
 def _trace_json(trace: SimulationTrace, protocol: ProtocolSpec, family: EventFamily) -> dict:
     g = family.base
-    scenario, init = trace.scenario, trace.init
     return {
         "protocol": protocol.name,
-        "scenario": list(scenario.names(family)),
-        "init": {g.label(u): v for u, v in enumerate(init.values)},
+        "scenario": [family.name(i) for i in trace.word],
+        "init": {g.label(u): v for u, v in enumerate(trace.init)},
         "rounds": [
             {
                 "round": r + 1,
-                "event": family.name(scenario.word[r]),
+                "event": family.name(trace.word[r]),
                 "delivered": [[g.label(t), g.label(h)] for t, h in trace.deliveries[r]],
                 "states": {g.label(u): repr(s) for u, s in enumerate(trace.states[r + 1])},
             }
@@ -316,9 +322,9 @@ def _trace_json(trace: SimulationTrace, protocol: ProtocolSpec, family: EventFam
 
 def _trace_text(trace: SimulationTrace, protocol: ProtocolSpec, family: EventFamily) -> str:
     g = family.base
-    values = " ".join(f"{g.label(u)}={x}" for u, x in enumerate(trace.init.values))
+    values = " ".join(f"{g.label(u)}={x}" for u, x in enumerate(trace.init))
     lines = [f"protocol {protocol.name}: init {values}"]
-    for r, letter in enumerate(trace.scenario.word):
+    for r, letter in enumerate(trace.word):
         arcs = " ".join(f"{g.label(t)}->{g.label(h)}" for t, h in trace.deliveries[r])
         lines.append(f"  round {r + 1} {family.name(letter)}: {arcs or '(nothing delivered)'}")
     decided = [
@@ -343,28 +349,25 @@ def _report_text(report: CheckReport, family: EventFamily) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
-    family = _resolve_family(args, allow_non_mobile=args.crash_horizon is not None)
+    family = _resolve_family(args, budget, allow_non_mobile=args.crash_horizon is not None)
     if args.crash_horizon is not None:
         try:
-            family, scenarios = crash_scheme_prefixes(family.base, args.crash_horizon)
+            family, words = bundled.crash_scheme_prefixes(family.base, args.crash_horizon)
         except ValueError as exc:  # the graph is not the complete 2-node digraph
             raise CliError(str(exc))
     protocol = _build_protocol(args, family)
     if args.crash_horizon is not None:
-        report = check_scenarios(
-            protocol, family, sorted(scenarios, key=lambda s: s.word),
-            args.crash_horizon, budget,
-        )
+        report = check_scenarios(protocol, family, sorted(words), args.crash_horizon, budget)
     elif args.all_scenarios is not None:
         report = exhaustive_check(protocol, family, args.all_scenarios, budget)
     elif args.random_scenarios is not None:
         if args.length is None:
             raise CliError("--random-scenarios needs --length L")
-        scenarios = [
-            random_scenario(range(len(family)), args.length, args.seed + i)
-            for i in range(args.random_scenarios)
-        ]
-        report = check_scenarios(protocol, family, scenarios, args.length, budget)
+        # One generator per word, seeded seed + i, so each word depends on its seed only.
+        letters = range(len(family))
+        rngs = (random.Random(args.seed + i) for i in range(args.random_scenarios))
+        words = [tuple(rng.choice(letters) for _ in range(args.length)) for rng in rngs]
+        report = check_scenarios(protocol, family, words, args.length, budget)
     else:
         if args.scenario is None or args.init is None:
             raise CliError(
@@ -390,7 +393,7 @@ def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
 # ---- oracle ---------------------------------------------------------------------
 
 def cmd_oracle(args: argparse.Namespace, budget: Budget) -> int:
-    family = _resolve_family(args)
+    family = _resolve_family(args, budget)
     result = min_consensus_rounds(family, args.max_horizon, budget)
     if args.format == "json":
         _write_output(json.dumps(result.to_json_dict(family), indent=2), args)
@@ -410,7 +413,7 @@ def cmd_oracle(args: argparse.Namespace, budget: Budget) -> int:
 
 def cmd_audit_connectivity(args: argparse.Namespace, budget: Budget) -> int:
     try:
-        rows = connectivity_threshold_check(_resolve_graph(args), args.f_max)
+        rows = connectivity_threshold_check(_resolve_graph(args), args.f_max, budget)
     except ValueError as exc:  # the graph is not symmetric or has one node
         raise CliError(str(exc))
     payload = [
@@ -436,7 +439,7 @@ def cmd_audit_connectivity(args: argparse.Namespace, budget: Budget) -> int:
 
 
 def cmd_audit_equal_rounds(args: argparse.Namespace, budget: Budget) -> int:
-    family = _resolve_family(args)
+    family = _resolve_family(args, budget)
     try:
         report = equal_rounds_audit(family, budget)
     except ValueError as exc:
@@ -492,16 +495,17 @@ def build_parser() -> _Parser:
     sim.add_argument("--origin", metavar="NODE", help="originator label")
     sim.add_argument("--rounds", type=non_negative_int, help="protocol round parameter")
     sim.add_argument("--decide-map", metavar="MAP", help='e.g. "H1=c,H2=d"')
-    sim.add_argument("--scenario", metavar="WORD", help='e.g. "H1,H2,H1"')
     sim.add_argument("--init", metavar="VALUES", help='e.g. "a=0,b=1"')
-    sim.add_argument("--all-scenarios", type=non_negative_int, metavar="H",
-                     help="check all words of length H against all inputs")
-    sim.add_argument("--random-scenarios", type=non_negative_int, metavar="N",
-                     help="check N seeded random words")
     sim.add_argument("--length", type=non_negative_int, help="word length for --random-scenarios")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--crash-horizon", type=non_negative_int, metavar="H",
-                     help="check all single-crash prefixes of length H (2-node)")
+    mode = sim.add_mutually_exclusive_group()
+    mode.add_argument("--scenario", metavar="WORD", help='e.g. "H1,H2,H1"')
+    mode.add_argument("--all-scenarios", type=non_negative_int, metavar="H",
+                      help="check all words of length H against all inputs")
+    mode.add_argument("--random-scenarios", type=non_negative_int, metavar="N",
+                      help="check N seeded random words")
+    mode.add_argument("--crash-horizon", type=non_negative_int, metavar="H",
+                      help="check all single-crash prefixes of length H (2-node)")
 
     oracle = _add_command(sub, "oracle", cmd_oracle, "brute-force consensus search")
     _add_family_flags(oracle)

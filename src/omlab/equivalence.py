@@ -33,17 +33,10 @@ Solvability analysis handles them separately as immediately fatal.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .events import Event, EventFamily
-from .graphs import Arc, Digraph, mask_nodes
-
-
-def in_x(event: Event, x_mask: int) -> frozenset[Arc]:
-    """Arcs of the event whose head lies in the node set ``x_mask``."""
-    return frozenset(a for a in event.arcs if x_mask >> a[1] & 1)
+from .graphs import Digraph, mask_nodes
 
 
 def _head_filter(base: Digraph, x_mask: int) -> int:
@@ -163,47 +156,6 @@ class BetaPartition:
     classes: tuple[tuple[int, ...], ...]
     class_edges: tuple[tuple[AlphaWitness, ...], ...]
     iterations: int
-
-    @cached_property
-    def class_of(self) -> tuple[int, ...]:
-        owner = [0] * len(self.family)
-        for ci, members in enumerate(self.classes):
-            for i in members:
-                owner[i] = ci
-        return tuple(owner)
-
-    def witness_chain(self, left: int, right: int) -> tuple[AlphaWitness, ...]:
-        """Chain of witnesses joining two events of the same class.
-
-        The chain walks the class's spanning tree, so every intermediate
-        event and every witness belongs to the class of the endpoints.
-        """
-        ci = self.class_of[left]
-        if self.class_of[right] != ci:
-            raise ValueError("events are in different classes")
-        if left == right:
-            return ()
-        adjacency: dict[int, list[tuple[int, AlphaWitness]]] = {}
-        for edge in self.class_edges[ci]:
-            adjacency.setdefault(edge.left, []).append((edge.right, edge))
-            adjacency.setdefault(edge.right, []).append((edge.left, edge))
-        prev: dict[int, tuple[int, AlphaWitness]] = {left: (left, None)}  # type: ignore[dict-item]
-        queue = deque([left])
-        while queue:
-            x = queue.popleft()
-            if x == right:
-                break
-            for y, edge in adjacency.get(x, ()):
-                if y not in prev:
-                    prev[y] = (x, edge)
-                    queue.append(y)
-        chain: list[AlphaWitness] = []
-        node = right
-        while node != left:
-            node, edge = prev[node]
-            chain.append(edge)
-        chain.reverse()
-        return tuple(chain)
 
     def verify(self) -> bool:
         """Replay every stored edge and recheck the closure condition.

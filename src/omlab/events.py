@@ -22,7 +22,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .budget import FamilyCapExceededError, effective_budget
+from .budget import Budget, FamilyCapExceededError, effective_budget
 from .graphs import Arc, Digraph, mask_nodes, sources_of_arcs
 
 OmissionMetric = Literal["global", "send", "recv"]
@@ -103,10 +103,6 @@ def _arcs_of(base: Digraph, mask: int) -> tuple[Arc, ...]:
     return tuple(arcs[i] for i in mask_nodes(mask))
 
 
-def full_event(base: Digraph) -> Event:
-    return Event(base, (1 << len(base.arcs)) - 1)
-
-
 def event_from_arcs(base: Digraph, arcs: Iterable[Arc]) -> Event:
     """The event delivering exactly ``arcs``, which must be arcs of ``base``."""
     arcs = {tuple(a) for a in arcs}
@@ -160,12 +156,6 @@ class EventFamily:
     def mask_index(self) -> dict[int, int]:
         return {ev.arc_mask: i for i, ev in enumerate(self.events)}
 
-    def index_of(self, event: Event) -> int:
-        try:
-            return self.mask_index[event.arc_mask]
-        except KeyError:
-            raise KeyError("event not in family") from None
-
     @cached_property
     def canonical_order(self) -> tuple[int, ...]:
         """Indices sorted by arc list; used for deterministic processing."""
@@ -188,44 +178,6 @@ class EventFamily:
         for b in self.source_masks:
             mask &= b
         return mask
-
-
-@dataclass(frozen=True)
-class InitialConfig:
-    """Binary initial value per node."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("initial values must be 0 or 1")
-
-    @classmethod
-    def uniform(cls, node_count: int, value: int) -> "InitialConfig":
-        return cls((value,) * node_count)
-
-    @classmethod
-    def from_mapping(cls, g: Digraph, mapping: dict[str, int]) -> "InitialConfig":
-        values = [None] * g.node_count
-        for label, value in mapping.items():
-            values[g.node(label)] = value
-        if any(v is None for v in values):
-            missing = [g.label(u) for u, v in enumerate(values) if v is None]
-            raise ValueError(f"initial value missing for nodes: {missing}")
-        return cls(tuple(values))
-
-    @property
-    def all_same(self) -> int | None:
-        """The common value when the configuration is uniform, else None."""
-        if self.values and all(v == self.values[0] for v in self.values):
-            return self.values[0]
-        return None
-
-
-def all_initial_configs(node_count: int) -> Iterator[InitialConfig]:
-    for values in product((0, 1), repeat=node_count):
-        yield InitialConfig(values)
 
 
 # ---- convexity ---------------------------------------------------------------
@@ -281,88 +233,42 @@ def generate_bounded_omissions(
     base: Digraph,
     f: int,
     metric: OmissionMetric = "global",
-    max_events: int | None = None,
+    budget: Budget | None = None,
 ) -> EventFamily:
     """All events of ``base`` with at most ``f`` omitted arcs.
 
     ``metric`` selects how omissions are counted: ``global`` bounds the
     total number of missing arcs, ``send`` bounds each node's missing
-    out-arcs, ``recv`` each node's missing in-arcs.  The result is convex
-    by construction.  Raises FamilyCapExceededError when the family would
-    exceed ``max_events`` (default: the family cap from the budget).
+    out-arcs, ``recv`` each node's missing in-arcs.  Each metric splits
+    the arcs into disjoint groups (one group for ``global``, one per node
+    otherwise) and bounds the omissions in each.  The result is convex by
+    construction.  Raises FamilyCapExceededError when the family would
+    exceed the budget's family cap.
     """
     if f < 0:
         raise ValueError("omission bound must be non-negative")
-    cap = max_events if max_events is not None else effective_budget(None).max_family_events
     bits = [1 << i for i in range(len(base.arcs))]
-    full = sum(bits)
     if metric == "global":
-        count = sum(comb(len(bits), k) for k in range(min(f, len(bits)) + 1))
-        _check_cap(count, cap)
-        masks = [
-            full ^ sum(omitted)
-            for k in range(min(f, len(bits)) + 1)
-            for omitted in combinations(bits, k)
-        ]
+        groups = [bits]
     elif metric in ("send", "recv"):
         end = 0 if metric == "send" else 1
-        groups: list[list[int]] = [[] for _ in range(base.node_count)]
+        groups = [[] for _ in range(base.node_count)]
         for bit, arc in zip(bits, base.sorted_arcs):
             groups[arc[end]].append(bit)
-        count = _count_bounded([len(g) for g in groups], f)
-        _check_cap(count, cap)
-        # One omission mask per node; the nodes' arc groups are disjoint.
-        per_node_choices = [
-            [sum(ch) for k in range(min(f, len(g)) + 1) for ch in combinations(g, k)]
-            for g in groups
-        ]
-        masks = [full ^ sum(omissions) for omissions in product(*per_node_choices)]
     else:
         raise ValueError(f"unknown omission metric {metric!r}")
-    masks.sort(key=_arc_order)
-    return EventFamily(base, tuple(Event(base, m) for m in masks))
-
-
-def _check_cap(count: int, cap: int) -> None:
+    count = _count_bounded([len(g) for g in groups], f)
+    cap = effective_budget(budget).max_family_events
     if count > cap:
-        raise FamilyCapExceededError(
-            f"family would contain {count} events, cap is {cap}"
-        )
-
-
-def convex_closure(
-    base: Digraph,
-    seeds: Iterable[Event],
-    max_events: int | None = None,
-) -> EventFamily:
-    """Smallest convex family containing the seed events."""
-    cap = max_events if max_events is not None else effective_budget(None).max_family_events
-    seed_masks = [ev.arc_mask for ev in seeds]
-    if not seed_masks:
-        raise ValueError("convex closure needs at least one seed event")
-    union = 0
-    for m in seed_masks:
-        union |= m
-    closed: set[int] = set()
-    frontier = list(dict.fromkeys(seed_masks))
-    while frontier:
-        mask = frontier.pop()
-        if mask in closed:
-            continue
-        closed.add(mask)
-        if len(closed) > cap:
-            raise FamilyCapExceededError(
-                f"convex closure exceeds cap of {cap} events"
-            )
-        missing = union & ~mask
-        bit = 0
-        while missing >> bit:
-            if missing >> bit & 1:
-                grown = mask | 1 << bit
-                if grown not in closed:
-                    frontier.append(grown)
-            bit += 1
-    masks = sorted(closed, key=_arc_order)
+        raise FamilyCapExceededError(f"family would contain {count} events, cap is {cap}")
+    # One omission mask per group; the groups are disjoint.
+    per_group_choices = [
+        [sum(ch) for k in range(min(f, len(g)) + 1) for ch in combinations(g, k)]
+        for g in groups
+    ]
+    full = sum(bits)
+    masks = [full ^ sum(omissions) for omissions in product(*per_group_choices)]
+    masks.sort(key=_arc_order)
     return EventFamily(base, tuple(Event(base, m) for m in masks))
 
 

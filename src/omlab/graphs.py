@@ -9,7 +9,7 @@ Arcs are ``(tail, head)`` pairs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -36,38 +36,28 @@ def mask_nodes(mask: int) -> tuple[int, ...]:
     return tuple(nodes)
 
 
-def heads(arcs: Iterable[Arc]) -> int:
-    """Bitmask of nodes that are heads of the given arcs."""
-    mask = 0
-    for _tail, head in arcs:
-        mask |= 1 << head
-    return mask
-
-
 # ---- digraph ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Digraph:
     """Immutable digraph.  Arc set is deduplicated via ``frozenset``.
 
-    Self-loops are rejected unless ``allow_self_loops=True`` is passed at
-    construction (delivery of a node's own state to itself is implicit in
-    the round semantics, so loops are almost always a modelling mistake).
+    Self-loops are rejected: delivery of a node's own state to itself is
+    implicit in the round semantics, so a loop is a modelling mistake.
     """
 
     node_count: int
     arcs: frozenset[Arc]
     labels: tuple[str, ...] | None = None
-    allow_self_loops: InitVar[bool] = False
 
-    def __post_init__(self, allow_self_loops: bool) -> None:
+    def __post_init__(self) -> None:
         if self.node_count < 0:
             raise ValueError("node_count must be non-negative")
         object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
         for tail, head in self.arcs:
             if not (0 <= tail < self.node_count and 0 <= head < self.node_count):
                 raise ValueError(f"arc ({tail},{head}) out of range for {self.node_count} nodes")
-            if tail == head and not allow_self_loops:
+            if tail == head:
                 raise ValueError(f"self-loop ({tail},{head}) rejected")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
@@ -138,13 +128,6 @@ class Digraph:
 
 # ---- reachability and sources ----------------------------------------------
 
-def reachable_from(g: Digraph, u: int) -> int:
-    """Bitmask of nodes reachable from ``u`` by a directed path (incl. u)."""
-    if not 0 <= u < g.node_count:
-        raise ValueError(f"node {u} out of range")
-    return _reach(g.out_masks, u)
-
-
 def _reach(adjacency: tuple[int, ...], u: int) -> int:
     """Closure of ``u`` under ``adjacency``; the frontier is walked by lowest set bit."""
     seen = frontier = 1 << u
@@ -157,11 +140,6 @@ def _reach(adjacency: tuple[int, ...], u: int) -> int:
         frontier = new & ~seen
         seen |= frontier
     return seen
-
-
-def sources(g: Digraph) -> int:
-    """Bitmask of nodes from which every node is reachable.  May be empty."""
-    return sources_of_arcs(g.node_count, g.out_masks)
 
 
 def sources_of_arcs(node_count: int, out_masks: tuple[int, ...]) -> int:

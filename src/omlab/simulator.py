@@ -1,5 +1,8 @@
 """Deterministic synchronous round engine driven by scenario words.
 
+A word is a tuple of event indices into an ``EventFamily``, one letter
+per round; an input is a tuple of one binary value per node.
+
 Each round, every node computes a message per out-neighbour of the base
 graph; a message is delivered exactly when its arc is present in the
 round's event (so failures never depend on what the algorithm sends).
@@ -13,12 +16,12 @@ reporting a different value (or none) later is a protocol error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .budget import Budget, BudgetExceededError, effective_budget
-from .events import EventFamily, InitialConfig, all_initial_configs
+from .events import EventFamily
 from .graphs import Arc, node_mask
-from .scenarios import Scenario
 
 
 class ProtocolError(RuntimeError):
@@ -49,49 +52,47 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    scenario: Scenario
-    init: InitialConfig
+    word: tuple[int, ...]
+    init: tuple[int, ...]
     states: tuple[tuple[Any, ...], ...]  # states[r] = configuration after round r
     deliveries: tuple[tuple[Arc, ...], ...]  # arcs that carried a message, per round
     decisions: tuple[tuple[int, int] | None, ...]  # per node: (value, round decided)
 
     @property
     def rounds(self) -> int:
-        return len(self.scenario.word)
+        return len(self.word)
 
 
 def run(
     protocol: ProtocolSpec,
     family: EventFamily,
-    scenario: Scenario,
-    init: InitialConfig,
+    word: tuple[int, ...],
+    init: tuple[int, ...],
 ) -> SimulationTrace:
-    """Execute the protocol subject to the scenario word."""
-    scenario.check_family(family)
-    n = family.base.node_count
-    if len(init.values) != n:
-        raise ValueError(
-            f"initial configuration has {len(init.values)} values, graph has {n} nodes"
-        )
+    """Execute the protocol on input ``init`` subject to ``word``."""
+    if any(letter not in range(len(family)) for letter in word):
+        raise ValueError(f"word {word} has a letter outside the {len(family)}-event family")
+    if len(init) != family.base.node_count or any(value not in (0, 1) for value in init):
+        raise ValueError(f"input {init} is not one 0/1 value per node")
     states, decisions = _start(protocol, init)
     all_states = [tuple(states)]
     deliveries: list[tuple[Arc, ...]] = []
-    for round_no, letter in enumerate(scenario.word, start=1):
+    for round_no, letter in enumerate(word, start=1):
         states, arcs_used = _step(
             protocol, family, states, letter, decisions, round_no
         )
         all_states.append(tuple(states))
         deliveries.append(arcs_used)
     return SimulationTrace(
-        scenario, init, tuple(all_states), tuple(deliveries), tuple(decisions)
+        word, init, tuple(all_states), tuple(deliveries), tuple(decisions)
     )
 
 
 def _start(
-    protocol: ProtocolSpec, init: InitialConfig
+    protocol: ProtocolSpec, init: tuple[int, ...]
 ) -> tuple[list[Any], list[tuple[int, int] | None]]:
     """The initial states and the decisions taken at round 0."""
-    states = [protocol.init(u, value) for u, value in enumerate(init.values)]
+    states = [protocol.init(u, value) for u, value in enumerate(init)]
     decisions: list[tuple[int, int] | None] = [None] * len(states)
     _record_decisions(protocol, states, decisions, 0)
     return states, decisions
@@ -323,55 +324,53 @@ class CheckReport:
 def check_scenarios(
     protocol: ProtocolSpec,
     family: EventFamily,
-    scenarios: Iterable[Scenario],
+    words: Iterable[tuple[int, ...]],
     horizon: int,
     budget: Budget | None = None,
 ) -> CheckReport:
-    """Run all scenarios against all binary inputs and check the three
+    """Run all words against all binary inputs and check the three
     consensus requirements: every node decides, uniform inputs force the
     common value, and all decided values agree.  Nodes may decide at
     different rounds, as long as all have decided by the end."""
     budget = effective_budget(budget)
     n = family.base.node_count
-    scenario_list = list(scenarios)
-    runs = len(scenario_list) * (1 << n)
+    word_list = list(words)
+    runs = len(word_list) * (1 << n)
     if runs > budget.max_executions:
         raise BudgetExceededError(
             f"{runs} runs exceed the execution cap {budget.max_executions}"
         )
     violations: list[Violation] = []
-    for scenario in scenario_list:
-        for init in all_initial_configs(n):
-            trace = run(protocol, family, scenario, init)
-            violations.extend(_check_run(scenario.word, init, trace.decisions))
+    for word in word_list:
+        for init in product((0, 1), repeat=n):
+            trace = run(protocol, family, word, init)
+            violations.extend(_check_run(word, init, trace.decisions))
     return CheckReport(protocol.name, horizon, runs, tuple(violations))
 
 
 def _check_run(
     word: tuple[int, ...],
-    init: InitialConfig,
+    init: tuple[int, ...],
     decisions: Sequence[tuple[int, int] | None],
 ) -> list[Violation]:
     """The consensus requirements that one run, with these final decisions, breaks."""
-    values = init.values
     violations = []
     undecided = [v for v, d in enumerate(decisions) if d is None]
     if undecided:
         violations.append(
-            Violation("termination", word, values, f"nodes {undecided} never decided")
+            Violation("termination", word, init, f"nodes {undecided} never decided")
         )
     decided = [d[0] for d in decisions if d is not None]
-    uniform = init.all_same
-    if uniform is not None and any(value != uniform for value in decided):
+    if len(set(init)) == 1 and any(value != init[0] for value in decided):
         violations.append(
             Violation(
-                "validity", word, values,
-                f"uniform input {uniform} but decisions {decided}",
+                "validity", word, init,
+                f"uniform input {init[0]} but decisions {decided}",
             )
         )
     if len(set(decided)) > 1:
         violations.append(
-            Violation("agreement", word, values, f"conflicting decisions {decided}")
+            Violation("agreement", word, init, f"conflicting decisions {decided}")
         )
     return violations
 
@@ -399,7 +398,7 @@ def exhaustive_check(
         raise BudgetExceededError(
             f"{runs} runs exceed the execution cap {budget.max_executions}"
         )
-    inits = list(all_initial_configs(n))
+    inits = list(product((0, 1), repeat=n))
     violations: list[Violation] = []
 
     def walk(word: tuple[int, ...], carried: list) -> None:

@@ -340,13 +340,6 @@ class BroadcastGame:
         return self.value(1 << u)
 
 
-def broadcast_rounds(
-    family: EventFamily, u: int, budget: Budget | None = None
-) -> Rounds:
-    """Worst-case rounds for flooding from ``u``, or UNBOUNDED."""
-    return BroadcastGame(family, budget).rounds_from(u)
-
-
 def optimal_broadcast_rounds(
     family: EventFamily, budget: Budget | None = None
 ) -> tuple[int, int] | None:
@@ -379,7 +372,7 @@ class ThresholdRow:
 
 
 def connectivity_threshold_check(
-    g: Digraph, f_max: int, max_events: int | None = None
+    g: Digraph, f_max: int, budget: Budget | None = None
 ) -> tuple[ThresholdRow, ...]:
     """Consensus verdicts for omission bounds 0..f_max vs the connectivity cut.
 
@@ -390,10 +383,11 @@ def connectivity_threshold_check(
     consensus holds exactly when some node stays a source after any f
     arc omissions, that is, when f arcs cannot cut the graph.
     """
+    budget = effective_budget(budget)
     connectivity = arc_connectivity(g)
     rows = []
     for f in range(f_max + 1):
-        family = generate_bounded_omissions(g, f, "global", max_events=max_events)
+        family = generate_bounded_omissions(g, f, "global", budget)
         verdict = check_consensus(family)
         expected = f < connectivity
         rows.append(

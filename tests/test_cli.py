@@ -61,6 +61,8 @@ def test_check_json_class_verdict_computes_partition_once(partition_calls, capsy
 
 
 SIMULATE_K3 = ["simulate", "--complete", "3", "--bounded", "1"]
+FIG12_FLOODING = ["simulate", "--bundled", "fig12", "--protocol", "flooding", "--origin", "a",
+                  "--rounds", "2"]
 
 # Placeholders in an argument list, replaced by the path of a file holding this JSON.
 INPUT_FILES = {
@@ -98,6 +100,14 @@ INPUT_FILES = {
         ["check", "--family", "."],
         ["check", "--bundled", "fig12", "--bounded", "3", "--metric", "send"],
         ["oracle", "--bundled", "O1-2node", "--metric", "recv"],
+        ["simulate", "--bundled", "H-2node", "--protocol", "h-one-round",
+         "--all-scenarios", "2", "--crash-horizon", "1"],
+        FIG12_FLOODING + ["--scenario", "H1,H2", "--init", "a=1,b=0,c=0,d=1",
+                          "--all-scenarios", "1"],
+        FIG12_FLOODING + ["--scenario", "H1", "--init", "a=1,b=0,c=0"],
+        FIG12_FLOODING + ["--scenario", "H1", "--init", "a=1,b=0,c=0,e=1"],
+        FIG12_FLOODING + ["--scenario", "H1", "--init", "a=1,b=0,c=0,d=2"],
+        FIG12_FLOODING + ["--scenario", "H1,H3", "--init", "a=1,b=0,c=0,d=1"],
     ],
     ids=[
         "one-node-connectivity", "asymmetric-connectivity", "negative-bound",
@@ -106,6 +116,8 @@ INPUT_FILES = {
         "empty-family-oracle", "dot-simulate", "dot-oracle", "dot-audit-connectivity",
         "dot-audit-equal-rounds", "two-family-sources", "no-family-source",
         "family-is-a-directory", "bounded-with-bundled", "metric-with-bundled",
+        "two-sweeps", "run-and-sweep", "init-missing-node", "init-unknown-label",
+        "init-value-2", "scenario-unknown-event",
     ],
 )
 def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from omlab import (
     AlphaWitness,
+    Event,
     EventFamily,
     alpha_related,
     alpha_star,
@@ -15,14 +16,19 @@ from omlab import (
     cycle_digraph,
     event_from_arcs,
     generate_bounded_omissions,
-    in_x,
     node_mask,
 )
+from omlab.equivalence import _head_filter
 
 from conftest import A, B, C, D, BLACK, WHITE
 
 
 # ---- in_x -------------------------------------------------------------------
+
+def in_x(event: Event, x_mask: int) -> frozenset:
+    """Arcs of the event whose head lies in ``x_mask``, through the relations' head filter."""
+    return Event(event.base, event.arc_mask & _head_filter(event.base, x_mask)).arcs
+
 
 def test_in_x_empty_set(omit_white):
     assert in_x(omit_white, 0) == frozenset()
@@ -112,30 +118,6 @@ def test_beta_refines_alpha_star():
         for members in bp.classes:
             assert any(set(members) <= c for c in coarse)
         assert bp.iterations <= len(family) + 1
-
-
-def test_beta_witness_chain_replays(o1):
-    bp = beta_partition(o1)
-    chain = bp.witness_chain(0, 2)
-    assert chain, "distinct events in one class need a nonempty chain"
-    for edge in chain:
-        assert edge.holds(o1)
-        assert bp.class_of[edge.left] == bp.class_of[0]
-        assert bp.class_of[edge.witness] == bp.class_of[0]
-    # The chain must walk from one endpoint to the other.
-    endpoints = {chain[0].left, chain[0].right}
-    assert 0 in endpoints
-    assert chain[-1].left == 2 or chain[-1].right == 2
-
-
-def test_beta_witness_chain_same_event(o1):
-    assert beta_partition(o1).witness_chain(1, 1) == ()
-
-
-def test_beta_witness_chain_rejects_cross_class(h_scheme):
-    bp = beta_partition(h_scheme)
-    with pytest.raises(ValueError):
-        bp.witness_chain(0, 1)
 
 
 def test_beta_verify_catches_tampering(o1):

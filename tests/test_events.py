@@ -7,26 +7,28 @@ from math import comb
 import pytest
 
 from omlab import (
+    Budget,
     Event,
     EventFamily,
     FamilyCapExceededError,
-    InitialConfig,
-    all_initial_configs,
+    cli,
     complete_digraph,
-    convex_closure,
     convexity_violation,
     event_from_arcs,
+    exhaustive_check,
     family_from_json_dict,
     family_to_json_dict,
-    full_event,
+    flooding,
     generate_bounded_omissions,
     hypercube_digraph,
     is_convex,
     mask_nodes,
     node_mask,
+    run,
     symmetric_digraph,
 )
 from omlab.events import _arc_order
+from omlab.simulator import _check_run
 
 from conftest import BLACK, WHITE, random_connected_symmetric
 
@@ -58,7 +60,7 @@ def test_event_is_its_arc_mask():
 
 
 def test_event_mask_must_fit_the_base(two_node):
-    assert full_event(two_node).arc_mask == 0b11
+    assert Event(two_node, 0b11).arcs == two_node.arcs
     for mask in (-1, 0b100):
         with pytest.raises(ValueError):
             Event(two_node, mask)
@@ -103,7 +105,7 @@ def test_family_rejects_foreign_base(two_node, ok_event):
 def test_family_names_and_lookup(o1):
     assert o1.names == ("ok", "omit-white", "omit-black")
     assert o1.name_index["omit-black"] == 2
-    assert o1.index_of(o1.events[1]) == 1
+    assert o1.mask_index[o1.events[1].arc_mask] == 1
 
 
 # ---- convexity -----------------------------------------------------------------
@@ -180,14 +182,14 @@ def test_bounded_families_are_convex(metric):
     for _ in range(12):
         g = random_connected_symmetric(rng, rng.randint(2, 5))
         f = rng.randint(0, 2)
-        family = generate_bounded_omissions(g, f, metric, max_events=1 << 16)
+        family = generate_bounded_omissions(g, f, metric, budget=Budget(max_family_events=1 << 16))
         assert is_convex(family)
 
 
 def test_family_cap_is_a_distinct_error():
     q3 = hypercube_digraph(3)
     with pytest.raises(FamilyCapExceededError):
-        generate_bounded_omissions(q3, 3, "global", max_events=100)
+        generate_bounded_omissions(q3, 3, "global", budget=Budget(max_family_events=100))
 
 
 def test_negative_bound_rejected(two_node):
@@ -199,7 +201,6 @@ def test_generator_output_is_canonically_ordered(two_node):
     k4 = complete_digraph(4)
     families = [generate_bounded_omissions(two_node, 2, "global")]
     families += [generate_bounded_omissions(k4, 2, metric) for metric in ("global", "send", "recv")]
-    families.append(convex_closure(k4, generate_bounded_omissions(k4, 3).events[-5:]))
     for family in families:
         orders = [ev.sorted_arcs for ev in family]
         assert orders == sorted(orders)
@@ -210,55 +211,33 @@ def test_generator_output_is_canonically_ordered(two_node):
     assert [shuffled[i] for i in family.canonical_order] == list(families[1].events)
 
 
-# ---- convex closure  -----------------------------------------------------------------
+# ---- initial configurations: input tuples ---------------------------------------------
 
-def test_closure_of_h_scheme_is_o1(two_node, omit_white, omit_black, o1):
-    closed = convex_closure(two_node, [omit_white, omit_black])
-    assert {ev.arcs for ev in closed} == {ev.arcs for ev in o1}
-
-
-def test_closure_is_convex_and_contains_seeds():
-    rng = random.Random(31)
-    for _ in range(20):
-        g = random_connected_symmetric(rng, rng.randint(3, 5))
-        seeds = [
-            event_from_arcs(g, frozenset(a for a in g.arcs if rng.random() < 0.7))
-            for _ in range(rng.randint(1, 3))
-        ]
-        closed = convex_closure(g, seeds, max_events=4096)
-        members = {ev.arcs for ev in closed}
-        assert all(s.arcs in members for s in seeds)
-        assert is_convex(closed)
-
-
-def test_closure_cap(two_node):
-    seeds = [event_from_arcs(two_node, frozenset()), full_event(two_node)]
-    with pytest.raises(FamilyCapExceededError):
-        convex_closure(two_node, seeds, max_events=2)
-
-
-# ---- initial configurations --------------------------------------------------------
-
-def test_initial_config_validation():
-    with pytest.raises(ValueError):
-        InitialConfig((0, 2))
+def test_initial_config_validation(o1):
+    """``run`` takes exactly one 0/1 input value per node."""
+    for init in [(0,), (0, 1, 1), (0, 2)]:
+        with pytest.raises(ValueError, match="not one 0/1 value per node"):
+            run(flooding(0, 1), o1, (0,), init)
 
 
 def test_initial_config_uniform_detection():
-    assert InitialConfig((1, 1, 1)).all_same == 1
-    assert InitialConfig((0, 1)).all_same is None
+    """Validity binds only uniform inputs."""
+    decided_zero = [(0, 1)] * 3
+    assert [v.kind for v in _check_run((0,), (1, 1, 1), decided_zero)] == ["validity"]
+    assert _check_run((0,), (0, 1, 1), decided_zero) == []
 
 
 def test_initial_config_from_mapping(two_node):
-    init = InitialConfig.from_mapping(two_node, {"white": 0, "black": 1})
-    assert init.values == (0, 1)
-    with pytest.raises(ValueError):
-        InitialConfig.from_mapping(two_node, {"white": 0})
+    family = EventFamily(two_node, (Event(two_node, 0b11),))
+    assert cli._parse_init("white=0,black=1", family) == (0, 1)
+    with pytest.raises(cli.CliError, match="missing for nodes: \\['black'\\]"):
+        cli._parse_init("white=0", family)
 
 
-def test_all_initial_configs_enumeration():
-    configs = list(all_initial_configs(2))
-    assert [c.values for c in configs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+def test_all_initial_configs_enumeration(o1):
+    """Sweeps try the inputs in the oracle's order, ``product((0, 1), repeat=n)``."""
+    report = exhaustive_check(flooding(0, 0), o1, 0)
+    assert [v.init for v in report.violations] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # ---- JSON --------------------------------------------------------------------------
@@ -271,7 +250,7 @@ def test_family_json_round_trip(fig12):
 
 
 def test_family_json_rejects_bad_arc(two_node):
-    data = family_to_json_dict(EventFamily(two_node, (full_event(two_node),)))
+    data = family_to_json_dict(EventFamily(two_node, (Event(two_node, 0b11),)))
     data["events"][0]["arcs"].append(["white", "nope"])
     with pytest.raises(ValueError):
         family_from_json_dict(data)

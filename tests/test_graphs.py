@@ -13,15 +13,13 @@ from omlab import (
     cycle_digraph,
     digraph_from_json_dict,
     digraph_to_json_dict,
-    heads,
     hypercube_digraph,
     mask_nodes,
     node_mask,
     path_digraph,
-    reachable_from,
-    sources,
     symmetric_digraph,
 )
+from omlab.graphs import _reach, sources_of_arcs
 
 from conftest import A, B, C, D, random_digraph
 
@@ -40,8 +38,6 @@ def test_rejects_out_of_range_arcs():
 def test_rejects_self_loops_by_default():
     with pytest.raises(ValueError):
         Digraph(2, frozenset({(0, 0)}))
-    g = Digraph(2, frozenset({(0, 0)}), allow_self_loops=True)
-    assert (0, 0) in g.arcs
 
 
 def test_rejects_duplicate_labels():
@@ -61,22 +57,17 @@ def test_label_lookup():
 
 def test_reachable_complete_two_nodes():
     g = complete_digraph(2)
-    assert reachable_from(g, 0) == 0b11
+    assert _reach(g.out_masks, 0) == 0b11
 
 
 def test_reachable_h1_from_a():
     h1 = Digraph(4, H1_ARCS)
-    assert reachable_from(h1, A) == node_mask([A, B, C, D])
+    assert _reach(h1.out_masks, A) == node_mask([A, B, C, D])
 
 
 def test_reachable_no_arcs():
     g = Digraph(3, frozenset())
-    assert reachable_from(g, 0) == 0b001
-
-
-def test_reachable_out_of_range():
-    with pytest.raises(ValueError):
-        reachable_from(Digraph(2, frozenset()), 5)
+    assert _reach(g.out_masks, 0) == 0b001
 
 
 def test_reachable_matches_boolean_matrix_closure():
@@ -96,7 +87,7 @@ def test_reachable_matches_boolean_matrix_closure():
             ]
         for u in range(n):
             expected = node_mask(v for v in range(n) if closure[u][v])
-            assert reachable_from(g, u) == expected
+            assert _reach(g.out_masks, u) == expected
 
 
 def test_reachability_monotone_under_arc_addition():
@@ -112,12 +103,16 @@ def test_reachability_monotone_under_arc_addition():
             continue
         bigger = Digraph(n, g.arcs | {rng.choice(candidates)})
         for u in range(n):
-            before = reachable_from(g, u)
-            after = reachable_from(bigger, u)
+            before = _reach(g.out_masks, u)
+            after = _reach(bigger.out_masks, u)
             assert before & after == before
 
 
 # ---- sources -------------------------------------------------------------------
+
+def sources(g: Digraph) -> int:
+    return sources_of_arcs(g.node_count, g.out_masks)
+
 
 def test_sources_two_node_events(omit_white, ok_event):
     assert sources(Digraph(2, omit_white.arcs)) == node_mask([1])  # black only
@@ -165,20 +160,6 @@ def test_sources_agree_with_condensation():
             assert b == 0
 
 
-# ---- heads ----------------------------------------------------------------------
-
-def test_heads_empty():
-    assert heads([]) == 0
-
-
-def test_heads_two_arcs_one_head():
-    assert heads([(0, 1), (2, 1)]) == node_mask([1])
-
-
-def test_heads_of_h1():
-    assert heads(H1_ARCS) == node_mask([A, B, C, D])
-
-
 # ---- arc connectivity ----------------------------------------------------------------
 
 def _brute_force_edge_connectivity(g: Digraph) -> int:
@@ -189,7 +170,7 @@ def _brute_force_edge_connectivity(g: Digraph) -> int:
         for cut in combinations(edges, size):
             kept = set(edges) - set(cut)
             rest = symmetric_digraph(n, kept)
-            if reachable_from(rest, 0) != rest.full_mask:
+            if _reach(rest.out_masks, 0) != rest.full_mask:
                 return size
     raise AssertionError("two or more nodes without edges cannot be connected")
 

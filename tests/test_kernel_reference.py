@@ -30,14 +30,12 @@ from omlab import (
     event_from_arcs,
     generate_bounded_omissions,
     mask_nodes,
-    sources,
 )
 from omlab import oracle
 from omlab.bundled import bundled_names, h_one_round, load_family
 from omlab.equivalence import _UnionFind
 from omlab.graphs import sources_of_arcs
 from omlab.oracle import Execution, IndistinguishabilityChain, execution_views
-from omlab.scenarios import Scenario
 from omlab.simulator import (
     ProtocolError,
     ProtocolSpec,
@@ -90,7 +88,6 @@ def digraphs(draw) -> Digraph:
 def test_sources_match_one_closure_per_node(g):
     expected = reference_sources(g.node_count, g.out_masks)
     assert sources_of_arcs(g.node_count, g.out_masks) == expected
-    assert sources(g) == expected
 
 
 def test_sources_of_random_events_match_reference():
@@ -327,7 +324,7 @@ def test_oracle_matches_nested_tuple_search_on_bounded_families(base, monkeypatc
 
 def assert_exhaustive_matches_scenarios(protocol, family: EventFamily, horizon: int):
     words = product(range(len(family)), repeat=horizon)
-    expected = check_scenarios(protocol, family, map(Scenario, words), horizon)
+    expected = check_scenarios(protocol, family, words, horizon)
     assert exhaustive_check(protocol, family, horizon) == expected
     return expected
 
@@ -374,7 +371,7 @@ def test_exhaustive_check_raises_the_first_protocol_error(horizon):
     family = load_family("O1-2node")
     words = list(product(range(len(family)), repeat=horizon))
     with pytest.raises(ProtocolError) as expected:
-        check_scenarios(flip_flop(horizon), family, map(Scenario, words), horizon)
+        check_scenarios(flip_flop(horizon), family, words, horizon)
     with pytest.raises(ProtocolError) as got:
         exhaustive_check(flip_flop(horizon), family, horizon)
     # Input (0, 1) fails at round 1, on a shorter prefix than the first

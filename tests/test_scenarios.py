@@ -1,87 +1,71 @@
 from __future__ import annotations
 
+import io
+import json
+from contextlib import redirect_stdout
+
 import pytest
 
-from omlab import (
-    Scenario,
-    complete_digraph,
-    constant_scenario,
-    crash_scheme_prefixes,
-    eventually_constant_scenario,
-    random_scenario,
-    round_robin_scenario,
-    subword,
-    symmetric_digraph,
-)
-
-
-def test_subword_by_positions():
-    w = Scenario((0, 1, 0))
-    assert subword(w, [0, 2]).word == (0, 0)
-    assert subword(w, [0, 1, 2]).word == w.word
-    assert subword(w, [1]).word == (1,)
-
-
-def test_subword_rejects_bad_positions():
-    w = Scenario((0, 1, 0))
-    with pytest.raises(ValueError):
-        subword(w, [2, 1])
-    with pytest.raises(IndexError):
-        subword(w, [3])
+from omlab import cli, complete_digraph, flooding, run, symmetric_digraph
+from omlab.bundled import crash_scheme_prefixes
 
 
 def test_scenario_family_check(o1):
-    Scenario((0, 1, 2)).check_family(o1)
-    with pytest.raises(ValueError):
-        Scenario((3,)).check_family(o1)
-
-
-def test_constant_and_round_robin():
-    assert constant_scenario(2, 3).word == (2, 2, 2)
-    assert round_robin_scenario([0, 1], 5).word == (0, 1, 0, 1, 0)
+    """``run`` checks every letter of the word against the family."""
+    assert run(flooding(0, 3), o1, (0, 1, 2), (1, 0)).rounds == 3
+    for word in [(3,), (0, -1)]:
+        with pytest.raises(ValueError, match="outside the 3-event family"):
+            run(flooding(0, 3), o1, word, (1, 0))
 
 
 def test_random_scenario_reproducible():
-    first = random_scenario(range(4), 10, seed=42)
-    second = random_scenario(range(4), 10, seed=42)
-    assert first.word == second.word
-    assert first.generator.seed == 42
-    assert random_scenario(range(4), 10, seed=43).word != first.word
+    """``simulate --random-scenarios N --seed S`` draws word i from seed S + i."""
 
+    def words(seed: int) -> list:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main([
+                "simulate", "--bundled", "O1-2node", "--protocol", "flooding",
+                "--origin", "white", "--rounds", "1", "--random-scenarios", "4",
+                "--length", "10", "--seed", str(seed), "--format", "json",
+            ])
+        assert code == 2
+        # Flooding never decides: each word fails termination once per input.
+        violations = json.loads(out.getvalue())["violations"]
+        return [v["scenario"] for v in violations[::4]]
 
-def test_eventually_constant():
-    s = eventually_constant_scenario((0, 1), tail=2, length=5)
-    assert s.word == (0, 1, 2, 2, 2)
-    with pytest.raises(ValueError):
-        eventually_constant_scenario((0, 1, 0), tail=1, length=2)
+    first = words(42)
+    assert len(first) == 4 and words(42) == first
+    assert words(43)[:3] == first[1:]
+    assert not set(map(tuple, words(142))) & set(map(tuple, first))
 
 
 # ---- crash scheme prefixes --------------------------------------------------------
 
 def test_crash_prefixes_horizon_one(two_node):
-    family, scenarios = crash_scheme_prefixes(two_node, 1)
+    family, words = crash_scheme_prefixes(two_node, 1)
     assert family.names == ("ok", "crash-white", "crash-black")
-    assert {s.word for s in scenarios} == {(0,), (1,), (2,)}
+    assert words == {(0,), (1,), (2,)}
 
 
 def test_crash_prefixes_horizon_two(two_node):
-    _family, scenarios = crash_scheme_prefixes(two_node, 2)
-    assert {s.word for s in scenarios} == {
+    _family, words = crash_scheme_prefixes(two_node, 2)
+    assert words == {
         (0, 0), (0, 1), (0, 2), (1, 1), (2, 2),
     }
 
 
 def test_crash_prefixes_horizon_zero(two_node):
-    _family, scenarios = crash_scheme_prefixes(two_node, 0)
-    assert {s.word for s in scenarios} == {()}
+    _family, words = crash_scheme_prefixes(two_node, 0)
+    assert words == {()}
 
 
 def test_crash_prefixes_once_crashed_stays_silent(two_node):
     """No prefix resumes delivery after a crash letter."""
-    _family, scenarios = crash_scheme_prefixes(two_node, 4)
-    for s in scenarios:
+    _family, words = crash_scheme_prefixes(two_node, 4)
+    for word in words:
         seen_crash = None
-        for letter in s.word:
+        for letter in word:
             if seen_crash is not None:
                 assert letter == seen_crash
             elif letter != 0:

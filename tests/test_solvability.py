@@ -17,12 +17,9 @@ from omlab import (
     CommonSourceWitness,
     EventFamily,
     IncompatibilityWitness,
-    InitialConfig,
     NoSourceEventWitness,
-    Scenario,
     arc_connectivity,
     broadcast_consensus,
-    broadcast_rounds,
     check_broadcastable,
     check_consensus,
     complete_digraph,
@@ -187,8 +184,9 @@ def test_fig12_rounds_per_source(fig12):
 
 
 def test_h_scheme_stalls_forever(h_scheme):
-    assert broadcast_rounds(h_scheme, WHITE) == UNBOUNDED
-    assert broadcast_rounds(h_scheme, BLACK) == UNBOUNDED
+    game = BroadcastGame(h_scheme)
+    assert game.rounds_from(WHITE) == UNBOUNDED
+    assert game.rounds_from(BLACK) == UNBOUNDED
 
 
 def test_optimal_broadcast_fig12(fig12):
@@ -294,7 +292,7 @@ def test_connectivity_sweep_k4():
 
 def test_connectivity_sweep_respects_family_cap():
     with pytest.raises(BudgetExceededError):
-        connectivity_threshold_check(complete_digraph(4), 3, max_events=10)
+        connectivity_threshold_check(complete_digraph(4), 3, budget=Budget(max_family_events=10))
 
 
 def test_connectivity_sweep_bowtie_follows_arc_connectivity():
