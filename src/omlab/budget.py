@@ -23,10 +23,6 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured resource caps."""
 
 
-class FamilyCapExceededError(BudgetExceededError):
-    """A generated event family would exceed the family size cap."""
-
-
 @dataclass(frozen=True)
 class Budget:
     max_family_events: int = DEFAULT_MAX_FAMILY_EVENTS
@@ -37,6 +33,12 @@ class Budget:
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"budget cap {f.name} must be positive")
+
+    def check(self, cap: str, amount: int) -> None:
+        """Raise ``BudgetExceededError`` naming ``cap`` when ``amount`` exceeds it."""
+        limit = getattr(self, cap)
+        if amount > limit:
+            raise BudgetExceededError(f"{cap}: {amount:,} > {limit:,}")
 
     @classmethod
     def from_env(cls, env: str | None = None) -> "Budget":

@@ -85,9 +85,6 @@ def h_one_round() -> ProtocolSpec:
     def init(v: int, value: int):
         return (None, value)
 
-    def message(v: int, state, neighbor: int):
-        return state[1]
-
     def transition(v: int, state, delivered: Mapping[int, Any]):
         decided, own = state
         if decided is not None:
@@ -96,9 +93,8 @@ def h_one_round() -> ProtocolSpec:
 
     return ProtocolSpec(
         name="h-one-round",
-        state_space="(decided value or None, own value)",
         init=init,
-        message=message,
+        message=lambda v, state: state[1],
         transition=transition,
         decision=lambda v, state: state[0],
         halting_round=1,

@@ -243,28 +243,21 @@ def _build_protocol(args: argparse.Namespace, family: EventFamily) -> ProtocolSp
             raise CliError(str(exc.args[0]))
         factory = flooding if name == "flooding" else broadcast_consensus
         return factory(origin, args.rounds)
-    if name == "event-detection":
-        if not args.decide_map:
-            raise CliError('event-detection needs --decide-map "H1=c,H2=d"')
-        mapping = {}
-        for part in args.decide_map.split(","):
-            event_name, sep, node_label = part.partition("=")
-            if not sep:
-                raise CliError(f"cannot parse --decide-map entry {part!r}")
-            try:
-                mapping[family.name_index[event_name.strip()]] = (
-                    family.base.node(node_label.strip())
-                )
-            except KeyError as exc:
-                raise CliError(f"unknown name in --decide-map: {exc.args[0]}")
+    if not args.decide_map:
+        raise CliError('event-detection needs --decide-map "H1=c,H2=d"')
+    mapping = {}
+    for part in args.decide_map.split(","):
+        event_name, sep, node_label = part.partition("=")
+        if not sep:
+            raise CliError(f"cannot parse --decide-map entry {part!r}")
         try:
-            return event_detection_consensus(family, mapping)
-        except ValueError as exc:
-            raise CliError(str(exc))
-    raise CliError(
-        f"unknown protocol {name!r} "
-        "(known: h-one-round, flooding, broadcast-consensus, event-detection)"
-    )
+            mapping[family.name_index[event_name.strip()]] = family.base.node(node_label.strip())
+        except KeyError as exc:
+            raise CliError(f"unknown name in --decide-map: {exc.args[0]}")
+    try:
+        return event_detection_consensus(family, mapping)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _parse_scenario(spec: str, family: EventFamily) -> tuple[int, ...]:
@@ -349,6 +342,17 @@ def _report_text(report: CheckReport, family: EventFamily) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
+    floods = args.protocol in ("flooding", "broadcast-consensus")
+    for flag, value, reader, read in (
+        ("--init", args.init, "--scenario", args.scenario is not None),
+        ("--length", args.length, "--random-scenarios", args.random_scenarios is not None),
+        ("--seed", args.seed, "--random-scenarios", args.random_scenarios is not None),
+        ("--origin", args.origin, "flooding and broadcast-consensus", floods),
+        ("--rounds", args.rounds, "flooding and broadcast-consensus", floods),
+        ("--decide-map", args.decide_map, "event-detection", args.protocol == "event-detection"),
+    ):
+        if value is not None and not read:
+            raise CliError(f"{flag} applies only to {reader}")
     family = _resolve_family(args, budget, allow_non_mobile=args.crash_horizon is not None)
     if args.crash_horizon is not None:
         try:
@@ -363,9 +367,11 @@ def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
     elif args.random_scenarios is not None:
         if args.length is None:
             raise CliError("--random-scenarios needs --length L")
+        budget.check("max_executions", args.random_scenarios << family.base.node_count)
         # One generator per word, seeded seed + i, so each word depends on its seed only.
         letters = range(len(family))
-        rngs = (random.Random(args.seed + i) for i in range(args.random_scenarios))
+        seed = args.seed or 0
+        rngs = (random.Random(seed + i) for i in range(args.random_scenarios))
         words = [tuple(rng.choice(letters) for _ in range(args.length)) for rng in rngs]
         report = check_scenarios(protocol, family, words, args.length, budget)
     else:
@@ -491,13 +497,13 @@ def build_parser() -> _Parser:
     sim = _add_command(sub, "simulate", cmd_simulate, "run a protocol against scenarios")
     _add_family_flags(sim)
     sim.add_argument("--protocol", required=True,
-                     help="h-one-round | flooding | broadcast-consensus | event-detection")
+                     choices=("h-one-round", "flooding", "broadcast-consensus", "event-detection"))
     sim.add_argument("--origin", metavar="NODE", help="originator label")
     sim.add_argument("--rounds", type=non_negative_int, help="protocol round parameter")
     sim.add_argument("--decide-map", metavar="MAP", help='e.g. "H1=c,H2=d"')
     sim.add_argument("--init", metavar="VALUES", help='e.g. "a=0,b=1"')
     sim.add_argument("--length", type=non_negative_int, help="word length for --random-scenarios")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=int, help="first seed for --random-scenarios (default 0)")
     mode = sim.add_mutually_exclusive_group()
     mode.add_argument("--scenario", metavar="WORD", help='e.g. "H1,H2,H1"')
     mode.add_argument("--all-scenarios", type=non_negative_int, metavar="H",

@@ -22,7 +22,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .budget import Budget, FamilyCapExceededError, effective_budget
+from .budget import Budget, effective_budget
 from .graphs import Arc, Digraph, mask_nodes, sources_of_arcs
 
 OmissionMetric = Literal["global", "send", "recv"]
@@ -242,7 +242,7 @@ def generate_bounded_omissions(
     out-arcs, ``recv`` each node's missing in-arcs.  Each metric splits
     the arcs into disjoint groups (one group for ``global``, one per node
     otherwise) and bounds the omissions in each.  The result is convex by
-    construction.  Raises FamilyCapExceededError when the family would
+    construction.  Raises BudgetExceededError when the family would
     exceed the budget's family cap.
     """
     if f < 0:
@@ -258,9 +258,7 @@ def generate_bounded_omissions(
     else:
         raise ValueError(f"unknown omission metric {metric!r}")
     count = _count_bounded([len(g) for g in groups], f)
-    cap = effective_budget(budget).max_family_events
-    if count > cap:
-        raise FamilyCapExceededError(f"family would contain {count} events, cap is {cap}")
+    effective_budget(budget).check("max_family_events", count)
     # One omission mask per group; the groups are disjoint.
     per_group_choices = [
         [sum(ch) for k in range(min(f, len(g)) + 1) for ch in combinations(g, k)]

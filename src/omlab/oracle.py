@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any
 
-from .budget import Budget, BudgetExceededError, effective_budget
+from .budget import Budget, effective_budget
 from .equivalence import _UnionFind
 from .events import EventFamily, is_convex
 from .graphs import mask_nodes
@@ -95,9 +95,6 @@ def full_information_protocol(
     def init(v: int, value: int):
         return (0, (v, value))
 
-    def message(v: int, state, neighbor: int):
-        return state[1]
-
     def transition(v: int, state, delivered):
         depth, content = state
         inbound = tuple(sorted(delivered.items()))
@@ -117,9 +114,8 @@ def full_information_protocol(
 
     return ProtocolSpec(
         name=name,
-        state_space=f"(depth, full-information view), decide at depth {rounds}",
         init=init,
-        message=message,
+        message=lambda v, state: state[1],
         transition=transition,
         decision=decision,
         halting_round=rounds,
@@ -229,12 +225,7 @@ def min_consensus_rounds(
     views = _Views(family)
     search: _Search | None = None
     for r in range(max_horizon + 1):
-        cost = (1 << n) * k**r
-        if cost > budget.max_executions:
-            raise BudgetExceededError(
-                f"{cost} executions at horizon {r} exceed the cap "
-                f"{budget.max_executions}"
-            )
+        budget.check("max_executions", (1 << n) * k**r)
         if r:
             views.extend()
         search = _Search(family, r, views)

@@ -3,12 +3,16 @@
 A word is a tuple of event indices into an ``EventFamily``, one letter
 per round; an input is a tuple of one binary value per node.
 
-Each round, every node computes a message per out-neighbour of the base
-graph; a message is delivered exactly when its arc is present in the
-round's event (so failures never depend on what the algorithm sends).
-Nodes then update their state from the delivered messages.  Nodes know
-the family of possible events, never the actual letter, except through
-what they receive.
+Each round, every node computes one message and sends it to all its
+out-neighbours in the base graph; a message is delivered exactly when
+its arc is present in the round's event (so failures never depend on
+what the algorithm sends).  Nodes then update their state from the
+delivered messages.  Nodes know the family of possible events, never the
+actual letter, except through what they receive.
+
+A sweep checks a sequence of words against every input; each word
+resumes from the runs of the longest prefix it shares with the word
+before it, so words in lexicographic order simulate each prefix once.
 
 Decisions are sticky: once a node's decision extractor reports a value,
 reporting a different value (or none) later is a protocol error.
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .budget import Budget, BudgetExceededError, effective_budget
+from .budget import Budget, effective_budget
 from .events import EventFamily
 from .graphs import Arc, node_mask
 
@@ -33,8 +37,8 @@ class ProtocolSpec:
     """Deterministic per-node algorithm as four functions.
 
     ``init(node, value)`` builds the initial state; ``message(node,
-    state, neighbor)`` returns the payload for one out-neighbour (None
-    sends nothing); ``transition(node, state, delivered)`` consumes the
+    state)`` returns the payload the node sends to every out-neighbour
+    (None sends nothing); ``transition(node, state, delivered)`` consumes the
     mapping of in-neighbour to payload for delivered messages only;
     ``decision(node, state)`` reports 0/1 once decided, else None.
     After ``halting_round`` rounds the node stops sending and its state
@@ -42,9 +46,8 @@ class ProtocolSpec:
     """
 
     name: str
-    state_space: str
     init: Callable[[int, int], Any]
-    message: Callable[[int, Any, int], Any]
+    message: Callable[[int, Any], Any]
     transition: Callable[[int, Any, Mapping[int, Any]], Any]
     decision: Callable[[int, Any], int | None]
     halting_round: int | None = None
@@ -70,8 +73,7 @@ def run(
     init: tuple[int, ...],
 ) -> SimulationTrace:
     """Execute the protocol on input ``init`` subject to ``word``."""
-    if any(letter not in range(len(family)) for letter in word):
-        raise ValueError(f"word {word} has a letter outside the {len(family)}-event family")
+    _check_letters(family, word, 0)
     if len(init) != family.base.node_count or any(value not in (0, 1) for value in init):
         raise ValueError(f"input {init} is not one 0/1 value per node")
     states, decisions = _start(protocol, init)
@@ -86,6 +88,12 @@ def run(
     return SimulationTrace(
         word, init, tuple(all_states), tuple(deliveries), tuple(decisions)
     )
+
+
+def _check_letters(family: EventFamily, word: tuple[int, ...], start: int) -> None:
+    """Reject ``word`` if a letter from position ``start`` on is not an event index."""
+    if any(letter not in range(len(family)) for letter in word[start:]):
+        raise ValueError(f"word {word} has a letter outside the {len(family)}-event family")
 
 
 def _start(
@@ -112,10 +120,11 @@ def _step(
     if protocol.halting_round is not None and round_no > protocol.halting_round:
         return states, ()
     arc_mask = family.events[letter].arc_mask
+    payloads = [protocol.message(u, state) for u, state in enumerate(states)]
     delivered: list[dict[int, Any]] = [{} for _ in states]
     arcs_used: list[Arc] = []
     for bit, (tail, head) in enumerate(family.base.sorted_arcs):
-        payload = protocol.message(tail, states[tail], head)
+        payload = payloads[tail]
         if payload is not None and arc_mask >> bit & 1:
             delivered[head][tail] = payload
             arcs_used.append((tail, head))
@@ -155,9 +164,6 @@ def flooding(u: int, rounds: int) -> ProtocolSpec:
     def init(v: int, value: int):
         return value if v == u else None
 
-    def message(v: int, state, neighbor: int):
-        return state
-
     def transition(v: int, state, delivered: Mapping[int, Any]):
         if state is not None:
             return state
@@ -167,9 +173,8 @@ def flooding(u: int, rounds: int) -> ProtocolSpec:
 
     return ProtocolSpec(
         name=f"flooding[{u},{rounds}]",
-        state_space="originator value, or None before it arrives",
         init=init,
-        message=message,
+        message=lambda v, state: state,
         transition=transition,
         decision=lambda v, state: None,
         halting_round=rounds,
@@ -190,9 +195,6 @@ def broadcast_consensus(u: int, rounds: int) -> ProtocolSpec:
         got = value if v == u else None
         return (0, got, value)
 
-    def message(v: int, state, neighbor: int):
-        return state[1]
-
     def transition(v: int, state, delivered: Mapping[int, Any]):
         round_no, got, own = state
         if got is None:
@@ -209,9 +211,8 @@ def broadcast_consensus(u: int, rounds: int) -> ProtocolSpec:
 
     return ProtocolSpec(
         name=f"broadcast-consensus[{u},{rounds}]",
-        state_space="(round, originator value or None, own value)",
         init=init,
-        message=message,
+        message=lambda v, state: state[1],
         transition=transition,
         decision=decision,
         halting_round=rounds,
@@ -258,9 +259,6 @@ def event_detection_consensus(
     def init(v: int, value: int):
         return (None, value)
 
-    def message(v: int, state, neighbor: int):
-        return state[1]
-
     def transition(v: int, state, delivered: Mapping[int, Any]):
         decided, own = state
         if decided is not None:
@@ -273,9 +271,8 @@ def event_detection_consensus(
 
     return ProtocolSpec(
         name="event-detection-consensus",
-        state_space="(decided value or None, own value)",
         init=init,
-        message=message,
+        message=lambda v, state: state[1],
         transition=transition,
         decision=lambda v, state: state[0],
         halting_round=1,
@@ -332,19 +329,75 @@ def check_scenarios(
     consensus requirements: every node decides, uniform inputs force the
     common value, and all decided values agree.  Nodes may decide at
     different rounds, as long as all have decided by the end."""
-    budget = effective_budget(budget)
-    n = family.base.node_count
     word_list = list(words)
-    runs = len(word_list) * (1 << n)
-    if runs > budget.max_executions:
-        raise BudgetExceededError(
-            f"{runs} runs exceed the execution cap {budget.max_executions}"
-        )
+    return _sweep(protocol, family, word_list, len(word_list), horizon, budget)
+
+
+def exhaustive_check(
+    protocol: ProtocolSpec,
+    family: EventFamily,
+    horizon: int,
+    budget: Budget | None = None,
+) -> CheckReport:
+    """``check_scenarios`` over every length-``horizon`` word of the family,
+    in lexicographic order, so each prefix is simulated once."""
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    k = len(family)
+    words = product(range(k), repeat=horizon)
+    return _sweep(protocol, family, words, k**horizon, horizon, budget)
+
+
+def _sweep(
+    protocol: ProtocolSpec, family: EventFamily, words: Iterable[tuple[int, ...]],
+    count: int, horizon: int, budget: Budget | None,
+) -> CheckReport:
+    """Check ``count`` words, in the given order, against every input.
+
+    ``levels[d]`` holds the runs of every input after the first d letters
+    of the previous word; each word keeps the levels of the prefix it
+    shares with that word and steps the rest.  A run that raises
+    ``ProtocolError`` stops, and keeps the error until a word ends on it:
+    errors surface in word-major, input-minor order, so the one raised is
+    the one a run per word and input would raise first.
+    """
+    n = family.base.node_count
+    runs = count << n
+    effective_budget(budget).check("max_executions", runs)
+    inits = list(product((0, 1), repeat=n))
+    level = []
+    for init in inits:
+        try:
+            level.append(_start(protocol, init))
+        except ProtocolError as exc:
+            level.append((exc, None))
+    levels = [level]
+    previous: tuple[int, ...] = ()
     violations: list[Violation] = []
-    for word in word_list:
-        for init in product((0, 1), repeat=n):
-            trace = run(protocol, family, word, init)
-            violations.extend(_check_run(word, init, trace.decisions))
+    for word in words:
+        shared = next(
+            (i for i, (a, b) in enumerate(zip(word, previous)) if a != b),
+            min(len(word), len(previous)),
+        )
+        _check_letters(family, word, shared)
+        del levels[shared + 1:]
+        for round_no in range(shared + 1, len(word) + 1):
+            letter = word[round_no - 1]
+            stepped = []
+            for states, decisions in levels[-1]:
+                if not isinstance(states, ProtocolError):
+                    decisions = list(decisions)
+                    try:
+                        states, _arcs = _step(protocol, family, states, letter, decisions, round_no)
+                    except ProtocolError as exc:
+                        states = exc
+                stepped.append((states, decisions))
+            levels.append(stepped)
+        for init, (states, decisions) in zip(inits, levels[-1]):
+            if isinstance(states, ProtocolError):
+                raise states
+            violations.extend(_check_run(word, init, decisions))
+        previous = word
     return CheckReport(protocol.name, horizon, runs, tuple(violations))
 
 
@@ -373,55 +426,3 @@ def _check_run(
             Violation("agreement", word, init, f"conflicting decisions {decided}")
         )
     return violations
-
-
-def exhaustive_check(
-    protocol: ProtocolSpec,
-    family: EventFamily,
-    horizon: int,
-    budget: Budget | None = None,
-) -> CheckReport:
-    """``check_scenarios`` over every length-``horizon`` word of the family.
-
-    The words are walked as a prefix tree, depth first in lexicographic
-    order, carrying the runs of every input, so each prefix is simulated
-    once.  A run that raises ``ProtocolError`` stops, and keeps the error
-    until the walk reaches a full word: errors surface in word-major,
-    input-minor order, so the same one is raised as by ``check_scenarios``.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    budget = effective_budget(budget)
-    n = family.base.node_count
-    runs = len(family) ** horizon * (1 << n)
-    if runs > budget.max_executions:
-        raise BudgetExceededError(
-            f"{runs} runs exceed the execution cap {budget.max_executions}"
-        )
-    inits = list(product((0, 1), repeat=n))
-    violations: list[Violation] = []
-
-    def walk(word: tuple[int, ...], carried: list) -> None:
-        if len(word) == horizon:
-            for init, (states, decisions) in zip(inits, carried):
-                if isinstance(states, ProtocolError):
-                    raise states
-                violations.extend(_check_run(word, init, decisions))
-            return
-        round_no = len(word) + 1
-        for letter in range(len(family)):
-            stepped = []
-            for states, decisions in carried:
-                if not isinstance(states, ProtocolError):
-                    decisions = list(decisions)
-                    try:
-                        states, _arcs = _step(
-                            protocol, family, states, letter, decisions, round_no
-                        )
-                    except ProtocolError as exc:
-                        states = exc
-                stepped.append((states, decisions))
-            walk(word + (letter,), stepped)
-
-    walk((), [_start(protocol, init) for init in inits])
-    return CheckReport(protocol.name, horizon, runs, tuple(violations))

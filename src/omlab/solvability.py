@@ -26,12 +26,12 @@ of an informed set by splitting the events by the nodes they starve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
-from typing import Union
+from typing import Iterable, Union
 
-from .budget import Budget, BudgetExceededError, effective_budget
+from .budget import Budget, effective_budget
 from .equivalence import BetaPartition, beta_partition
 from .events import EventFamily, generate_bounded_omissions, is_convex
 from .graphs import Digraph, arc_connectivity, mask_nodes
@@ -135,16 +135,20 @@ def check_broadcastable(family: EventFamily) -> Verdict:
             "broadcast", Answer.SOLVABLE, "common-source",
             CommonSourceWitness(common),
         )
-    witness = _minimal_incompatible_subset(family)
+    witness = _minimal_incompatible_subset(family, range(len(family)))
     return Verdict(
         "broadcast", Answer.UNSOLVABLE, "source-incompatible", witness,
     )
 
 
+# Subsets examined before the incompatible-subset search settles for a greedy one.
+MAX_COMBINATIONS = 200_000
+
+
 def _minimal_incompatible_subset(
-    family: EventFamily, max_combinations: int = 200_000
+    family: EventFamily, members: Iterable[int]
 ) -> IncompatibilityWitness:
-    """Smallest subset of events with nonempty sources and empty intersection.
+    """Smallest subset of ``members`` with nonempty sources and empty intersection.
 
     The search runs over distinct inclusion-minimal source sets (if one
     source set contains another, the smaller one is at least as useful),
@@ -153,7 +157,7 @@ def _minimal_incompatible_subset(
     witness, just not guaranteed minimum-cardinality.
     """
     representative: dict[int, int] = {}
-    for idx in range(len(family)):
+    for idx in members:
         representative.setdefault(family.source_masks[idx], idx)
     masks = sorted(representative)
     minimal = [
@@ -171,7 +175,7 @@ def _minimal_incompatible_subset(
     for size in range(2, len(minimal) + 1):
         for chosen in combinations(minimal, size):
             examined += 1
-            if examined > max_combinations:
+            if examined > MAX_COMBINATIONS:
                 return witness_of(tuple(_greedy_irredundant(minimal)))
             inter = chosen[0]
             for m in chosen[1:]:
@@ -203,13 +207,9 @@ def check_consensus(
     ``partition`` may be supplied to reuse a previously computed class
     partition; it is only consulted on the non-convex path.
     """
-    for idx, mask in enumerate(family.source_masks):
-        if mask == 0:
-            return Verdict(
-                "consensus", Answer.UNSOLVABLE, "no-source-event",
-                NoSourceEventWitness(idx),
-            )
     broadcast = check_broadcastable(family)
+    if broadcast.rule == "no-source-event":
+        return replace(broadcast, problem="consensus")
     if is_convex(family):
         return Verdict(
             "consensus", broadcast.answer, "convex-broadcast-equivalence",
@@ -227,29 +227,15 @@ def check_consensus(
         for i in members:
             inter &= family.source_masks[i]
         if inter == 0:
-            sub = _minimal_incompatible_within(family, members)
             return Verdict(
                 "consensus", Answer.UNSOLVABLE,
                 "indistinguishable-class-unbroadcastable",
-                BetaClassWitness(members, sub, bp),
+                BetaClassWitness(members, _minimal_incompatible_subset(family, members), bp),
             )
     return Verdict(
         "consensus", Answer.NECESSARY_CONDITION_HOLDS, "necessary-condition-only",
         None,
     )
-
-
-def _minimal_incompatible_within(
-    family: EventFamily, members: tuple[int, ...]
-) -> IncompatibilityWitness:
-    sub = EventFamily(
-        family.base,
-        tuple(family.events[i] for i in members),
-        tuple(family.name(i) for i in members),
-    )
-    inner = _minimal_incompatible_subset(sub)
-    events = tuple(members[i] for i in inner.events)
-    return IncompatibilityWitness(events, inner.source_masks)
 
 
 # ---- adversarial flooding rounds ------------------------------------------------
@@ -276,10 +262,7 @@ class BroadcastGame:
         budget = effective_budget(budget)
         base = family.base
         n = base.node_count
-        if n > budget.max_game_nodes:
-            raise BudgetExceededError(
-                f"game state space 2^{n} exceeds the {budget.max_game_nodes}-node cap"
-            )
+        budget.check("max_game_nodes", n)
         self.family = family
         self._all = (1 << len(family.events)) - 1
         # Member events omit few arcs, so the index is built from the omissions.

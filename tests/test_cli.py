@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -61,6 +62,8 @@ def test_check_json_class_verdict_computes_partition_once(partition_calls, capsy
 
 
 SIMULATE_K3 = ["simulate", "--complete", "3", "--bounded", "1"]
+H_ONE_ROUND = ["simulate", "--bundled", "H-2node", "--protocol", "h-one-round",
+               "--all-scenarios", "1"]
 FIG12_FLOODING = ["simulate", "--bundled", "fig12", "--protocol", "flooding", "--origin", "a",
                   "--rounds", "2"]
 
@@ -108,6 +111,13 @@ INPUT_FILES = {
         FIG12_FLOODING + ["--scenario", "H1", "--init", "a=1,b=0,c=0,e=1"],
         FIG12_FLOODING + ["--scenario", "H1", "--init", "a=1,b=0,c=0,d=2"],
         FIG12_FLOODING + ["--scenario", "H1,H3", "--init", "a=1,b=0,c=0,d=1"],
+        H_ONE_ROUND + ["--init", "white=0,black=1"],
+        H_ONE_ROUND + ["--length", "5"],
+        H_ONE_ROUND + ["--seed", "3"],
+        H_ONE_ROUND + ["--origin", "white"],
+        H_ONE_ROUND + ["--rounds", "1"],
+        FIG12_FLOODING + ["--all-scenarios", "1", "--decide-map", "H1=c,H2=d"],
+        ["simulate", "--bundled", "H-2node", "--protocol", "gossip", "--all-scenarios", "1"],
     ],
     ids=[
         "one-node-connectivity", "asymmetric-connectivity", "negative-bound",
@@ -117,7 +127,9 @@ INPUT_FILES = {
         "dot-audit-equal-rounds", "two-family-sources", "no-family-source",
         "family-is-a-directory", "bounded-with-bundled", "metric-with-bundled",
         "two-sweeps", "run-and-sweep", "init-missing-node", "init-unknown-label",
-        "init-value-2", "scenario-unknown-event",
+        "init-value-2", "scenario-unknown-event", "init-without-scenario",
+        "length-without-random", "seed-without-random", "origin-with-h-one-round",
+        "rounds-with-h-one-round", "decide-map-with-flooding", "unknown-protocol",
     ],
 )
 def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
@@ -127,3 +139,15 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 64
     assert err.startswith("omlab: error: ") and err.count("\n") == 1
+
+
+def test_random_sweep_checks_the_budget_before_drawing_words(monkeypatch, capsys):
+    def no_words(seed):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(random, "Random", no_words)
+    monkeypatch.setenv("OMLAB_BUDGET", "max_executions=1000")
+    code = cli.main(["simulate", "--bundled", "O1-2node", "--protocol", "h-one-round",
+                     "--random-scenarios", "1000000", "--length", "20"])
+    assert code == 65
+    assert "max_executions" in capsys.readouterr().err

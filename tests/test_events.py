@@ -8,9 +8,9 @@ import pytest
 
 from omlab import (
     Budget,
+    BudgetExceededError,
     Event,
     EventFamily,
-    FamilyCapExceededError,
     cli,
     complete_digraph,
     convexity_violation,
@@ -186,9 +186,9 @@ def test_bounded_families_are_convex(metric):
         assert is_convex(family)
 
 
-def test_family_cap_is_a_distinct_error():
+def test_family_cap_names_its_cap():
     q3 = hypercube_digraph(3)
-    with pytest.raises(FamilyCapExceededError):
+    with pytest.raises(BudgetExceededError, match="max_family_events: 2,325 > 100"):
         generate_bounded_omissions(q3, 3, "global", budget=Budget(max_family_events=100))
 
 

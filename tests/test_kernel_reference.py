@@ -6,7 +6,8 @@ per node for source sets, one successor per event for the flooding game,
 a provider table over every arc of every event for the convexity
 witness, a component search over the nested-tuple views of every
 execution for the oracle, and one simulator run per word and input for
-the exhaustive check.  The kernels must give the same answers, witnesses
+the prefix-sharing sweep behind ``check_scenarios`` and
+``exhaustive_check``.  The kernels must give the same answers, witnesses
 included.
 """
 from __future__ import annotations
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from omlab import (
     UNBOUNDED,
     BroadcastGame,
+    Budget,
+    BudgetExceededError,
     ConvexityViolation,
     Digraph,
     EventFamily,
@@ -32,11 +35,13 @@ from omlab import (
     mask_nodes,
 )
 from omlab import oracle
-from omlab.bundled import bundled_names, h_one_round, load_family
+from omlab.bundled import bundled_names, crash_scheme_prefixes, h_one_round, load_family
 from omlab.equivalence import _UnionFind
 from omlab.graphs import sources_of_arcs
 from omlab.oracle import Execution, IndistinguishabilityChain, execution_views
+from omlab import simulator
 from omlab.simulator import (
+    CheckReport,
     ProtocolError,
     ProtocolSpec,
     check_scenarios,
@@ -320,25 +325,49 @@ def test_oracle_matches_nested_tuple_search_on_bounded_families(base, monkeypatc
     assert_oracle_matches_reference(generate_bounded_omissions(base, 1), 2, monkeypatch)
 
 
-# ---- the prefix-tree exhaustive check ------------------------------------------------
+# ---- the prefix-sharing sweep --------------------------------------------------------
 
-def assert_exhaustive_matches_scenarios(protocol, family: EventFamily, horizon: int):
-    words = product(range(len(family)), repeat=horizon)
-    expected = check_scenarios(protocol, family, words, horizon)
-    assert exhaustive_check(protocol, family, horizon) == expected
+def reference_check(protocol, family: EventFamily, words, horizon: int) -> CheckReport:
+    """One simulator run per word and input, in word-major, input-minor order."""
+    words = list(words)
+    n = family.base.node_count
+    violations = []
+    for word in words:
+        for init in product((0, 1), repeat=n):
+            trace = simulator.run(protocol, family, word, init)
+            violations.extend(simulator._check_run(word, init, trace.decisions))
+    return CheckReport(protocol.name, horizon, len(words) << n, tuple(violations))
+
+
+def outcome(check, *args):
+    """The report of a check, or the type and message of the error it raised."""
+    try:
+        return check(*args)
+    except (ProtocolError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_sweeps_match_reference(protocol, family: EventFamily, horizon: int, words=None):
+    """``check_scenarios`` on ``words`` (default: every word of length
+    ``horizon``, when ``exhaustive_check`` is compared too) against the reference."""
+    if words is None:
+        words = list(product(range(len(family)), repeat=horizon))
+        assert outcome(exhaustive_check, protocol, family, horizon) == outcome(
+            reference_check, protocol, family, words, horizon
+        )
+    expected = outcome(reference_check, protocol, family, words, horizon)
+    assert outcome(check_scenarios, protocol, family, words, horizon) == expected
     return expected
 
 
 @pytest.mark.parametrize("horizon", range(4))
 def test_exhaustive_check_reports_violations_in_word_then_input_order(horizon):
-    report = assert_exhaustive_matches_scenarios(
-        h_one_round(), load_family("crash-C1"), horizon
-    )
+    report = assert_sweeps_match_reference(h_one_round(), load_family("crash-C1"), horizon)
     assert report.violations
 
 
 def test_exhaustive_check_past_the_halting_round():
-    report = assert_exhaustive_matches_scenarios(flooding(0, 1), load_family("fig12"), 3)
+    report = assert_sweeps_match_reference(flooding(0, 1), load_family("fig12"), 3)
     assert report.runs == 16 * 2**3 and len(report.violations) == report.runs
 
 
@@ -347,17 +376,16 @@ def test_exhaustive_check_certifies_oracle_protocols():
         family = random_family(seed)
         result = oracle.min_consensus_rounds(family, ORACLE_HORIZON)
         if result.solvable:
-            assert assert_exhaustive_matches_scenarios(result.protocol, family, result.rounds).passed
+            assert assert_sweeps_match_reference(result.protocol, family, result.rounds).passed
 
 
-def flip_flop(rounds: int) -> ProtocolSpec:
+def flip_flop(rounds: int | None) -> ProtocolSpec:
     """Decides the parity of its input plus the messages heard so far, which
     flips at every delivery; a node with input 0 first decides at round 1."""
     return ProtocolSpec(
         name="flip-flop",
-        state_space="(round, own value, messages heard)",
         init=lambda v, value: (0, value, 0),
-        message=lambda v, state, neighbor: state[1],
+        message=lambda v, state: state[1],
         transition=lambda v, state, got: (state[0] + 1, state[1], state[2] + len(got)),
         decision=lambda v, state: (
             None if state[0] == state[1] == 0 else (state[1] + state[2]) % 2
@@ -369,20 +397,105 @@ def flip_flop(rounds: int) -> ProtocolSpec:
 @pytest.mark.parametrize("horizon", [2, 3])
 def test_exhaustive_check_raises_the_first_protocol_error(horizon):
     family = load_family("O1-2node")
-    words = list(product(range(len(family)), repeat=horizon))
-    with pytest.raises(ProtocolError) as expected:
-        check_scenarios(flip_flop(horizon), family, words, horizon)
-    with pytest.raises(ProtocolError) as got:
-        exhaustive_check(flip_flop(horizon), family, horizon)
+    got = assert_sweeps_match_reference(flip_flop(horizon), family, horizon)
     # Input (0, 1) fails at round 1, on a shorter prefix than the first
     # failing run, input (0, 0) at round 2.
-    assert str(got.value) == str(expected.value)
-    assert str(got.value).endswith("at round 2")
+    assert got[0] is ProtocolError and got[1].endswith("at round 2")
 
 
 def test_exhaustive_check_freezes_a_halted_protocol():
     family = load_family("O1-2node")
-    report = assert_exhaustive_matches_scenarios(flip_flop(0), family, 3)
+    report = assert_sweeps_match_reference(flip_flop(0), family, 3)
     assert {v.kind for v in report.violations} == {"termination"}
-    with pytest.raises(ProtocolError):
-        exhaustive_check(flip_flop(1), family, 3)
+    assert assert_sweeps_match_reference(flip_flop(1), family, 3)[0] is ProtocolError
+
+
+def refuses_input_one() -> ProtocolSpec:
+    """Decides its own input at round 0, except that node 1 raises on input 1."""
+
+    def decision(v, state):
+        if v == state == 1:
+            raise ProtocolError("node 1 refuses input 1")
+        return state
+
+    return ProtocolSpec(
+        name="refuses-input-one",
+        init=lambda v, value: value,
+        message=lambda v, state: state,
+        transition=lambda v, state, got: state,
+        decision=decision,
+    )
+
+
+def o1_words() -> list[tuple[int, ...]]:
+    return list(product(range(3), repeat=2))
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        o1_words()[::-1],
+        [(2, 1), (2, 1), (0,), (2, 1), (0, 0, 2), ()],
+        [(), (1,), (1, 2, 0), (1, 2), (), (0, 2, 2, 1), (1, 2, 0, 0)],
+        [(0, 1), (0, 2), (0, -1)],
+        [(1, 1), (1, 3), (0,)],
+        [(0, -1, 1), (2,)],
+        [],
+    ],
+    ids=["reversed", "repeated", "mixed-lengths", "negative-letter", "letter-too-large",
+         "negative-in-first-word", "no-words"],
+)
+@pytest.mark.parametrize(
+    "protocol",
+    [h_one_round(), flooding(0, 1), flip_flop(None), flip_flop(0), refuses_input_one()],
+    ids=["h-one-round", "flooding", "flip-flop", "halted-flip-flop", "fails-at-round-0"],
+)
+def test_sweep_matches_reference_in_any_word_order(protocol, words):
+    assert_sweeps_match_reference(protocol, load_family("O1-2node"), 2, words)
+
+
+@pytest.mark.parametrize("horizon", range(5))
+def test_sweep_matches_reference_on_unsorted_crash_prefixes(horizon, two_node):
+    family, words = crash_scheme_prefixes(two_node, horizon)
+    shuffled = sorted(words)
+    random.Random(horizon).shuffle(shuffled)
+    for protocol in (h_one_round(), flooding(0, 2), flip_flop(None)):
+        assert_sweeps_match_reference(protocol, family, horizon, shuffled)
+
+
+def counting(transitions: list) -> ProtocolSpec:
+    """Never halts; appends the node to ``transitions`` at every transition."""
+
+    def transition(v, state, got):
+        transitions.append(v)
+        return state + 1
+
+    return ProtocolSpec(
+        name="counting",
+        init=lambda v, value: 0,
+        message=lambda v, state: state,
+        transition=transition,
+        decision=lambda v, state: 0,
+    )
+
+
+@pytest.mark.parametrize("horizon", range(4))
+def test_sweep_simulates_each_prefix_once(horizon, two_node):
+    family = load_family("O1-2node")
+    n, k = 2, 3
+    transitions = []
+    exhaustive_check(counting(transitions), family, horizon)
+    assert len(transitions) == n * 2**n * sum(k**d for d in range(1, horizon + 1))
+    family, words = crash_scheme_prefixes(two_node, horizon)
+    prefixes = {word[:d] for word in words for d in range(1, horizon + 1)}
+    transitions.clear()
+    check_scenarios(counting(transitions), family, sorted(words), horizon)
+    assert len(transitions) == n * 2**n * len(prefixes)
+
+
+def test_sweeps_check_the_execution_budget():
+    family = load_family("O1-2node")
+    with pytest.raises(BudgetExceededError, match="max_executions: 36 > 35"):
+        exhaustive_check(h_one_round(), family, 2, Budget(max_executions=35))
+    with pytest.raises(BudgetExceededError, match="max_executions: 8 > 7"):
+        check_scenarios(h_one_round(), family, [(0,), (1, 2)], 2, Budget(max_executions=7))

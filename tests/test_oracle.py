@@ -14,7 +14,16 @@ import random
 
 import pytest
 
-from omlab import Answer, Event, EventFamily, check_consensus, complete_digraph
+from omlab import (
+    Answer,
+    Budget,
+    BudgetExceededError,
+    Event,
+    EventFamily,
+    check_consensus,
+    complete_digraph,
+)
+from omlab.bundled import load_family
 from omlab.oracle import min_consensus_rounds, verify_chain
 from omlab.simulator import exhaustive_check
 
@@ -43,3 +52,9 @@ def test_oracle_agrees_with_verdicts(block):
         assert result.solvable, (seed, answer)
         report = exhaustive_check(result.protocol, family, result.rounds)
         assert report.passed, seed
+
+
+def test_oracle_checks_the_execution_budget():
+    # O1 is unsolvable at every horizon; horizon 3 needs 2^2 inputs * 3^3 words.
+    with pytest.raises(BudgetExceededError, match="max_executions: 108 > 50"):
+        min_consensus_rounds(load_family("O1-2node"), 3, Budget(max_executions=50))

@@ -223,7 +223,7 @@ def test_game_finite_iff_common_source():
 
 
 def test_game_respects_node_budget(fig12):
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="max_game_nodes: 4 > 3"):
         BroadcastGame(fig12, Budget(max_game_nodes=3))
 
 
@@ -291,7 +291,7 @@ def test_connectivity_sweep_k4():
 
 
 def test_connectivity_sweep_respects_family_cap():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="max_family_events: 13 > 10"):
         connectivity_threshold_check(complete_digraph(4), 3, budget=Budget(max_family_events=10))
 
 
