@@ -99,11 +99,12 @@ def _connect(
 
     This is the one grouping kernel.  Each distinct nonzero source mask
     among the members is taken once, in member order, with its first
-    carrier as the witness: its head filter is built once, the members
-    are grouped by the arcs they deliver into that source set, and each
-    group's first member is joined with the rest.  Every join that merges
-    two components becomes a witness edge, in order, so the edges form a
-    spanning forest.  The scan stops as soon as the members are connected.
+    member with that mask as the witness: its head filter is built once,
+    the members are grouped by the arcs they deliver into that source
+    set, and each group's first member is joined with the rest.  Every
+    join that merges two components becomes a witness edge, in order, so
+    the edges form a spanning forest.  The scan stops as soon as the
+    members are connected.
 
     Returns the connected components (member indices in member order) and
     the witness edges.  Source-less members never act as witnesses: they

@@ -13,6 +13,14 @@ indistinguishability relations are single integer operations.  The arc
 tuples and the per-node neighbour masks are views derived from the mask
 and cached.  Events are ordered by their sorted arc tuples; ``_arc_order``
 computes that order from the mask alone.
+
+A family also has the transposed view: ``EventFamily.carriers`` holds, for
+each base arc, the bitset over event indices of the events that deliver
+it.  ``EventFamily.source_masks`` runs on that view, one closure per node
+over all events at once, so its cost grows with the node and arc counts
+and only in big-integer width with the number of events.
+``Event.sources_mask`` stays the per-event computation for single events
+and for checks that must not share the family kernel.
 """
 from __future__ import annotations
 
@@ -73,8 +81,8 @@ class Event:
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
-        # Source sets read these for every event, and member events omit few
-        # arcs: start from the base graph's masks and drop the omitted arcs.
+        # Member events omit few arcs: start from the base graph's masks and
+        # drop the omitted arcs.
         masks = list(self.base.out_masks)
         arcs = self.base.sorted_arcs
         omitted = (1 << len(arcs)) - 1 & ~self.arc_mask
@@ -170,8 +178,66 @@ class EventFamily:
         return mask
 
     @cached_property
+    def carriers(self) -> tuple[int, ...]:
+        """Per base arc, the bitset over event indices of the events delivering it.
+
+        One transpose of the family: every arc mask is written as a
+        fixed-width binary row, the rows are joined, and each arc's column
+        is one strided slice of that string, read back as an integer.
+        """
+        width = len(self.base.arcs)
+        if not width:
+            return ()
+        grid = "".join([format(ev.arc_mask, f"0{width}b") for ev in self.events])
+        # Row strings print bit 0 last, so arc ``b`` is the row's character width-1-b.
+        return tuple(int(grid[width - 1 - b::width][::-1], 2) for b in range(width))
+
+    @cached_property
     def source_masks(self) -> tuple[int, ...]:
-        return tuple(ev.sources_mask for ev in self.events)
+        """Per event, the bitmask of nodes from which every node is reachable.
+
+        Computed for all events at once from ``carriers``.  For each root v,
+        ``reach[x]`` is the bitset of events in which v reaches x: it starts
+        as every event at v and nothing elsewhere, and grows along each arc
+        t -> h by ``reach[t] & carriers[t -> h]`` until nothing changes;
+        each breadth-first level pushes only the events a node gained in
+        the level before.  The AND of all ``reach`` is the column of events
+        of which v is a source.  The n columns are transposed back with
+        strided slices into one row per event; events sharing a row share
+        a mask, which is parsed once.
+        """
+        base = self.base
+        n, count = base.node_count, len(self.events)
+        if n == 0:
+            return (0,) * count
+        everything = (1 << count) - 1
+        arcs_out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (tail, head), events in zip(base.sorted_arcs, self.carriers):
+            arcs_out[tail].append((head, events))
+        columns = []
+        for root in range(n):
+            reach = [0] * n
+            reach[root] = everything
+            frontier = {root: everything}
+            while frontier:
+                grown: dict[int, int] = {}
+                for tail, fresh in frontier.items():
+                    for head, events in arcs_out[tail]:
+                        new = fresh & events & ~reach[head]
+                        if new:
+                            reach[head] |= new
+                            grown[head] = grown.get(head, 0) | new
+                frontier = grown
+            column = everything
+            for events in reach:
+                column &= events
+            columns.append(format(column, f"0{count}b"))
+        # Highest node first, so that each row below reads as a binary mask.
+        grid = "".join(reversed(columns))
+        # Column strings print event 0 last: row j belongs to event count-1-j.
+        rows = [grid[j::count] for j in range(count)]
+        mask_of = {row: int(row, 2) for row in set(rows)}
+        return tuple(map(mask_of.__getitem__, reversed(rows)))
 
     def common_sources_mask(self) -> int:
         mask = self.base.full_mask

@@ -20,8 +20,10 @@ Round counts come from an adversarial flooding game over informed sets:
 each round the adversary picks the member event that slows flooding the
 most.  Flooding dominates every algorithm under the round semantics, so
 the game value is the optimal broadcast time from a given originator.
-It indexes the events carrying each arc once, and finds all successors
-of an informed set by splitting the events by the nodes they starve.
+Both the source sets and the game read ``EventFamily.carriers``, the
+bitset of events delivering each base arc: source sets as one closure per
+node over all events at once, the game to find all successors of an
+informed set by splitting the events by the nodes they starve.
 """
 from __future__ import annotations
 
@@ -80,9 +82,10 @@ class IncompatibilityWitness:
     source_masks: tuple[int, ...]
 
     def holds(self, family: EventFamily) -> bool:
+        """Replay against each event's own source set, not the family kernel."""
         inter = family.base.full_mask
         for idx, mask in zip(self.events, self.source_masks):
-            if family.source_masks[idx] != mask or mask == 0:
+            if family.events[idx].sources_mask != mask or mask == 0:
                 return False
             inter &= mask
         return inter == 0
@@ -250,36 +253,24 @@ class BroadcastGame:
     ``UNBOUNDED`` when some event makes no progress (the adversary can
     repeat it forever).
 
-    Events are bits of an int; ``carriers[b]`` is the set of events that
-    deliver base arc ``b``.  From a state S, an uninformed node v with a
-    base arc from S is starved by ``all & ~OR(carriers of arcs S -> v)``.
+    Events are bits of an int; ``EventFamily.carriers[b]`` is the set of
+    events that deliver base arc ``b``.  From a state S, an uninformed
+    node v with a base arc from S is starved by
+    ``all & ~OR(carriers of arcs S -> v)``.
     Splitting all events by each nonzero starve column leaves groups that
     starve the same nodes; each gives one distinct successor, S plus its
     border minus the group's starved nodes: O(arcs + columns * groups).
     """
 
     def __init__(self, family: EventFamily, budget: Budget | None = None) -> None:
-        budget = effective_budget(budget)
-        base = family.base
-        n = base.node_count
-        budget.check("max_game_nodes", n)
+        effective_budget(budget).check("max_game_nodes", family.base.node_count)
         self.family = family
         self._all = (1 << len(family.events)) - 1
-        # Member events omit few arcs, so the index is built from the omissions.
-        omitters = [0] * len(base.arcs)
-        all_arcs = (1 << len(base.arcs)) - 1
-        for i, ev in enumerate(family.events):
-            missing = all_arcs & ~ev.arc_mask
-            while missing:
-                low = missing & -missing
-                omitters[low.bit_length() - 1] |= 1 << i
-                missing ^= low
-        self._carriers = [self._all & ~events for events in omitters]
-        self._full = base.full_mask
+        self._full = family.base.full_mask
         self._memo: dict[int, Rounds] = {self._full: 0}
 
     def _successors(self, state: int) -> set[int]:
-        base, carriers, everything = self.family.base, self._carriers, self._all
+        base, carriers, everything = self.family.base, self.family.carriers, self._all
         out_arc_bits, in_arc_bits = base.out_arc_bits, base.in_arc_bits
         leaving = 0
         for u in mask_nodes(state):

@@ -1,8 +1,10 @@
-"""Source sets, the flooding game, the convexity witness, the oracle's search
-and the exhaustive check against naive references.
+"""Source sets, the family's carrier index, the flooding game, the convexity
+witness, the oracle's search and the exhaustive check against naive
+references.
 
 Each reference is the plain version of its kernel, kept here: one closure
-per node for source sets, one successor per event for the flooding game,
+per node and event for source sets, a per-arc scan of every event for
+the family's carrier index, one successor per event for the flooding game,
 a provider table over every arc of every event for the convexity
 witness, a component search over the nested-tuple views of every
 execution for the oracle, and one simulator run per word and input for
@@ -26,6 +28,7 @@ from omlab import (
     BudgetExceededError,
     ConvexityViolation,
     Digraph,
+    Event,
     EventFamily,
     complete_digraph,
     convexity_violation,
@@ -101,6 +104,58 @@ def test_sources_of_random_events_match_reference():
         base = random_digraph(rng, rng.randint(1, 8), arc_prob=rng.random())
         event = random_event(rng, base, keep_prob=rng.random())
         assert event.sources_mask == reference_sources(base.node_count, event.out_masks)
+
+
+def family_of_masks(base: Digraph, *arc_masks: int) -> EventFamily:
+    return EventFamily(base, tuple(Event(base, m) for m in arc_masks))
+
+
+@st.composite
+def families(draw) -> EventFamily:
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    base = Digraph(n, frozenset(draw(st.sets(st.sampled_from(pairs))) if pairs else ()))
+    arc_masks = draw(st.sets(st.integers(0, (1 << len(base.arcs)) - 1), min_size=1, max_size=40))
+    return family_of_masks(base, *sorted(arc_masks))
+
+
+PATH3 = Digraph(3, frozenset({(0, 1), (1, 2)}))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(families())
+@example(family_of_masks(Digraph(0, frozenset()), 0))  # no nodes: one empty event, no source
+@example(family_of_masks(Digraph(1, frozenset()), 0))  # a single node is its own source
+@example(family_of_masks(Digraph(3, frozenset()), 0))  # arcless: nobody reaches anybody
+@example(family_of_masks(PATH3, 0b11, 0b01, 0b10))  # only the full path has a source
+@example(family_of_masks(cycle_digraph(4), 0xFF, 0x0F, 0xF0, 0x55))  # some events source-less
+@example(
+    # node 0 is a sink: only node 1 or 2 can be a source
+    family_of_masks(Digraph(3, frozenset({(1, 0), (1, 2), (2, 1)})), 0b111, 0b011, 0b110, 0b101)
+)
+def test_family_source_masks_match_one_closure_per_node(family):
+    n = family.base.node_count
+    expected = tuple(reference_sources(n, ev.out_masks) for ev in family.events)
+    assert family.source_masks == expected
+
+
+def test_family_source_masks_match_on_bounded_families():
+    for base in (complete_digraph(4), cycle_digraph(6), PATH3):
+        for metric in ("global", "send", "recv"):
+            family = generate_bounded_omissions(base, 2, metric)
+            assert family.source_masks == tuple(ev.sources_mask for ev in family.events)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(families())
+@example(family_of_masks(Digraph(0, frozenset()), 0))
+@example(family_of_masks(Digraph(3, frozenset()), 0))
+def test_carriers_match_the_naive_per_arc_index(family):
+    expected = tuple(
+        sum(1 << i for i, ev in enumerate(family.events) if ev.arc_mask >> b & 1)
+        for b in range(len(family.base.arcs))
+    )
+    assert family.carriers == expected
 
 
 # ---- flooding game -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -89,6 +90,29 @@ def test_incompatibility_witness_is_minimal_for_k4_f3():
     assert isinstance(witness, IncompatibilityWitness)
     assert witness.holds(family)
     assert len(witness.events) == 2
+
+
+def test_incompatibility_witness_with_an_altered_mask_is_refuted():
+    family = generate_bounded_omissions(complete_digraph(4), 3, "global")
+    witness = check_broadcastable(family).witness
+    for pos in range(len(witness.events)):
+        for node in range(4):
+            masks = list(witness.source_masks)
+            masks[pos] ^= 1 << node
+            assert not replace(witness, source_masks=tuple(masks)).holds(family)
+
+
+def test_incompatibility_witness_replays_without_the_family_kernel(o1):
+    # Swap the cached family masks of the witness events: a witness built from
+    # the swapped masks is still incompatible, yet each event refutes it.
+    witness = check_broadcastable(o1).witness
+    forged = EventFamily(o1.base, o1.events, o1.names)
+    masks = list(o1.source_masks)
+    first, second = witness.events
+    masks[first], masks[second] = masks[second], masks[first]
+    forged.__dict__["source_masks"] = tuple(masks)
+    assert witness.holds(forged)
+    assert not replace(witness, source_masks=(masks[first], masks[second])).holds(forged)
 
 
 # ---- consensus -----------------------------------------------------------------------
