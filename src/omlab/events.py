@@ -134,7 +134,7 @@ class EventFamily:
         if not self.events:
             raise ValueError("an event family needs at least one event")
         for ev in self.events:
-            if ev.base != self.base:
+            if ev.base is not self.base and ev.base != self.base:
                 raise ValueError("all events must share the family's base graph")
         if len(self.mask_index) != len(self.events):
             raise ValueError("duplicate events in family")

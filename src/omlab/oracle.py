@@ -22,17 +22,24 @@ on depth: a view holds its owner from depth 0, so an id fixes the node
 that holds it, the in-neighbour ids fix who delivered, and their order
 pairs each sender with its view.  So executions that share an id are
 exactly those that share a view, and no nested view is built or hashed
-during the search.  Nested tuples are rendered only for the decision
-table, once per distinct view.
+during the search.  Nested tuples are built only for the decision table,
+once per distinct view, and the JSON renders each view's ``repr`` once,
+from the strings of the depth before.
 
-On success the component labelling *is* a protocol: run full-information
-exchange for r rounds, then decide by looking the final view up in the
-component's decision.  On failure at the horizon, the offending component
-yields a replayable chain of executions from an all-0 input to an all-1
-input, adjacent executions sharing one node's view: no algorithm can
-decide by round r without breaking agreement or validity somewhere along
-the chain.  ``verify_chain`` replays it with ``execution_views``, which
-builds the nested views directly and shares no code with the search.
+On success the component labelling *is* a protocol on the same ids: a
+node starts from its depth-0 id, each round sends its id and looks (its
+own id, the delivered ids in sender order) up in the next depth's table,
+and after r rounds decides its final id's label.  The certificate stays
+independent of the search: ``exhaustive_check`` runs this protocol in the
+generic engine on every word and input, and since the tables are
+read-only, a node's state is a function of its own input and the
+messages it received, not of which execution the search saw.  On failure
+at the horizon, the offending component yields a replayable chain of
+executions from an all-0 input to an all-1 input, adjacent executions
+sharing one node's view: no algorithm can decide by round r without
+breaking agreement or validity somewhere along the chain.
+``verify_chain`` replays it with ``execution_views``, which builds the
+nested views directly and shares no code with the search.
 
 Because a mobile scheme branches finitely, solvable consensus always has
 some uniform round bound, so "unsolvable up to horizon h" is meaningful
@@ -40,7 +47,7 @@ evidence but never a claim beyond h; the report records h explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Any
 
@@ -85,32 +92,34 @@ def execution_views(
 # ---- full-information protocol ----------------------------------------------
 
 def full_information_protocol(
-    family: EventFamily,
-    rounds: int,
-    decision_table: dict[ViewContent, int],
-    name: str = "oracle-protocol",
+    views: _Views, decisions: list[int], name: str = "oracle-protocol"
 ) -> ProtocolSpec:
-    """Exchange entire views for ``rounds`` rounds, then decide by table lookup."""
+    """Exchange view ids as deep as ``views`` goes, then decide ``decisions[id]``.
+
+    A view the tables lack gets id -1, which no key holds, so every view
+    built on it is missing too, as the nested view holding it would be.
+    """
+    tables = views.tables
+    rounds = len(tables) - 1
 
     def init(v: int, value: int):
-        return (0, (v, value))
+        return (0, tables[0].get((v, value), -1))
 
     def transition(v: int, state, delivered):
-        depth, content = state
-        inbound = tuple(sorted(delivered.items()))
-        return (depth + 1, (content, inbound))
+        depth, own = state
+        # The engine delivers in sender order, the order the keys list senders in.
+        return (depth + 1, tables[depth + 1].get((own, *delivered.values()), -1))
 
     def decision(v: int, state):
-        depth, content = state
+        depth, own = state
         if depth < rounds:
             return None
-        try:
-            return decision_table[content]
-        except KeyError:
+        if own < 0:
             raise ProtocolError(
                 f"node {v} reached a view outside the decision table; "
                 "was the protocol run against the family it was built for?"
-            ) from None
+            )
+        return decisions[own]
 
     return ProtocolSpec(
         name=name,
@@ -169,6 +178,8 @@ class OracleResult:
     protocol: ProtocolSpec | None
     decision_table: dict[ViewContent, int] | None
     witness: IndistinguishabilityChain | None
+    # The interned views and the decision of each final id, for to_json_dict.
+    _ids: tuple[_Views, list[int]] | None = field(default=None, compare=False, repr=False)
 
     @property
     def solvable(self) -> bool:
@@ -182,13 +193,12 @@ class OracleResult:
             ],
             "rounds": self.rounds,
         }
-        if self.decision_table is not None:
+        if self._ids is not None:
+            views, decisions = self._ids
             # Distinct views have distinct reprs, so sorting the pairs orders by view.
             data["decision_table"] = [
                 {"view": view, "decision": value}
-                for view, value in sorted(
-                    (repr(view), value) for view, value in self.decision_table.items()
-                )
+                for view, value in sorted(zip(views.reprs(), decisions))
             ]
         if self.witness is not None:
             data["witness"] = {
@@ -231,12 +241,12 @@ def min_consensus_rounds(
         search = _Search(family, r, views)
         if search.solvable:
             table.append((r, True))
-            decision_table = search.decision_table()
-            protocol = full_information_protocol(
-                family, r, decision_table, name=f"oracle-protocol[r={r}]"
-            )
+            decisions = search.decisions()
+            views.ids = []  # the result keeps the tables, not every execution's ids
+            protocol = full_information_protocol(views, decisions, f"oracle-protocol[r={r}]")
             return OracleResult(
-                max_horizon, tuple(table), r, protocol, decision_table, None
+                max_horizon, tuple(table), r, protocol,
+                dict(zip(views.nested(), decisions)), None, (views, decisions),
             )
         table.append((r, False))
     assert search is not None
@@ -249,8 +259,9 @@ class _Views:
     """Interned view ids of every execution, one level per round.
 
     ``ids[v][s]`` is node v's view id in execution s of the current depth;
-    ``keys[d][i]`` is what id i of depth d interns, and ``owners[d][i]``
-    the node that holds it.  The depth-0 keys are the views ``(v, x)``.
+    ``tables[d]`` maps what each id of depth d interns to the id, in id
+    order, and ``owners[d][i]`` is the node that holds id i of depth d.
+    The depth-0 keys are the views ``(v, x)``.
     """
 
     def __init__(self, family: EventFamily) -> None:
@@ -261,8 +272,8 @@ class _Views:
         ]
         inits = list(product((0, 1), repeat=n))
         self.ids = [[2 * v + x[v] for x in inits] for v in range(n)]
-        self.keys: list[list[tuple[int, ...]]] = [
-            [(v, x) for v in range(n) for x in (0, 1)]
+        self.tables: list[dict[tuple[int, ...], int]] = [
+            {(v, x): 2 * v + x for v in range(n) for x in (0, 1)}
         ]
         self.owners = [[v for v in range(n) for _x in (0, 1)]]
 
@@ -281,17 +292,33 @@ class _Views:
             owners.extend([v] * (len(intern) - len(owners)))
             ids.append(col)
         self.ids = ids
-        self.keys.append(list(intern))
+        self.tables.append(intern)
         self.owners.append(owners)
 
     def nested(self) -> list[ViewContent]:
         """The nested-tuple view of every id at the current depth."""
-        views = self.keys[0]
-        for keys, owners in zip(self.keys[1:], self.owners):
-            views = [
-                (views[key[0]], tuple((owners[u], views[u]) for u in key[1:]))
-                for key in keys
-            ]
+        return self._fold(
+            list(self.tables[0]), lambda u, view: (u, view), lambda own, heard: (own, tuple(heard))
+        )
+
+    def reprs(self) -> list[str]:
+        """``repr`` of the nested view of every id at the current depth, each
+        rendered once from the strings of the depth before."""
+
+        def render(own: str, heard: list[str]) -> str:
+            # A one-item tuple prints a trailing comma.
+            return f"({own}, ({', '.join(heard)}{',' if len(heard) == 1 else ''}))"
+
+        return self._fold(list(map(repr, self.tables[0])), "({}, {})".format, render)
+
+    def _fold(self, views: list, pair, combine) -> list:
+        """Every id's value at the current depth, built depth by depth from the
+        depth-0 ``views``: ``pair(owner, value)`` is what a view adds to the
+        views that hear it, made once per id, and ``combine(own value,
+        [pair, ...])`` builds a view from its previous view and what it heard."""
+        for table, owners in zip(self.tables[1:], self.owners):
+            heard = list(map(pair, owners, views))
+            views = [combine(views[key[0]], [heard[u] for u in key[1:]]) for key in table]
         return views
 
 
@@ -319,13 +346,13 @@ class _Search:
         self.ones = set(self.root[size - block:])
         self.solvable = self.ones.isdisjoint(self.root[:block])
 
-    def decision_table(self) -> dict[ViewContent, int]:
+    def decisions(self) -> list[int]:
+        """The decision of every view id at this depth, by id."""
         decision = [int(root in self.ones) for root in self.root]
         by_id: dict[int, int] = {}
         for col in self.views.ids:
             by_id.update(zip(col, decision))
-        nested = self.views.nested()
-        return {nested[i]: value for i, value in by_id.items()}
+        return [by_id[i] for i in range(len(by_id))]
 
     def mixing_chain(self) -> IndistinguishabilityChain:
         """BFS from the first all-0 execution of a mixed component, by owner,

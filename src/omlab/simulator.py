@@ -119,13 +119,13 @@ def _step(
     keeps its states and decides nothing more."""
     if protocol.halting_round is not None and round_no > protocol.halting_round:
         return states, ()
-    arc_mask = family.events[letter].arc_mask
     payloads = [protocol.message(u, state) for u, state in enumerate(states)]
     delivered: list[dict[int, Any]] = [{} for _ in states]
     arcs_used: list[Arc] = []
-    for bit, (tail, head) in enumerate(family.base.sorted_arcs):
+    # Arcs come tail-major, so each node hears its senders in node order.
+    for tail, head in family.events[letter].sorted_arcs:
         payload = payloads[tail]
-        if payload is not None and arc_mask >> bit & 1:
+        if payload is not None:
             delivered[head][tail] = payload
             arcs_used.append((tail, head))
     states = [

@@ -9,6 +9,7 @@ import pytest
 from omlab import (
     Budget,
     BudgetExceededError,
+    Digraph,
     Event,
     EventFamily,
     cli,
@@ -100,6 +101,15 @@ def test_family_rejects_foreign_base(two_node, ok_event):
     other = complete_digraph(2)
     with pytest.raises(ValueError):
         EventFamily(other, (ok_event,))
+
+
+def test_family_compares_bases_by_value(two_node, ok_event):
+    twin = symmetric_digraph(2, [(0, 1)], labels=("white", "black"))
+    assert twin == two_node and twin is not two_node
+    assert EventFamily(twin, (ok_event,)).events == (ok_event,)
+    one_way = Digraph(2, frozenset({(0, 1)}), ("white", "black"))
+    with pytest.raises(ValueError, match="share the family's base graph"):
+        EventFamily(one_way, (event_from_arcs(one_way, one_way.arcs), ok_event))
 
 
 def test_family_names_and_lookup(o1):

@@ -362,6 +362,20 @@ def assert_oracle_matches_reference(family: EventFamily, horizon: int, monkeypat
     assert result.witness == chain
     n, k = family.base.node_count, len(family)
     assert sizes == [2**n * k**r for r, _ok in table]
+    if decisions is None:
+        return
+    # The JSON renders each view from interned ids; it must print the view's repr.
+    assert result.to_json_dict(family)["decision_table"] == [
+        {"view": view, "decision": value}
+        for view, value in sorted((repr(view), value) for view, value in decisions.items())
+    ]
+    # The protocol runs on view ids; every node must decide what its nested view maps to.
+    r = result.rounds
+    for word in product(range(k), repeat=r):
+        for init in product((0, 1), repeat=n):
+            trace = simulator.run(result.protocol, family, word, init)
+            views = execution_views(family, word, init)
+            assert trace.decisions == tuple((decisions[view], r) for view in views)
 
 
 @pytest.mark.parametrize("block", range(6))
@@ -378,6 +392,30 @@ def test_oracle_matches_nested_tuple_search_on_bundled_families(name, monkeypatc
 @pytest.mark.parametrize("base", [complete_digraph(3), cycle_digraph(4)], ids=["K3", "C4"])
 def test_oracle_matches_nested_tuple_search_on_bounded_families(base, monkeypatch):
     assert_oracle_matches_reference(generate_bounded_omissions(base, 1), 2, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "built, foreign",
+    [("reliable-2node", "O1-2node"), ("reliable-2node", "crash-C1"), ("fig12", "O1-2node"),
+     ("H-2node", "fig12")],
+)
+def test_oracle_protocol_rejects_a_family_it_was_not_built_for(built, foreign):
+    result = oracle.min_consensus_rounds(load_family(built), 3)
+    _table, decisions, _chain = reference_oracle(load_family(built), 3)
+    family = load_family(foreign)
+    # The first node, in word-major, input-minor order, whose nested view
+    # the reference table lacks.
+    first = next(
+        v
+        for word in product(range(len(family)), repeat=result.rounds)
+        for init in product((0, 1), repeat=family.base.node_count)
+        for v, view in enumerate(execution_views(family, word, init))
+        if view not in decisions
+    )
+    with pytest.raises(
+        ProtocolError, match=f"node {first} reached a view outside the decision table"
+    ):
+        exhaustive_check(result.protocol, family, result.rounds)
 
 
 # ---- the prefix-sharing sweep --------------------------------------------------------
