@@ -14,12 +14,14 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import get_args
 
 from . import bundled, dot
 from .budget import Budget, BudgetExceededError
 from .equivalence import beta_partition
 from .events import (
     EventFamily,
+    OmissionMetric,
     family_from_json_dict,
     family_to_json_dict,
     generate_bounded_omissions,
@@ -119,7 +121,7 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
                        help="bundled example: " + ", ".join(bundled.bundled_names()))
     parser.add_argument("--bounded", type=non_negative_int, metavar="F",
                         help="generate events with at most F omissions")
-    parser.add_argument("--metric", choices=("global", "send", "recv"),
+    parser.add_argument("--metric", choices=get_args(OmissionMetric),
                         help="how omissions are counted (default global)")
 
 
@@ -492,7 +494,7 @@ def build_parser() -> _Parser:
     gen = _add_command(sub, "gen", cmd_gen, "generate a bounded-omission family", with_dot)
     _add_graph_flags(gen)
     gen.add_argument("--bounded", type=non_negative_int, metavar="F", required=True)
-    gen.add_argument("--metric", choices=("global", "send", "recv"), default="global")
+    gen.add_argument("--metric", choices=get_args(OmissionMetric), default="global")
 
     sim = _add_command(sub, "simulate", cmd_simulate, "run a protocol against scenarios")
     _add_family_flags(sim)

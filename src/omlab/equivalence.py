@@ -50,7 +50,8 @@ def _head_filter(base: Digraph, x_mask: int) -> int:
 
 def alpha_related(left: Event, right: Event, k: Event) -> bool:
     """True when the sources of ``k`` receive identical arcs under both events."""
-    if left.base != right.base or left.base != k.base:
+    # Events of one family hold the very same base; compare by value only otherwise.
+    if not (left.base is right.base is k.base or left.base == right.base == k.base):
         raise ValueError("events must share a base graph")
     head_filter = _head_filter(k.base, k.sources_mask)
     return left.arc_mask & head_filter == right.arc_mask & head_filter

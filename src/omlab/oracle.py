@@ -22,9 +22,12 @@ on depth: a view holds its owner from depth 0, so an id fixes the node
 that holds it, the in-neighbour ids fix who delivered, and their order
 pairs each sender with its view.  So executions that share an id are
 exactly those that share a view, and no nested view is built or hashed
-during the search.  Nested tuples are built only for the decision table,
-once per distinct view, and the JSON renders each view's ``repr`` once,
-from the strings of the depth before.
+during the search.  One breadth-first pass over the groups of executions
+that share an id labels every component by its lowest execution; while
+a component starts at an all-0 execution it also records how it reached
+each execution, so the first all-1 execution it reaches ends the mixing
+chain.  The decision table maps each final view's ``repr``, rendered once
+per id from the strings of the depth before, to its decision.
 
 On success the component labelling *is* a protocol on the same ids: a
 node starts from its depth-0 id, each round sends its id and looks (its
@@ -47,12 +50,11 @@ evidence but never a claim beyond h; the report records h explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Any
 
 from .budget import Budget, effective_budget
-from .equivalence import _UnionFind
 from .events import EventFamily, is_convex
 from .graphs import mask_nodes
 from .simulator import ProtocolSpec, ProtocolError
@@ -170,16 +172,18 @@ def verify_chain(chain: IndistinguishabilityChain, family: EventFamily) -> bool:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of the bounded-horizon consensus search."""
+    """Outcome of the bounded-horizon consensus search.
+
+    On success ``decision_table`` maps the ``repr`` of every final view, as
+    ``execution_views`` builds it, to the protocol's decision on that view.
+    """
 
     max_horizon: int
     horizon_table: tuple[tuple[int, bool], ...]  # (r, solvable at r)
     rounds: int | None
     protocol: ProtocolSpec | None
-    decision_table: dict[ViewContent, int] | None
+    decision_table: dict[str, int] | None
     witness: IndistinguishabilityChain | None
-    # The interned views and the decision of each final id, for to_json_dict.
-    _ids: tuple[_Views, list[int]] | None = field(default=None, compare=False, repr=False)
 
     @property
     def solvable(self) -> bool:
@@ -193,12 +197,10 @@ class OracleResult:
             ],
             "rounds": self.rounds,
         }
-        if self._ids is not None:
-            views, decisions = self._ids
-            # Distinct views have distinct reprs, so sorting the pairs orders by view.
+        if self.decision_table is not None:
             data["decision_table"] = [
                 {"view": view, "decision": value}
-                for view, value in sorted(zip(views.reprs(), decisions))
+                for view, value in sorted(self.decision_table.items())
             ]
         if self.witness is not None:
             data["witness"] = {
@@ -222,9 +224,9 @@ def min_consensus_rounds(
 ) -> OracleResult:
     """Least r <= max_horizon with an r-round consensus protocol, with proof.
 
-    Returns the protocol and its decision table on success; on failure at
-    ``max_horizon``, returns the mixing chain showing why that horizon is
-    not enough.
+    Returns the protocol and its decision table, ``repr`` of each final view
+    to its decision, on success; on failure at ``max_horizon``, returns the
+    mixing chain showing why that horizon is not enough.
     """
     if max_horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -245,8 +247,7 @@ def min_consensus_rounds(
             views.ids = []  # the result keeps the tables, not every execution's ids
             protocol = full_information_protocol(views, decisions, f"oracle-protocol[r={r}]")
             return OracleResult(
-                max_horizon, tuple(table), r, protocol,
-                dict(zip(views.nested(), decisions)), None, (views, decisions),
+                max_horizon, tuple(table), r, protocol, dict(zip(views.reprs(), decisions)), None
             )
         table.append((r, False))
     assert search is not None
@@ -295,35 +296,31 @@ class _Views:
         self.tables.append(intern)
         self.owners.append(owners)
 
-    def nested(self) -> list[ViewContent]:
-        """The nested-tuple view of every id at the current depth."""
-        return self._fold(
-            list(self.tables[0]), lambda u, view: (u, view), lambda own, heard: (own, tuple(heard))
-        )
-
     def reprs(self) -> list[str]:
         """``repr`` of the nested view of every id at the current depth, each
         rendered once from the strings of the depth before."""
-
-        def render(own: str, heard: list[str]) -> str:
-            # A one-item tuple prints a trailing comma.
-            return f"({own}, ({', '.join(heard)}{',' if len(heard) == 1 else ''}))"
-
-        return self._fold(list(map(repr, self.tables[0])), "({}, {})".format, render)
-
-    def _fold(self, views: list, pair, combine) -> list:
-        """Every id's value at the current depth, built depth by depth from the
-        depth-0 ``views``: ``pair(owner, value)`` is what a view adds to the
-        views that hear it, made once per id, and ``combine(own value,
-        [pair, ...])`` builds a view from its previous view and what it heard."""
+        views = list(map(repr, self.tables[0]))
         for table, owners in zip(self.tables[1:], self.owners):
-            heard = list(map(pair, owners, views))
-            views = [combine(views[key[0]], [heard[u] for u in key[1:]]) for key in table]
+            # What a view adds to the views that hear it: (owner, view).
+            heard = list(map("({}, {})".format, owners, views))
+            views = [
+                # A one-item tuple prints a trailing comma.
+                f"({views[own]}, ({', '.join(heard[u] for u in senders)}"
+                f"{',' if len(senders) == 1 else ''}))"
+                for own, *senders in table
+            ]
         return views
 
 
 class _Search:
-    """One-horizon component search: executions sharing a view id are joined."""
+    """One-horizon component search: executions sharing a view id are joined.
+
+    One breadth-first pass takes components in execution order and labels
+    each by its lowest execution.  Until a chain is found, a component that
+    starts at an all-0 execution records each execution's (parent execution,
+    owner of the shared view); the first all-1 execution it reaches ends
+    the chain.
+    """
 
     def __init__(self, family: EventFamily, rounds: int, views: _Views) -> None:
         self.rounds = rounds
@@ -333,18 +330,38 @@ class _Search:
         # Execution i runs input vector i // k^r under word i % k^r.
         self.executions = range((1 << n) * k**rounds)
         size = len(self.executions)
-        uf = _UnionFind(size)
-        for col in views.ids:
-            first: dict[int, int] = {}
-            # f is the first execution that holds the id execution s holds.
-            for s, f in enumerate(map(first.setdefault, col, range(size))):
-                if f != s:
-                    uf.union(f, s)
-        self.root = list(map(uf.find, range(size)))
         # The all-0 input comes first and the all-1 input last.
-        self.block = block = k**rounds if n else 0
-        self.ones = set(self.root[size - block:])
-        self.solvable = self.ones.isdisjoint(self.root[:block])
+        block = k**rounds if n else 0
+        members: list = [[] for _ in views.tables[-1]]
+        for col in views.ids:
+            for s, i in enumerate(col):
+                members[i].append(s)
+        self.root = root = [-1] * size
+        self.parent: dict[int, tuple[int, int]] = {}
+        self.goal: int | None = None
+        for start in self.executions:
+            if root[start] >= 0:
+                continue
+            root[start] = start
+            record = start < block and self.goal is None
+            if record:
+                self.parent.clear()
+            queue = [start]
+            for idx in queue:
+                for owner, col in enumerate(views.ids):
+                    group, members[col[idx]] = members[col[idx]], ()
+                    # A group scanned once holds no unlabelled execution.
+                    for other in group:
+                        if root[other] < 0:
+                            root[other] = start
+                            queue.append(other)
+                            if record:
+                                self.parent[other] = (idx, owner)
+                                if other >= size - block:
+                                    self.goal = other
+                                    record = False
+        self.ones = set(root[size - block:])
+        self.solvable = self.goal is None
 
     def decisions(self) -> list[int]:
         """The decision of every view id at this depth, by id."""
@@ -355,48 +372,16 @@ class _Search:
         return [by_id[i] for i in range(len(by_id))]
 
     def mixing_chain(self) -> IndistinguishabilityChain:
-        """BFS from the first all-0 execution of a mixed component, by owner,
-        then by execution index, to the first all-1 execution reached."""
-        ids = self.views.ids
-        size = len(self.root)
-        first_one = size - self.block
-        start = next(s for s in range(self.block) if self.root[s] in self.ones)
-        groups: dict[int, list[int]] = {}
-        for col in ids:
-            for s, i in enumerate(col):
-                groups.setdefault(i, []).append(s)
-        prev: dict[int, tuple[int, int]] = {start: (start, -1)}
-        frontier = [start]
-        goal = None
-        while frontier and goal is None:
-            next_frontier: list[int] = []
-            for idx in frontier:
-                for owner, col in enumerate(ids):
-                    # A group scanned once holds no unvisited execution.
-                    for other in groups.pop(col[idx], ()):
-                        if other not in prev:
-                            prev[other] = (idx, owner)
-                            if other >= first_one:
-                                goal = other
-                                break
-                            next_frontier.append(other)
-                    if goal is not None:
-                        break
-                if goal is not None:
-                    break
-            frontier = next_frontier
-        assert goal is not None, "mixed component must join both uniform inputs"
-        path = [goal]
-        nodes = []
-        idx = goal
-        while idx != start:
-            idx, node = prev[idx]
+        """The recorded chain: the parents walked back from the first all-1
+        execution reached, owner by owner and then by execution index."""
+        assert self.goal is not None, "only an unsolvable search records a chain"
+        path, nodes = [self.goal], []
+        while path[-1] in self.parent:
+            idx, node = self.parent[path[-1]]
             path.append(idx)
             nodes.append(node)
-        path.reverse()
-        nodes.reverse()
         return IndistinguishabilityChain(
-            tuple(map(self.execution, path)), tuple(nodes), self.rounds
+            tuple(map(self.execution, reversed(path))), tuple(reversed(nodes)), self.rounds
         )
 
     def execution(self, idx: int) -> Execution:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import fields
 from math import comb
@@ -264,3 +265,39 @@ def test_family_json_rejects_bad_arc(two_node):
     data["events"][0]["arcs"].append(["white", "nope"])
     with pytest.raises(ValueError):
         family_from_json_dict(data)
+
+
+TWO_NODE_GRAPH = {"nodes": ["white", "black"], "arcs": [["white", "black"], ["black", "white"]]}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"events": []}, "malformed family JSON: 'graph'"),
+        ({"graph": TWO_NODE_GRAPH, "events": 3},
+         "malformed family JSON: 'int' object is not iterable"),
+        ({"graph": TWO_NODE_GRAPH, "events": [{"name": "a"}]}, "malformed event entry 0: 'arcs'"),
+        ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": []}, 3]},
+         "malformed event entry 1: 'int' object is not subscriptable"),
+        ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": [["white", "nope"]]}]},
+         'malformed event entry 0: "unknown node label \'nope\'"'),
+        ({"graph": {"nodes": ["white", "black"], "arcs": [["white", "black"]]},
+          "events": [{"arcs": [["black", "white"]]}]},
+         "event arcs not in base graph: [(1, 0)]"),
+        ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": []}, {"arcs": []}]},
+         "duplicate events in family"),
+        ({"graph": TWO_NODE_GRAPH,
+          "events": [{"name": "a", "arcs": []}, {"name": "a", "arcs": [["white", "black"]]}]},
+         "event names must be unique"),
+    ],
+    ids=["no-graph", "events-not-a-list", "entry-without-arcs", "entry-not-an-object",
+         "unknown-label", "arc-not-in-base", "duplicate-events", "duplicate-names"],
+)
+def test_family_json_errors_name_the_fault(data, message, tmp_path, capsys):
+    with pytest.raises(ValueError) as caught:
+        family_from_json_dict(data)
+    assert str(caught.value) == message
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["check", "--family", str(path)]) == 64
+    assert capsys.readouterr().err == f"omlab: error: {message}\n"
