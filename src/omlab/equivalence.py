@@ -17,15 +17,17 @@ Relations depend on a witness only through its source set, so one
 witness per distinct source set loses nothing.
 
 The closure condition is not constructive, so the partition is computed
-as a greatest fixed point.  It starts from the transitive-closure
-classes (one kernel call over all events).  Each round then calls the
-kernel once per class, with the class as its own witnesses, and splits
-each class into the components found.  When a round splits nothing, the
-witness edges of that round form a spanning tree of each class, so every
-intra-class pair has a replayable chain whose intermediates and witnesses
-all live in the class.  The result is self-verified before it is
-returned; a failure raises instead of silently producing a partition
-that does not satisfy the closure condition.
+as a greatest fixed point.  Each round calls the kernel once per class,
+with the class as its own witnesses, and splits each class into the
+components found.  The first round runs on the single class of all
+events, so it is the transitive closure, one kernel call over all
+events; when it finds one class, it is also the last round.  When a
+round splits nothing, the witness edges of that round form a spanning
+tree of each class, so every intra-class pair has a replayable chain
+whose intermediates and witnesses all live in the class.  The result is
+self-verified, by a replay that builds each witness's head filter on
+its own, before it is returned; a failure raises instead of silently
+producing a partition that does not satisfy the closure condition.
 
 Events without sources would relate every pair (their source set is
 empty, so nothing is observed); they are never used as witnesses here.
@@ -163,9 +165,13 @@ class BetaPartition:
         """Replay every stored edge and recheck the closure condition.
 
         One union-find serves every class: the classes are checked to be
-        disjoint, and each edge must lie inside its class.
+        disjoint, and each edge must lie inside its class.  Each witness's
+        head filter is built once, from its own ``Event.sources_mask``,
+        and every edge it witnesses compares the two arc masks under it.
         """
-        uf = _UnionFind(len(self.family))
+        events = self.family.events
+        head_filters: dict[int, int] = {}
+        uf = _UnionFind(len(events))
         seen: set[int] = set()
         for ci, members in enumerate(self.classes):
             member_set = set(members)
@@ -175,7 +181,11 @@ class BetaPartition:
             for edge in self.class_edges[ci]:
                 if not {edge.left, edge.right, edge.witness} <= member_set:
                     return False
-                if not edge.holds(self.family):
+                head_filter = head_filters.get(edge.witness)
+                if head_filter is None:
+                    k = events[edge.witness]
+                    head_filter = head_filters[edge.witness] = _head_filter(k.base, k.sources_mask)
+                if (events[edge.left].arc_mask ^ events[edge.right].arc_mask) & head_filter:
                     return False
                 uf.union(edge.left, edge.right)
             if len({uf.find(i) for i in members}) > 1:
@@ -206,19 +216,24 @@ class BetaPartition:
 def beta_partition(family: EventFamily) -> BetaPartition:
     """Greatest fixed point of the within-class witness refinement.
 
-    Starting from the transitive-closure partition, each round runs the
-    grouping kernel once per class, with the class as both the events and
-    the witnesses: each distinct source set in the class is observed once,
-    and the scan stops as soon as the class is connected.  A class that is
-    not connected splits into its components.  Splitting can only remove
+    Each round runs the grouping kernel once per class, with the class as
+    both the events and the witnesses: each distinct source set in the
+    class is observed once, and the scan stops as soon as the class is
+    connected.  A class that is not connected splits into its components.
+    The first round runs on the single class of all events, so it is the
+    transitive closure (``alpha_star``).  Splitting can only remove
     witnesses from a class, so the refinement is monotone and stabilizes
     after at most one round per event.  The witness edges of the round in
     which no class splits are the result's spanning trees.
+
+    ``iterations`` counts the rounds after the closure, up to and
+    including the one that splits nothing; when the closure itself splits
+    nothing, that round is the closure's, and the count is one.
     """
-    classes = [list(c) for c in alpha_star(family)]
-    iterations = 0
+    classes = [list(range(len(family)))]
+    rounds = 0
     while True:
-        iterations += 1
+        rounds += 1
         next_classes: list[list[int]] = []
         class_edges: list[tuple[AlphaWitness, ...]] = []
         for members in classes:
@@ -228,6 +243,7 @@ def beta_partition(family: EventFamily) -> BetaPartition:
         if len(next_classes) == len(classes):
             break
         classes = sorted(next_classes)
+    iterations = max(rounds - 1, 1)
     result = BetaPartition(
         family, tuple(tuple(c) for c in classes), tuple(class_edges), iterations
     )

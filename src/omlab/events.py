@@ -355,6 +355,16 @@ def family_to_json_dict(family: EventFamily) -> dict:
 
 
 def family_from_json_dict(data: dict) -> EventFamily:
+    """The family that ``family_to_json_dict`` wrote, or a ValueError naming the fault.
+
+    Each event entry is parsed through one table per family, built from
+    ``base.sorted_arcs``, that maps a ``(tail label, head label)`` pair to
+    its arc bit: the entry's mask is the OR of its arcs' bits, and an arc
+    listed twice sets its bit once.  An entry the table cannot read, for
+    a ``KeyError``, ``TypeError`` or ``ValueError``, is parsed again arc by
+    arc; that path also reads labels that are not strings, such as JSON
+    integers, and raises the error that names what is wrong.
+    """
     from .graphs import digraph_from_json_dict
 
     try:
@@ -362,13 +372,40 @@ def family_from_json_dict(data: dict) -> EventFamily:
         raw_events = list(data["events"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed family JSON: {exc}") from exc
+    label = base.label
+    arc_bits = {(label(t), label(h)): 1 << i for i, (t, h) in enumerate(base.sorted_arcs)}
     events = []
     names = []
     for i, entry in enumerate(raw_events):
         try:
-            arcs = [(base.node(str(t)), base.node(str(h))) for t, h in entry["arcs"]]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed event entry {i}: {exc}") from exc
-        events.append(event_from_arcs(base, arcs))
+            mask = 0
+            for t, h in entry["arcs"]:
+                mask |= arc_bits[t, h]
+        except (KeyError, TypeError, ValueError):
+            mask = _entry_mask_arc_by_arc(base, i, entry)
+        events.append(Event(base, mask))
         names.append(str(entry.get("name", f"E{i}")))
     return EventFamily(base, tuple(events), tuple(names))
+
+
+def _entry_mask_arc_by_arc(base: Digraph, i: int, entry) -> int:
+    """Arc mask of event entry ``i``, with labels compared as strings."""
+    where = f"malformed event entry {i}"
+    index = base.label_index
+
+    def node(label) -> int:
+        try:
+            return index[str(label)]
+        except KeyError:
+            raise ValueError(f"{where}: unknown node label {str(label)!r}") from None
+
+    try:
+        arcs = {(node(t), node(h)) for t, h in entry["arcs"]}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    extra = sorted(arcs - base.arcs)
+    if extra:
+        labelled = [[base.label(t), base.label(h)] for t, h in extra]
+        raise ValueError(f"{where}: arcs not in base graph: {labelled}")
+    bit = base.arc_bit
+    return sum(1 << bit[a] for a in arcs)

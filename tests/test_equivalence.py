@@ -129,6 +129,27 @@ def test_beta_verify_catches_tampering(o1):
     assert not tampered.verify()
 
 
+@pytest.mark.parametrize(
+    "fixture, classes, class_edges",
+    [
+        # The first edge holds and caches witness 2's filter; the second reuses it and fails.
+        ("o1", ((0, 1, 2),), ((AlphaWitness(0, 1, 2), AlphaWitness(1, 2, 2)),)),
+        # The edge holds (it is reflexive), but its witness sits in the other class.
+        ("h_scheme", ((0,), (1,)), ((AlphaWitness(0, 0, 1),), ())),
+        # Every edge holds and spans its class, but event 2 is in both classes.
+        ("o1", ((0, 1, 2), (2,)), ((AlphaWitness(0, 2, 1), AlphaWitness(0, 1, 2)), ())),
+        # The one edge holds, but it leaves event 1 apart from the rest of the class.
+        ("o1", ((0, 1, 2),), ((AlphaWitness(0, 2, 1),),)),
+    ],
+    ids=["cached-witness-edge-fails", "witness-outside-class", "classes-overlap",
+         "edges-do-not-span"],
+)
+def test_beta_verify_refutes_forged_partitions(request, fixture, classes, class_edges):
+    bp = beta_partition(request.getfixturevalue(fixture))
+    assert bp.verify()
+    assert not replace(bp, classes=classes, class_edges=class_edges).verify()
+
+
 def test_alpha_witness_holds(o1):
     # ok ~ omit-white through omit-black, per the source-set computation.
     assert AlphaWitness(left=0, right=1, witness=2).holds(o1)

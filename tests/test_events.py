@@ -29,6 +29,7 @@ from omlab import (
     run,
     symmetric_digraph,
 )
+from omlab.bundled import bundled_names, load_family
 from omlab.events import _arc_order
 from omlab.simulator import _check_run
 
@@ -253,11 +254,16 @@ def test_all_initial_configs_enumeration(o1):
 
 # ---- JSON --------------------------------------------------------------------------
 
-def test_family_json_round_trip(fig12):
-    data = family_to_json_dict(fig12)
-    again = family_from_json_dict(data)
-    assert again == fig12
-    assert family_to_json_dict(again) == data
+def test_family_json_round_trip():
+    q3 = generate_bounded_omissions(hypercube_digraph(3), 3)
+    assert len(q3) == 2325
+    for family in [*map(load_family, bundled_names()), q3]:
+        data = family_to_json_dict(family)
+        again = family_from_json_dict(data)
+        # A family without names is written with its default names E0, E1, ...
+        names = tuple(family.name(i) for i in range(len(family)))
+        assert again == EventFamily(family.base, family.events, names)
+        assert family_to_json_dict(again) == data
 
 
 def test_family_json_rejects_bad_arc(two_node):
@@ -280,10 +286,10 @@ TWO_NODE_GRAPH = {"nodes": ["white", "black"], "arcs": [["white", "black"], ["bl
         ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": []}, 3]},
          "malformed event entry 1: 'int' object is not subscriptable"),
         ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": [["white", "nope"]]}]},
-         'malformed event entry 0: "unknown node label \'nope\'"'),
+         "malformed event entry 0: unknown node label 'nope'"),
         ({"graph": {"nodes": ["white", "black"], "arcs": [["white", "black"]]},
           "events": [{"arcs": [["black", "white"]]}]},
-         "event arcs not in base graph: [(1, 0)]"),
+         "malformed event entry 0: arcs not in base graph: [['black', 'white']]"),
         ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": []}, {"arcs": []}]},
          "duplicate events in family"),
         ({"graph": TWO_NODE_GRAPH,
@@ -301,3 +307,20 @@ def test_family_json_errors_name_the_fault(data, message, tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert cli.main(["check", "--family", str(path)]) == 64
     assert capsys.readouterr().err == f"omlab: error: {message}\n"
+
+
+def test_family_json_arc_listed_twice_sets_it_once():
+    once = {"graph": TWO_NODE_GRAPH, "events": [{"name": "a", "arcs": [["white", "black"]]}]}
+    twice = {"graph": TWO_NODE_GRAPH,
+             "events": [{"name": "a", "arcs": [["white", "black"], ["white", "black"]]}]}
+    assert family_from_json_dict(twice) == family_from_json_dict(once)
+
+
+def test_family_json_integer_labels_read_as_strings():
+    as_ints = {"graph": {"nodes": [0, 1], "arcs": [[0, 1]]},
+               "events": [{"arcs": [[0, 1]]}, {"arcs": []}]}
+    as_strs = {"graph": {"nodes": ["0", "1"], "arcs": [["0", "1"]]},
+               "events": [{"arcs": [["0", "1"]]}, {"arcs": []}]}
+    family = family_from_json_dict(as_ints)
+    assert family == family_from_json_dict(as_strs)
+    assert [ev.arc_mask for ev in family] == [1, 0]

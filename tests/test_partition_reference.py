@@ -21,6 +21,7 @@ from omlab import (
     beta_partition,
     complete_digraph,
     cycle_digraph,
+    equivalence,
     event_from_arcs,
     generate_bounded_omissions,
 )
@@ -123,6 +124,25 @@ def test_partition_matches_reference(key):
     family = golden_families()[key]
     bp = beta_partition(family)
     assert (bp.classes, bp.iterations) == reference_partition(family)
+
+
+# Kernel calls per family: a closure with one class takes one call; the
+# closure of k4-34-40 finds 4 classes, which split into 6 that stay: 1 + 4 + 6.
+@pytest.mark.parametrize("key, calls", [("o1", 1), ("k4-1-80", 1), ("k4-34-40", 11)])
+def test_closure_is_the_first_round(key, calls, monkeypatch):
+    """The closure runs once, and a closure with one class is also the last round."""
+    counted = []
+    connect = equivalence._connect
+
+    def counting(family, members):
+        counted.append(len(members))
+        return connect(family, members)
+
+    monkeypatch.setattr(equivalence, "_connect", counting)
+    family = golden_families()[key]
+    assert beta_partition(family).to_json_dict() == json.loads(GOLDEN.read_text())[key]
+    assert len(counted) == calls
+    assert counted.count(len(family)) == 1
 
 
 def test_reference_covers_no_source_events_and_several_rounds():
