@@ -20,10 +20,8 @@ from .equivalence import (
     beta_partition,
 )
 from .events import (
-    ConvexityViolation,
     Event,
     EventFamily,
-    convexity_violation,
     event_from_arcs,
     family_from_json_dict,
     family_to_json_dict,

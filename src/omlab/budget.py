@@ -4,8 +4,9 @@ Several operations enumerate exponentially sized spaces (event families,
 informed-set game states, execution trees).  A ``Budget`` makes the caps
 explicit so oversized instances fail fast with a dedicated error instead
 of hanging.  The ``OMLAB_BUDGET`` environment variable overrides the
-defaults, either as a bare integer (execution cap) or as a comma list of
-``key=value`` pairs, e.g. ``OMLAB_BUDGET=max_executions=2000000``.
+defaults, either as a bare integer, which sets both the execution cap and
+the family-size cap, or as a comma list of ``key=value`` pairs, e.g.
+``OMLAB_BUDGET=max_executions=2000000``.
 """
 from __future__ import annotations
 
@@ -46,15 +47,15 @@ class Budget:
         if not raw:
             return cls()
         raw = raw.strip()
-        if raw.isdigit():
+        if raw.isdecimal():
             return cls(max_executions=int(raw), max_family_events=int(raw))
         budget = cls()
         names = {f.name for f in fields(cls)}
         for part in raw.split(","):
             key, sep, value = part.partition("=")
             key = key.strip()
-            if not sep or key not in names:
-                raise ValueError(f"cannot parse {ENV_VAR} entry: {part!r}")
+            if not sep or key not in names or not value.strip().isdecimal():
+                raise ValueError(f"cannot parse entry: {part!r}")
             budget = replace(budget, **{key: int(value)})
         return budget
 

@@ -156,10 +156,10 @@ def _resolve_family(
         raise CliError("--bounded and --metric apply only to a family generated from a graph")
     if args.family is not None:
         try:
-            return family_from_json_dict(_load_json(args.family))
+            family = family_from_json_dict(_load_json(args.family))
         except ValueError as exc:
             raise CliError(str(exc))
-    if args.bundled is not None:
+    elif args.bundled is not None:
         try:
             family = bundled.load_family(args.bundled)
         except KeyError as exc:
@@ -169,12 +169,16 @@ def _resolve_family(
                 f"{args.bundled} is not a mobile scheme; solvability analysis "
                 "does not apply (use `simulate --crash-horizon`)"
             )
-        return family
-    if args.bounded is None:
+    elif args.bounded is None:
         raise CliError("generated families need --bounded F")
-    return generate_bounded_omissions(
-        _resolve_graph(args), args.bounded, args.metric or "global", budget
-    )
+    else:
+        family = generate_bounded_omissions(
+            _resolve_graph(args), args.bounded, args.metric or "global", budget
+        )
+    # Verdicts on a graph without nodes contradict each other; none is asked for.
+    if not family.base.node_count:
+        raise CliError("the family's graph has no nodes")
+    return family
 
 
 def _write_output(text: str, args: argparse.Namespace) -> None:

@@ -11,8 +11,9 @@ base graph's arc ``base.sorted_arcs[i]`` delivers.  Set membership,
 convexity checks and the head-filtered arc sets used by the
 indistinguishability relations are single integer operations.  The arc
 tuples and the per-node neighbour masks are views derived from the mask
-and cached.  Events are ordered by their sorted arc tuples; ``_arc_order``
-computes that order from the mask alone.
+and cached.  Only generated families are ordered: their events are
+sorted by their arc tuples, with ``_arc_order`` computing that order from
+the mask alone.  Any other family keeps the order it was built in.
 
 A family also has the transposed view: ``EventFamily.carriers`` holds, for
 each base arc, the bitset over event indices of the events that deliver
@@ -81,16 +82,9 @@ class Event:
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
-        # Member events omit few arcs: start from the base graph's masks and
-        # drop the omitted arcs.
-        masks = list(self.base.out_masks)
-        arcs = self.base.sorted_arcs
-        omitted = (1 << len(arcs)) - 1 & ~self.arc_mask
-        while omitted:
-            low = omitted & -omitted
-            tail, head = arcs[low.bit_length() - 1]
-            masks[tail] ^= 1 << head
-            omitted ^= low
+        masks = [0] * self.base.node_count
+        for tail, head in self.sorted_arcs:
+            masks[tail] |= 1 << head
         return tuple(masks)
 
     @cached_property
@@ -163,12 +157,6 @@ class EventFamily:
     @cached_property
     def mask_index(self) -> dict[int, int]:
         return {ev.arc_mask: i for i, ev in enumerate(self.events)}
-
-    @cached_property
-    def canonical_order(self) -> tuple[int, ...]:
-        """Indices sorted by arc list; used for deterministic processing."""
-        keys = [_arc_order(ev.arc_mask) for ev in self.events]
-        return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
     @cached_property
     def union_arc_mask(self) -> int:
@@ -248,42 +236,26 @@ class EventFamily:
 
 # ---- convexity ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvexityViolation:
-    """Triple (left, right, arc): left + arc of right falls outside the family."""
-
-    left: int
-    right: int
-    arc: Arc
-
-
-def convexity_violation(family: EventFamily) -> ConvexityViolation | None:
-    """First violation of closure under single-arc additions, or None.
+def is_convex(family: EventFamily) -> bool:
+    """Whether the family is closed under adding one arc of another member.
 
     A family is convex when for every pair of member events H, H' and
     every arc a of H', the event H + a is also a member.  Only arcs in
-    the union of the family matter: one membership test per event and
-    missing arc, lowest first.  The witness's right event, the first in
-    ``canonical_order`` with the arc, is found only once a test fails.
+    the union of the family matter, so the scan makes one membership
+    test per event and union arc the event lacks, in family order, and
+    stops at the first miss; the answer does not depend on the order.
     """
     members = family.mask_index
     union = family.union_arc_mask
-    order = family.canonical_order
-    for idx in order:
-        mask = family.events[idx].arc_mask
+    for ev in family.events:
+        mask = ev.arc_mask
         missing = union & ~mask
         while missing:
             low = missing & -missing
             if mask | low not in members:
-                right = next(i for i in order if family.events[i].arc_mask & low)
-                arc = family.base.sorted_arcs[low.bit_length() - 1]
-                return ConvexityViolation(idx, right, arc)
+                return False
             missing ^= low
-    return None
-
-
-def is_convex(family: EventFamily) -> bool:
-    return convexity_violation(family) is None
+    return True
 
 
 # ---- generators ----------------------------------------------------------------

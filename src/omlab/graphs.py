@@ -145,28 +145,11 @@ def _reach(adjacency: tuple[int, ...], u: int) -> int:
 def sources_of_arcs(node_count: int, out_masks: tuple[int, ...]) -> int:
     """Bitmask of nodes that reach every node, from out-neighbour masks.
 
-    A node reached from a non-source is not a source (else its reacher
-    would be one), so candidates are tried in order, skipping every node a
-    failed candidate reaches.  The sources are the nodes that reach the
-    first candidate with a full closure, all after it: two closures, not n.
+    The definition, one closure per node: this is the per-event path used
+    to replay witnesses, independent of ``EventFamily.source_masks``.
     """
     full = (1 << node_count) - 1
-    excluded = 0
-    for u in range(node_count):
-        if excluded >> u & 1:
-            continue
-        reach = _reach(out_masks, u)
-        if reach == full:
-            found, grew = 1 << u, True
-            while grew:
-                grew = False
-                for v in range(u + 1, node_count):
-                    if out_masks[v] & found and not found >> v & 1:
-                        found |= 1 << v
-                        grew = True
-            return found
-        excluded |= reach
-    return 0
+    return node_mask(u for u in range(node_count) if _reach(out_masks, u) == full)
 
 
 # ---- arc connectivity ------------------------------------------------------

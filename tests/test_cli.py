@@ -75,6 +75,7 @@ INPUT_FILES = {
         "graph": {"nodes": ["a", "b"], "arcs": [["a", "b"], ["b", "a"]]},
         "events": [],
     },
+    "NO_NODES": {"graph": {"nodes": [], "arcs": []}, "events": [{"name": "E0", "arcs": []}]},
 }
 
 
@@ -118,6 +119,9 @@ INPUT_FILES = {
         H_ONE_ROUND + ["--rounds", "1"],
         FIG12_FLOODING + ["--all-scenarios", "1", "--decide-map", "H1=c,H2=d"],
         ["simulate", "--bundled", "H-2node", "--protocol", "gossip", "--all-scenarios", "1"],
+        ["check", "--complete", "0", "--bounded", "0"],
+        ["oracle", "--path", "0", "--bounded", "0"],
+        ["check", "--family", "NO_NODES"],
     ],
     ids=[
         "one-node-connectivity", "asymmetric-connectivity", "negative-bound",
@@ -130,6 +134,7 @@ INPUT_FILES = {
         "init-value-2", "scenario-unknown-event", "init-without-scenario",
         "length-without-random", "seed-without-random", "origin-with-h-one-round",
         "rounds-with-h-one-round", "decide-map-with-flooding", "unknown-protocol",
+        "no-nodes-check", "no-nodes-oracle", "no-nodes-family",
     ],
 )
 def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):

@@ -1,12 +1,12 @@
 """Source sets, the family's carrier index, the flooding game, the convexity
-witness, the oracle's search and the exhaustive check against naive
+test, the oracle's search and the exhaustive check against naive
 references.
 
 Each reference is the plain version of its kernel, kept here: one closure
 per node and event for source sets, a per-arc scan of every event for
 the family's carrier index, one successor per event for the flooding game,
-a provider table over every arc of every event for the convexity
-witness, a component search over the nested-tuple views of every
+every pair of events and every arc of the second for convexity, a
+component search over the nested-tuple views of every
 execution for the oracle, and one simulator run per word and input for
 the prefix-sharing sweep behind ``check_scenarios`` and
 ``exhaustive_check``.  The kernels must give the same answers, witnesses
@@ -26,15 +26,14 @@ from omlab import (
     BroadcastGame,
     Budget,
     BudgetExceededError,
-    ConvexityViolation,
     Digraph,
     Event,
     EventFamily,
     complete_digraph,
-    convexity_violation,
     cycle_digraph,
     event_from_arcs,
     generate_bounded_omissions,
+    is_convex,
     mask_nodes,
 )
 from omlab import oracle
@@ -212,7 +211,7 @@ def test_game_matches_reference_on_random_families():
         family = random_nonconvex_family(rng)
         values = assert_game_matches_reference(family)
         unbounded += UNBOUNDED in values.values()
-        nonconvex += convexity_violation(family) is not None
+        nonconvex += not is_convex(family)
     assert unbounded > 50 and nonconvex > 75
 
 
@@ -243,29 +242,20 @@ def test_game_matches_reference_on_bounded_families(base, metric):
     assert_game_matches_reference(generate_bounded_omissions(base, 2, metric))
 
 
-# ---- convexity witness ---------------------------------------------------------------
+# ---- convexity -------------------------------------------------------------------
 
-def reference_violation(family: EventFamily) -> ConvexityViolation | None:
-    """The scan with a provider for every arc bit, built before any test."""
+def reference_violation(family: EventFamily) -> tuple[int, int, int] | None:
+    """First (left, right, arc bit) whose left + arc falls outside the family, or None.
+
+    The definition: every ordered pair of members and every arc of the
+    second that the first lacks.
+    """
     members = set(family.mask_index)
-    union = family.union_arc_mask
-    provider: dict[int, int] = {}
-    for idx in family.canonical_order:
-        mask = family.events[idx].arc_mask
-        bit = 0
-        while mask >> bit:
-            if mask >> bit & 1:
-                provider.setdefault(bit, idx)
-            bit += 1
-    arc_of_bit = family.base.sorted_arcs
-    for idx in family.canonical_order:
-        mask = family.events[idx].arc_mask
-        missing = union & ~mask
-        bit = 0
-        while missing >> bit:
-            if missing >> bit & 1 and (mask | 1 << bit) not in members:
-                return ConvexityViolation(idx, provider[bit], arc_of_bit[bit])
-            bit += 1
+    for left, ev in enumerate(family.events):
+        for right, other in enumerate(family.events):
+            for bit in mask_nodes(other.arc_mask & ~ev.arc_mask):
+                if ev.arc_mask | 1 << bit not in members:
+                    return left, right, bit
     return None
 
 
@@ -275,7 +265,7 @@ def test_convexity_witness_matches_full_provider_scan():
     for _ in range(300):
         family = random_nonconvex_family(rng)
         expected = reference_violation(family)
-        assert convexity_violation(family) == expected
+        assert is_convex(family) == (expected is None)
         violations += expected is not None
     assert violations > 200
 
@@ -286,8 +276,8 @@ def test_convexity_witness_matches_on_bounded_subsets():
     for _ in range(40):
         picked = rng.sample(full.events, rng.randint(2, len(full) - 1))
         family = EventFamily(full.base, tuple(picked))
-        assert convexity_violation(family) == reference_violation(family)
-    assert convexity_violation(full) is None and reference_violation(full) is None
+        assert is_convex(family) == (reference_violation(family) is None)
+    assert is_convex(full) and reference_violation(full) is None
 
 
 # ---- the oracle's layered search ---------------------------------------------------

@@ -36,6 +36,8 @@ from omlab import (
     optimal_broadcast_rounds,
     verdict_to_json_dict,
 )
+from omlab import solvability
+from omlab.bundled import load_family
 
 from conftest import (
     BLACK,
@@ -114,6 +116,36 @@ def test_incompatibility_witness_replays_without_the_family_kernel(o1):
     assert witness.holds(forged)
     assert not replace(witness, source_masks=(masks[first], masks[second])).holds(forged)
 
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        load_family("O1-2node"),
+        generate_bounded_omissions(cycle_digraph(5), 2, "global"),
+        generate_bounded_omissions(complete_digraph(4), 3, "global"),
+    ],
+    ids=["O1-2node", "C5-f2", "K4-f3"],
+)
+def test_greedy_witness_is_incompatible_and_irredundant(family, monkeypatch):
+    # With no combination allowed, the search settles for its greedy subset at once.
+    monkeypatch.setattr(solvability, "MAX_COMBINATIONS", 0)
+    greedy = solvability._greedy_irredundant
+    calls = []
+
+    def spy(masks):
+        calls.append(masks)
+        return greedy(masks)
+
+    monkeypatch.setattr(solvability, "_greedy_irredundant", spy)
+    witness = check_broadcastable(family).witness
+    assert calls
+    assert isinstance(witness, IncompatibilityWitness) and witness.holds(family)
+    for dropped in range(len(witness.source_masks)):
+        inter = family.base.full_mask
+        for pos, mask in enumerate(witness.source_masks):
+            if pos != dropped:
+                inter &= mask
+        assert inter != 0
 
 # ---- consensus -----------------------------------------------------------------------
 
