@@ -11,9 +11,9 @@ base graph's arc ``base.sorted_arcs[i]`` delivers.  Set membership,
 convexity checks and the head-filtered arc sets used by the
 indistinguishability relations are single integer operations.  The arc
 tuples and the per-node neighbour masks are views derived from the mask
-and cached.  Only generated families are ordered: their events are
-sorted by their arc tuples, with ``_arc_order`` computing that order from
-the mask alone.  Any other family keeps the order it was built in.
+and cached.  Only generated families are ordered: they are built in the
+order of their events' arc tuples.  Any other family keeps the order it
+was built in.
 
 A family also has the transposed view: ``EventFamily.carriers`` holds, for
 each base arc, the bitset over event indices of the events that deliver
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -35,19 +34,6 @@ from .budget import Budget, effective_budget
 from .graphs import Arc, Digraph, mask_nodes, sources_of_arcs
 
 OmissionMetric = Literal["global", "send", "recv"]
-
-_ORDER_DIGITS = str.maketrans("01", "21")
-
-
-def _arc_order(mask: int) -> str:
-    """Sort key of an arc mask that orders events by their sorted arc tuples.
-
-    Character ``i`` stands for bit ``i``: ``1`` when set, ``2`` when clear,
-    up to the highest set bit.  At the first arc where two tuples differ,
-    the smaller arc is set in one mask only, and its ``1`` sorts first; a
-    tuple that is a prefix of another gives a prefix string.
-    """
-    return bin(mask)[:1:-1].translate(_ORDER_DIGITS) if mask else ""
 
 
 @dataclass(frozen=True)
@@ -273,39 +259,40 @@ def generate_bounded_omissions(
     metric: OmissionMetric = "global",
     budget: Budget | None = None,
 ) -> EventFamily:
-    """All events of ``base`` with at most ``f`` omitted arcs.
+    """All events of ``base`` with at most ``f`` omitted arcs, in arc-tuple order.
 
     ``metric`` selects how omissions are counted: ``global`` bounds the
     total number of missing arcs, ``send`` bounds each node's missing
-    out-arcs, ``recv`` each node's missing in-arcs.  Each metric splits
-    the arcs into disjoint groups (one group for ``global``, one per node
-    otherwise) and bounds the omissions in each.  The result is convex by
-    construction.  Raises BudgetExceededError when the family would
-    exceed the budget's family cap.
+    out-arcs (``base.out_arc_bits``), ``recv`` each node's missing in-arcs
+    (``base.in_arc_bits``).  The family is counted first, then built
+    highest arc first: with the arcs above j decided and the masks in
+    arc-tuple order, the empty mask comes first, then every mask that
+    delivers j, then the others that omit j, each part in its old order.
+    The result is convex by construction.  Raises BudgetExceededError when
+    the family would exceed the budget's family cap.
     """
     if f < 0:
         raise ValueError("omission bound must be non-negative")
-    bits = [1 << i for i in range(len(base.arcs))]
-    if metric == "global":
-        groups = [bits]
-    elif metric in ("send", "recv"):
-        end = 0 if metric == "send" else 1
-        groups = [[] for _ in range(base.node_count)]
-        for bit, arc in zip(bits, base.sorted_arcs):
-            groups[arc[end]].append(bit)
-    else:
+    m = len(base.arcs)
+    groups = {
+        "global": ((1 << m) - 1,), "send": base.out_arc_bits, "recv": base.in_arc_bits,
+    }.get(metric)
+    if groups is None:
         raise ValueError(f"unknown omission metric {metric!r}")
-    count = _count_bounded([len(g) for g in groups], f)
+    count = _count_bounded([g.bit_count() for g in groups], f)
     effective_budget(budget).check("max_family_events", count)
-    # One omission mask per group; the groups are disjoint.
-    per_group_choices = [
-        [sum(ch) for k in range(min(f, len(g)) + 1) for ch in combinations(g, k)]
-        for g in groups
-    ]
-    full = sum(bits)
-    masks = [full ^ sum(omissions) for omissions in product(*per_group_choices)]
-    masks.sort(key=_arc_order)
-    return EventFamily(base, tuple(Event(base, m) for m in masks))
+    masks = [0]
+    for j in reversed(range(m)):
+        bit = 1 << j
+        # Arc j's group, cut to the arcs above j, all of them decided.
+        above = next(g for g in groups if g & bit) >> j + 1 << j + 1
+        limit = above.bit_count() - f
+        # x may omit j too while its group omits fewer than f arcs above j.
+        omit = [x for x in masks if (above & x).bit_count() > limit]
+        # The empty tuple is a prefix of every other, so it sorts first.
+        empty = omit[:1] == [0]
+        masks = omit[:empty] + [x | bit for x in masks] + omit[empty:]
+    return EventFamily(base, tuple(Event(base, x) for x in masks))
 
 
 # ---- JSON ----------------------------------------------------------------------

@@ -259,10 +259,10 @@ def min_consensus_rounds(
 class _Views:
     """Interned view ids of every execution, one level per round.
 
-    ``ids[v][s]`` is node v's view id in execution s of the current depth;
-    ``tables[d]`` maps what each id of depth d interns to the id, in id
-    order, and ``owners[d][i]`` is the node that holds id i of depth d.
-    The depth-0 keys are the views ``(v, x)``.
+    ``ids[v][s]`` is node v's view id in execution s of the current depth,
+    and ``tables[d]`` maps what each id of depth d interns to the id, in
+    id order.  The depth-0 keys are the views ``(v, x)``; a deeper key
+    starts from its owner's id of the depth before.
     """
 
     def __init__(self, family: EventFamily) -> None:
@@ -276,31 +276,28 @@ class _Views:
         self.tables: list[dict[tuple[int, ...], int]] = [
             {(v, x): 2 * v + x for v in range(n) for x in (0, 1)}
         ]
-        self.owners = [[v for v in range(n) for _x in (0, 1)]]
 
     def extend(self) -> None:
         """Go one round deeper: state s*k + e is state s under letter e."""
         k = self.k
         old = self.ids
         intern: dict[tuple[int, ...], int] = {}
-        owners: list[int] = []
         ids = []
         for v, own in enumerate(old):
             col = [0] * (len(own) * k)
             for e, in_nodes in enumerate(self.in_nodes):
                 keys = zip(own, *(old[u] for u in in_nodes[v]))
                 col[e::k] = [intern.setdefault(key, len(intern)) for key in keys]
-            owners.extend([v] * (len(intern) - len(owners)))
             ids.append(col)
         self.ids = ids
         self.tables.append(intern)
-        self.owners.append(owners)
 
     def reprs(self) -> list[str]:
         """``repr`` of the nested view of every id at the current depth, each
         rendered once from the strings of the depth before."""
         views = list(map(repr, self.tables[0]))
-        for table, owners in zip(self.tables[1:], self.owners):
+        owners = [v for v, _x in self.tables[0]]
+        for table in self.tables[1:]:
             # What a view adds to the views that hear it: (owner, view).
             heard = list(map("({}, {})".format, owners, views))
             views = [
@@ -309,6 +306,8 @@ class _Views:
                 f"{',' if len(senders) == 1 else ''}))"
                 for own, *senders in table
             ]
+            # An id belongs to the owner of the id its key starts from.
+            owners = [owners[key[0]] for key in table]
         return views
 
 
@@ -423,11 +422,14 @@ def equal_rounds_audit(
 ) -> EqualRoundsReport:
     """Compare optimal broadcast rounds with the oracle's consensus rounds.
 
-    Only convex families are accepted.  For broadcastable input the oracle
-    searches up to the broadcast round count; matching values confirm the
-    instance, a smaller consensus count is a genuine divergence worth
-    reporting.  Non-broadcastable convex input is reported with both
-    sides unsolvable (the oracle searches up to |V| rounds).
+    Only convex families are accepted.  A family broadcastable in b rounds
+    solves consensus in b rounds by flooding the source's value
+    (``broadcast_consensus``), so the oracle searches only up to b - 1
+    rounds: the count it finds there, or else b.  Matching values confirm
+    the instance, a smaller consensus count is a genuine divergence worth
+    reporting; the report's horizon is b.  Non-broadcastable convex input
+    is reported with both sides unsolvable (the oracle searches up to |V|
+    rounds).
     """
     if not is_convex(family):
         raise ValueError("the equal-rounds audit applies to convex families only")
@@ -438,5 +440,5 @@ def equal_rounds_audit(
         oracle = min_consensus_rounds(family, horizon, budget)
         return EqualRoundsReport(None, None, oracle.rounds, horizon)
     source, rounds = best
-    oracle = min_consensus_rounds(family, rounds, budget)
-    return EqualRoundsReport(source, rounds, oracle.rounds, rounds)
+    fewer = min_consensus_rounds(family, rounds - 1, budget).rounds if rounds else None
+    return EqualRoundsReport(source, rounds, rounds if fewer is None else fewer, rounds)

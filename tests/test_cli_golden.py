@@ -56,6 +56,11 @@ CASES.update({
     "oracle-o1-text": (["oracle", "--bundled", "O1-2node", "--max-horizon", "2"], None, 2),
     "audit-equal-rounds-k3-f1-text": (
         ["audit", "equal-rounds", "--complete", "3", "--bounded", "1"], None, 0),
+    "audit-equal-rounds-k4-f2-json": (
+        ["audit", "equal-rounds", "--complete", "4", "--bounded", "2", "--format", "json"],
+        None, 0),
+    "audit-equal-rounds-q3-f1-text": (
+        ["audit", "equal-rounds", "--hypercube", "3", "--bounded", "1"], None, 0),
     "audit-connectivity-c4-json": (
         ["audit", "connectivity", "--cycle", "4", "--f-max", "2", "--format", "json"], None, 0),
     "simulate-o1-broadcast-consensus-random": (

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import fields
 from math import comb
 
@@ -29,7 +30,6 @@ from omlab import (
     symmetric_digraph,
 )
 from omlab.bundled import bundled_names, load_family
-from omlab.events import _arc_order
 from omlab.simulator import _check_run
 
 from conftest import BLACK, WHITE, random_connected_symmetric
@@ -66,16 +66,6 @@ def test_event_mask_must_fit_the_base(two_node):
     for mask in (-1, 0b100):
         with pytest.raises(ValueError):
             Event(two_node, mask)
-
-
-def test_arc_order_sorts_like_arc_tuples():
-    rng = random.Random(3)
-    wide = [rng.getrandbits(300) for _ in range(2000)]
-    # Masks sharing long prefixes, and prefixes of one another.
-    wide += [m >> rng.randrange(300) << rng.randrange(4) for m in wide[:500]]
-    for masks in (list(range(1 << 10)), wide):
-        rng.shuffle(masks)
-        assert sorted(masks, key=_arc_order) == sorted(masks, key=mask_nodes)
 
 
 def test_event_sources(omit_white, omit_black, ok_event):
@@ -198,6 +188,41 @@ def test_family_cap_names_its_cap():
 def test_negative_bound_rejected(two_node):
     with pytest.raises(ValueError):
         generate_bounded_omissions(two_node, -1)
+
+
+def test_metric_groups_are_counted_per_node():
+    q3 = hypercube_digraph(3)
+    # Each of the 8 nodes keeps 7 of the subsets of its 3 in-arcs: 7^8 events.
+    with pytest.raises(BudgetExceededError, match="max_family_events: 5,764,801 > 100"):
+        generate_bounded_omissions(q3, 2, "recv", budget=Budget(max_family_events=100))
+
+
+def test_unknown_metric_rejected(two_node):
+    with pytest.raises(ValueError, match="unknown omission metric 'bogus'"):
+        generate_bounded_omissions(two_node, 1, "bogus")
+
+
+def test_generator_matches_brute_force_reference():
+    """Every arc mask within each group's cap, sorted by arc tuples, on
+    random asymmetric digraphs: the generator's masks in the generator's order."""
+    rng = random.Random(31)
+    group_of = {"global": lambda arc: 0, "send": lambda arc: arc[0], "recv": lambda arc: arc[1]}
+    for _ in range(150):
+        n = rng.randint(0, 6)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        base = Digraph(n, frozenset(rng.sample(pairs, min(len(pairs), rng.randint(0, 10)))))
+        arcs = base.sorted_arcs
+        for metric, group in group_of.items():
+            # The most omissions any one group sees, per arc mask.
+            worst = [
+                max(Counter(group(a) for i, a in enumerate(arcs) if not mask >> i & 1).values(),
+                    default=0)
+                for mask in range(1 << len(arcs))
+            ]
+            for f in range(4):
+                expected = sorted((m for m, w in enumerate(worst) if w <= f), key=mask_nodes)
+                family = generate_bounded_omissions(base, f, metric)
+                assert [ev.arc_mask for ev in family] == expected, (base, metric, f)
 
 
 def test_generator_output_is_canonically_ordered(two_node):

@@ -7,10 +7,13 @@ necessary-condition-holds.  The verdict and the oracle must agree, and
 each side's evidence must replay: an oracle protocol passes the
 exhaustive simulator check, and a mixing chain passes ``verify_chain``.
 An inconclusive verdict must be settled by a protocol within horizon 3.
+The equal-rounds audit, which searches only below the broadcast round
+count, must report what the search up to that count finds.
 """
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,9 +25,14 @@ from omlab import (
     EventFamily,
     check_consensus,
     complete_digraph,
+    cycle_digraph,
+    generate_bounded_omissions,
+    optimal_broadcast_rounds,
+    path_digraph,
 )
+from omlab import oracle
 from omlab.bundled import load_family
-from omlab.oracle import min_consensus_rounds, verify_chain
+from omlab.oracle import equal_rounds_audit, min_consensus_rounds, verify_chain
 from omlab.simulator import exhaustive_check
 
 HORIZON = 3
@@ -58,3 +66,46 @@ def test_oracle_checks_the_execution_budget():
     # O1 is unsolvable at every horizon; horizon 3 needs 2^2 inputs * 3^3 words.
     with pytest.raises(BudgetExceededError, match="max_executions: 108 > 50"):
         min_consensus_rounds(load_family("O1-2node"), 3, Budget(max_executions=50))
+
+
+@pytest.mark.parametrize(
+    "base, f, metric",
+    [
+        (complete_digraph(3), 1, "global"),
+        (cycle_digraph(4), 1, "global"),
+        (complete_digraph(1), 1, "global"),
+        # Not broadcastable: the audit searches up to |V| rounds.
+        (path_digraph(3), 1, "send"),
+    ],
+    ids=["K3-f1", "C4-f1", "K1-f1", "P3-send-f1"],
+)
+def test_equal_rounds_audit_matches_the_full_search(base, f, metric):
+    """The audit searches up to b - 1 rounds; the search up to the
+    broadcast round count b itself must give the same count."""
+    family = generate_bounded_omissions(base, f, metric)
+    report = equal_rounds_audit(family)
+    best = optimal_broadcast_rounds(family)
+    horizon = base.node_count if best is None else best[1]
+    assert report.horizon == horizon
+    assert report.consensus_rounds == min_consensus_rounds(family, horizon).rounds
+    if best is not None and best[1] and report.consensus_rounds == best[1]:
+        # No protocol below b: the chain at depth b - 1 replays.
+        below = min_consensus_rounds(family, best[1] - 1)
+        assert verify_chain(below.witness, family)
+
+
+def test_equal_rounds_audit_reports_a_count_found_below_b(monkeypatch):
+    # No convex family is known to reach consensus before broadcast, so a
+    # stub search stands in for one that finds a protocol at depth 1.
+    family = generate_bounded_omissions(complete_digraph(3), 1)
+    horizons = []
+
+    def search(family, horizon, budget=None):
+        horizons.append(horizon)
+        return SimpleNamespace(rounds=1)
+
+    monkeypatch.setattr(oracle, "min_consensus_rounds", search)
+    report = equal_rounds_audit(family)
+    assert horizons == [1]
+    assert (report.broadcast_rounds, report.consensus_rounds, report.horizon) == (2, 1, 2)
+    assert not report.equal
