@@ -113,7 +113,8 @@ def _connect(
     the witness edges.  Source-less members never act as witnesses: they
     observe nothing and would relate every pair vacuously.
     """
-    arc_masks = [family.events[i].arc_mask for i in members]
+    masks = family.masks
+    arc_masks = [masks[i] for i in members]
     uf = _UnionFind(len(members))
     components = len(members)
     edges: list[AlphaWitness] = []
@@ -166,12 +167,14 @@ class BetaPartition:
 
         One union-find serves every class: the classes are checked to be
         disjoint, and each edge must lie inside its class.  Each witness's
-        head filter is built once, from its own ``Event.sources_mask``,
-        and every edge it witnesses compares the two arc masks under it.
+        head filter is built once, from the ``Event.sources_mask`` of an
+        event built for it alone, so the replay shares nothing with the
+        family's ``source_masks``; every edge it witnesses compares the
+        two arc masks, read from ``family.masks``, under that filter.
         """
-        events = self.family.events
+        base, masks = self.family.base, self.family.masks
         head_filters: dict[int, int] = {}
-        uf = _UnionFind(len(events))
+        uf = _UnionFind(len(masks))
         seen: set[int] = set()
         for ci, members in enumerate(self.classes):
             member_set = set(members)
@@ -183,9 +186,9 @@ class BetaPartition:
                     return False
                 head_filter = head_filters.get(edge.witness)
                 if head_filter is None:
-                    k = events[edge.witness]
-                    head_filter = head_filters[edge.witness] = _head_filter(k.base, k.sources_mask)
-                if (events[edge.left].arc_mask ^ events[edge.right].arc_mask) & head_filter:
+                    k = Event(base, masks[edge.witness])
+                    head_filter = head_filters[edge.witness] = _head_filter(base, k.sources_mask)
+                if (masks[edge.left] ^ masks[edge.right]) & head_filter:
                     return False
                 uf.union(edge.left, edge.right)
             if len({uf.find(i) for i in members}) > 1:

@@ -9,11 +9,13 @@ solvability verdicts, simulation, the oracle).
 An event is one plain ``int``, its arc mask: bit ``i`` is set when the
 base graph's arc ``base.sorted_arcs[i]`` delivers.  Set membership,
 convexity checks and the head-filtered arc sets used by the
-indistinguishability relations are single integer operations.  The arc
-tuples and the per-node neighbour masks are views derived from the mask
-and cached.  Only generated families are ordered: they are built in the
-order of their events' arc tuples.  Any other family keeps the order it
-was built in.
+indistinguishability relations are single integer operations.  A family
+stores its events only as that tuple of ints, ``EventFamily.masks``;
+``EventFamily.events`` is a view of them as ``Event`` objects, built and
+cached the first time something reads it, and an ``Event``'s arc tuples
+and per-node neighbour masks are in turn cached views of its mask.  Only
+generated families are ordered: they are built in the order of their
+events' arc tuples.  Any other family keeps the order it was built in.
 
 A family also has the transposed view: ``EventFamily.carriers`` holds, for
 each base arc, the bitset over event indices of the events that deliver
@@ -101,32 +103,67 @@ def event_from_arcs(base: Digraph, arcs: Iterable[Arc]) -> Event:
     return Event(base, sum(1 << bit[a] for a in arcs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EventFamily:
-    """Finite ordered set of distinct events over one base graph."""
+    """Finite ordered set of distinct events over one base graph.
+
+    The family stores its events only as arc masks, ``masks``; equality
+    and hashing read ``base``, ``masks`` and ``names``.  ``events`` is a
+    view of the masks as ``Event`` objects, built the first time it is
+    read.  ``EventFamily(base, events, names)`` takes ``Event`` objects,
+    ``EventFamily.from_masks`` the masks themselves; both run the same
+    checks, once per family.
+    """
 
     base: Digraph
-    events: tuple[Event, ...]
+    masks: tuple[int, ...]
     names: tuple[str, ...] | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-        if not self.events:
-            raise ValueError("an event family needs at least one event")
-        for ev in self.events:
-            if ev.base is not self.base and ev.base != self.base:
+    def __init__(
+        self, base: Digraph, events: Iterable[Event], names: Iterable[str] | None = None
+    ) -> None:
+        events = tuple(events)
+        for ev in events:
+            if ev.base is not base and ev.base != base:
                 raise ValueError("all events must share the family's base graph")
-        if len(self.mask_index) != len(self.events):
+        self._store(base, tuple(ev.arc_mask for ev in events), names)
+
+    @classmethod
+    def from_masks(
+        cls, base: Digraph, masks: Iterable[int], names: Iterable[str] | None = None
+    ) -> EventFamily:
+        """The family of the events ``Event(base, x)`` for x in ``masks``."""
+        family = cls.__new__(cls)
+        family._store(base, tuple(masks), names)
+        return family
+
+    def _store(
+        self, base: Digraph, masks: tuple[int, ...], names: Iterable[str] | None
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "masks", masks)
+        if not masks:
+            raise ValueError("an event family needs at least one event")
+        limit = 1 << len(base.arcs)
+        if min(masks) < 0 or max(masks) >= limit:
+            # The first bad mask, with the message ``Event`` gives it.
+            Event(base, next(x for x in masks if not 0 <= x < limit))
+        if len(self.mask_index) != len(masks):
             raise ValueError("duplicate events in family")
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
-            if len(self.names) != len(self.events):
+        if names is not None:
+            names = tuple(names)
+            if len(names) != len(masks):
                 raise ValueError("names must cover every event")
-            if len(set(self.names)) != len(self.names):
+            if len(set(names)) != len(names):
                 raise ValueError("event names must be unique")
+        object.__setattr__(self, "names", names)
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(Event(self.base, x) for x in self.masks)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -138,17 +175,17 @@ class EventFamily:
 
     @cached_property
     def name_index(self) -> dict[str, int]:
-        return {self.name(i): i for i in range(len(self.events))}
+        return {self.name(i): i for i in range(len(self.masks))}
 
     @cached_property
     def mask_index(self) -> dict[int, int]:
-        return {ev.arc_mask: i for i, ev in enumerate(self.events)}
+        return dict(zip(self.masks, range(len(self.masks))))
 
     @cached_property
     def union_arc_mask(self) -> int:
         mask = 0
-        for ev in self.events:
-            mask |= ev.arc_mask
+        for x in self.masks:
+            mask |= x
         return mask
 
     @cached_property
@@ -162,7 +199,7 @@ class EventFamily:
         width = len(self.base.arcs)
         if not width:
             return ()
-        grid = "".join([format(ev.arc_mask, f"0{width}b") for ev in self.events])
+        grid = "".join([format(x, f"0{width}b") for x in self.masks])
         # Row strings print bit 0 last, so arc ``b`` is the row's character width-1-b.
         return tuple(int(grid[width - 1 - b::width][::-1], 2) for b in range(width))
 
@@ -181,7 +218,7 @@ class EventFamily:
         a mask, which is parsed once.
         """
         base = self.base
-        n, count = base.node_count, len(self.events)
+        n, count = base.node_count, len(self.masks)
         if n == 0:
             return (0,) * count
         everything = (1 << count) - 1
@@ -233,8 +270,7 @@ def is_convex(family: EventFamily) -> bool:
     """
     members = family.mask_index
     union = family.union_arc_mask
-    for ev in family.events:
-        mask = ev.arc_mask
+    for mask in family.masks:
         missing = union & ~mask
         while missing:
             low = missing & -missing
@@ -292,7 +328,7 @@ def generate_bounded_omissions(
         # The empty tuple is a prefix of every other, so it sorts first.
         empty = omit[:1] == [0]
         masks = omit[:empty] + [x | bit for x in masks] + omit[empty:]
-    return EventFamily(base, tuple(Event(base, x) for x in masks))
+    return EventFamily.from_masks(base, masks)
 
 
 # ---- JSON ----------------------------------------------------------------------
@@ -306,9 +342,9 @@ def family_to_json_dict(family: EventFamily) -> dict:
         "events": [
             {
                 "name": family.name(i),
-                "arcs": [[g.label(t), g.label(h)] for t, h in ev.sorted_arcs],
+                "arcs": [[g.label(t), g.label(h)] for t, h in _arcs_of(g, x)],
             }
-            for i, ev in enumerate(family.events)
+            for i, x in enumerate(family.masks)
         ],
     }
 
@@ -333,7 +369,7 @@ def family_from_json_dict(data: dict) -> EventFamily:
         raise ValueError(f"malformed family JSON: {exc}") from exc
     label = base.label
     arc_bits = {(label(t), label(h)): 1 << i for i, (t, h) in enumerate(base.sorted_arcs)}
-    events = []
+    masks = []
     names = []
     for i, entry in enumerate(raw_events):
         try:
@@ -342,9 +378,9 @@ def family_from_json_dict(data: dict) -> EventFamily:
                 mask |= arc_bits[t, h]
         except (KeyError, TypeError, ValueError):
             mask = _entry_mask_arc_by_arc(base, i, entry)
-        events.append(Event(base, mask))
+        masks.append(mask)
         names.append(str(entry.get("name", f"E{i}")))
-    return EventFamily(base, tuple(events), tuple(names))
+    return EventFamily.from_masks(base, masks, names)
 
 
 def _entry_mask_arc_by_arc(base: Digraph, i: int, entry) -> int:

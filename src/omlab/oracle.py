@@ -428,15 +428,19 @@ def equal_rounds_audit(
     rounds: the count it finds there, or else b.  Matching values confirm
     the instance, a smaller consensus count is a genuine divergence worth
     reporting; the report's horizon is b.  Non-broadcastable convex input
-    is reported with both sides unsolvable (the oracle searches up to |V|
-    rounds).
+    is reported with broadcast unsolvable and the oracle's answer up to
+    the largest horizon h <= |V| whose 2^|V| * k^h executions fit the
+    budget's execution cap; the report's horizon is that h.
     """
     if not is_convex(family):
         raise ValueError("the equal-rounds audit applies to convex families only")
     budget = effective_budget(budget)
     best = optimal_broadcast_rounds(family, budget)
     if best is None:
-        horizon = family.base.node_count
+        n, k = family.base.node_count, len(family)
+        horizon = n
+        while horizon and (1 << n) * k**horizon > budget.max_executions:
+            horizon -= 1
         oracle = min_consensus_rounds(family, horizon, budget)
         return EqualRoundsReport(None, None, oracle.rounds, horizon)
     source, rounds = best

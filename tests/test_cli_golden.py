@@ -61,6 +61,9 @@ CASES.update({
         None, 0),
     "audit-equal-rounds-q3-f1-text": (
         ["audit", "equal-rounds", "--hypercube", "3", "--bounded", "1"], None, 0),
+    "audit-equal-rounds-k4-send-f1-json": (
+        ["audit", "equal-rounds", "--complete", "4", "--bounded", "1", "--metric", "send",
+         "--format", "json"], None, 0),
     "audit-connectivity-c4-json": (
         ["audit", "connectivity", "--cycle", "4", "--f-max", "2", "--format", "json"], None, 0),
     "simulate-o1-broadcast-consensus-random": (

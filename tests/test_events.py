@@ -14,8 +14,12 @@ from omlab import (
     Digraph,
     Event,
     EventFamily,
+    beta_partition,
+    check_broadcastable,
+    check_consensus,
     cli,
     complete_digraph,
+    cycle_digraph,
     event_from_arcs,
     exhaustive_check,
     family_from_json_dict,
@@ -26,8 +30,10 @@ from omlab import (
     is_convex,
     mask_nodes,
     node_mask,
+    optimal_broadcast_rounds,
     run,
     symmetric_digraph,
+    verdict_to_json_dict,
 )
 from omlab.bundled import bundled_names, load_family
 from omlab.simulator import _check_run
@@ -101,6 +107,73 @@ def test_family_compares_bases_by_value(two_node, ok_event):
     one_way = Digraph(2, frozenset({(0, 1)}), ("white", "black"))
     with pytest.raises(ValueError, match="share the family's base graph"):
         EventFamily(one_way, (event_from_arcs(one_way, one_way.arcs), ok_event))
+
+
+def test_family_from_masks_is_the_family_from_events(o1):
+    again = EventFamily.from_masks(o1.base, o1.masks, o1.names)
+    assert again == o1 and hash(again) == hash(o1)
+    assert "events" not in again.__dict__
+    assert again.events == o1.events
+    assert again.masks == tuple(ev.arc_mask for ev in o1.events)
+    q3 = generate_bounded_omissions(hypercube_digraph(3), 1)
+    built = EventFamily(q3.base, q3.events)
+    assert built == q3 and hash(built) == hash(q3) and built.events == q3.events
+    assert EventFamily.from_masks(q3.base, q3.masks, q3.names) == q3
+
+
+@pytest.mark.parametrize(
+    "masks, names",
+    [
+        ((), None),
+        ((0b11, -1), None),
+        ((0b100, 0b11), None),
+        ((0b11, 0b01, 0b11), None),
+        ((0b11, 0b01), ("ok",)),
+        ((0b11, 0b01), ("ok", "ok")),
+    ],
+    ids=["empty", "negative", "too-large", "duplicate", "names-short", "names-repeated"],
+)
+def test_family_from_masks_rejects_what_the_event_path_rejects(two_node, masks, names):
+    with pytest.raises(ValueError) as from_events:
+        EventFamily(two_node, [Event(two_node, x) for x in masks], names)
+    with pytest.raises(ValueError) as from_masks:
+        EventFamily.from_masks(two_node, masks, names)
+    assert str(from_masks.value) == str(from_events.value)
+
+
+def _partition_mix_style() -> EventFamily:
+    """A parsed JSON family: the first of seeded 20-event subsets of K4 f=3
+    with no common source."""
+    full = generate_bounded_omissions(complete_digraph(4), 3)
+    rng = random.Random(1)
+    while True:
+        subset = EventFamily.from_masks(full.base, rng.sample(full.masks, 20))
+        if not subset.common_sources_mask():
+            return family_from_json_dict(json.loads(json.dumps(family_to_json_dict(subset))))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: generate_bounded_omissions(complete_digraph(4), 2, "global"),
+        lambda: generate_bounded_omissions(cycle_digraph(6), 2, "recv"),
+        _partition_mix_style,
+    ],
+    ids=["K4-f2-global", "C6-f2-recv", "parsed-subset"],
+)
+def test_timed_pipelines_never_build_the_event_view(build):
+    family = build()
+    family.source_masks
+    broadcast = check_broadcastable(family)
+    partition = beta_partition(family)
+    verdicts = [broadcast, check_consensus(family), check_consensus(family, partition)]
+    optimal_broadcast_rounds(family)
+    for verdict in verdicts:
+        verdict_to_json_dict(verdict, family)
+    partition.to_json_dict()
+    # The partition's replay builds one Event per witness, not the view.
+    assert partition.verify()
+    assert "events" not in family.__dict__
 
 
 def test_family_names_and_lookup(o1):

@@ -8,7 +8,9 @@ each side's evidence must replay: an oracle protocol passes the
 exhaustive simulator check, and a mixing chain passes ``verify_chain``.
 An inconclusive verdict must be settled by a protocol within horizon 3.
 The equal-rounds audit, which searches only below the broadcast round
-count, must report what the search up to that count finds.
+count, must report what the search up to that count finds; on a family
+that is not broadcastable it searches as deep as the execution cap allows,
+up to |V| rounds.
 """
 from __future__ import annotations
 
@@ -74,7 +76,7 @@ def test_oracle_checks_the_execution_budget():
         (complete_digraph(3), 1, "global"),
         (cycle_digraph(4), 1, "global"),
         (complete_digraph(1), 1, "global"),
-        # Not broadcastable: the audit searches up to |V| rounds.
+        # Not broadcastable: the audit searches up to |V| rounds, which fit the cap.
         (path_digraph(3), 1, "send"),
     ],
     ids=["K3-f1", "C4-f1", "K1-f1", "P3-send-f1"],
@@ -92,6 +94,34 @@ def test_equal_rounds_audit_matches_the_full_search(base, f, metric):
         # No protocol below b: the chain at depth b - 1 replays.
         below = min_consensus_rounds(family, best[1] - 1)
         assert verify_chain(below.witness, family)
+
+
+@pytest.mark.parametrize(
+    "cap, horizon",
+    [(8 * 12**3, 3), (8 * 12**3 - 1, 2), (8 * 12**2, 2), (8 * 12 - 1, 0), (8, 0)],
+)
+def test_equal_rounds_audit_searches_the_deepest_horizon_the_cap_allows(cap, horizon):
+    # P3 send f=1 is not broadcastable: 12 events, 2^3 * 12^h executions at depth h.
+    family = generate_bounded_omissions(path_digraph(3), 1, "send")
+    assert len(family) == 12 and optimal_broadcast_rounds(family) is None
+    budget = Budget(max_executions=cap)
+    report = equal_rounds_audit(family, budget)
+    assert report.horizon == horizon
+    assert report.consensus_rounds == min_consensus_rounds(family, horizon, budget).rounds
+    assert report.equal and report.broadcast_rounds is None
+
+
+def test_equal_rounds_audit_fails_when_no_horizon_fits():
+    family = generate_bounded_omissions(path_digraph(3), 1, "send")
+    with pytest.raises(BudgetExceededError, match="max_executions: 8 > 7"):
+        equal_rounds_audit(family, Budget(max_executions=7))
+
+
+def test_equal_rounds_audit_of_k4_send_searches_one_round():
+    # 256 events: depth 2 needs 2^4 * 256^2 = 1,048,576 executions, over the default cap.
+    family = generate_bounded_omissions(complete_digraph(4), 1, "send")
+    report = equal_rounds_audit(family, Budget())
+    assert (report.broadcast_rounds, report.consensus_rounds, report.horizon) == (None, None, 1)
 
 
 def test_equal_rounds_audit_reports_a_count_found_below_b(monkeypatch):
