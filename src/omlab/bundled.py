@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Mapping
 
-from .events import Event, EventFamily, family_from_json_dict
+from .events import EventFamily, family_from_json_dict
 from .graphs import Digraph
 from .simulator import ProtocolSpec
 
@@ -118,11 +118,8 @@ def crash_scheme_prefixes(
     if g.node_count != 2 or len(g.arcs) != 2:
         raise ValueError("the crash scheme is defined on the complete 2-node digraph")
     # Bit 0 of an arc mask is the arc (0, 1), bit 1 the arc (1, 0).
-    ok, silent_first, silent_second = Event(g, 0b11), Event(g, 0b10), Event(g, 0b01)
     family = EventFamily(
-        g,
-        (ok, silent_first, silent_second),
-        ("ok", f"crash-{g.label(0)}", f"crash-{g.label(1)}"),
+        g, (0b11, 0b10, 0b01), ("ok", f"crash-{g.label(0)}", f"crash-{g.label(1)}")
     )
     words = {(0,) * horizon}
     for crashed in (1, 2):

@@ -72,7 +72,8 @@ def verdict_dot(verdict: Verdict, family: EventFamily) -> str:
     if isinstance(witness, CommonSourceWitness):
         return digraph_dot(family.base, title, highlight_mask=witness.nodes_mask)
     if isinstance(witness, NoSourceEventWitness):
-        return event_dot(family.events[witness.event], family.name(witness.event))
+        event = Event(family.base, family.masks[witness.event])
+        return event_dot(event, family.name(witness.event))
     incompat: IncompatibilityWitness | None = None
     if isinstance(witness, IncompatibilityWitness):
         incompat = witness
@@ -84,7 +85,7 @@ def verdict_dot(verdict: Verdict, family: EventFamily) -> str:
             sources = ",".join(family.base.label(u) for u in mask_nodes(mask))
             lines.extend(
                 _event_cluster(
-                    family.events[idx], pos,
+                    Event(family.base, family.masks[idx]), pos,
                     f"{family.name(idx)} (sources: {sources})", mask,
                 )
             )

@@ -68,11 +68,9 @@ class AlphaWitness:
     witness: int
 
     def holds(self, family: EventFamily) -> bool:
-        return alpha_related(
-            family.events[self.left],
-            family.events[self.right],
-            family.events[self.witness],
-        )
+        base, masks = family.base, family.masks
+        left, right, k = (Event(base, masks[i]) for i in (self.left, self.right, self.witness))
+        return alpha_related(left, right, k)
 
 
 class _UnionFind:

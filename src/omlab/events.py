@@ -10,12 +10,14 @@ An event is one plain ``int``, its arc mask: bit ``i`` is set when the
 base graph's arc ``base.sorted_arcs[i]`` delivers.  Set membership,
 convexity checks and the head-filtered arc sets used by the
 indistinguishability relations are single integer operations.  A family
-stores its events only as that tuple of ints, ``EventFamily.masks``;
-``EventFamily.events`` is a view of them as ``Event`` objects, built and
-cached the first time something reads it, and an ``Event``'s arc tuples
-and per-node neighbour masks are in turn cached views of its mask.  Only
-generated families are ordered: they are built in the order of their
-events' arc tuples.  Any other family keeps the order it was built in.
+is built from, and stores, only that tuple of ints:
+``EventFamily(base, masks, names)``.  ``EventFamily.events`` is a view of
+the masks as ``Event`` objects, built and cached the first time something
+that reads every event asks for it; a reader of one event builds just
+that ``Event``.  An ``Event``'s arc tuples and per-node neighbour masks
+are in turn cached views of its mask.  Only generated families are
+ordered: they are built in the order of their events' arc tuples.  Any
+other family keeps the order it was built in.
 
 A family also has the transposed view: ``EventFamily.carriers`` holds, for
 each base arc, the bitset over event indices of the events that deliver
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .budget import Budget, effective_budget
 from .graphs import Arc, Digraph, mask_nodes, sources_of_arcs
@@ -59,10 +61,6 @@ class Event:
     @cached_property
     def sorted_arcs(self) -> tuple[Arc, ...]:
         return _arcs_of(self.base, self.arc_mask)
-
-    @cached_property
-    def arcs(self) -> frozenset[Arc]:
-        return frozenset(self.sorted_arcs)
 
     @cached_property
     def omitted_arcs(self) -> tuple[Arc, ...]:
@@ -103,60 +101,41 @@ def event_from_arcs(base: Digraph, arcs: Iterable[Arc]) -> Event:
     return Event(base, sum(1 << bit[a] for a in arcs))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EventFamily:
     """Finite ordered set of distinct events over one base graph.
 
-    The family stores its events only as arc masks, ``masks``; equality
-    and hashing read ``base``, ``masks`` and ``names``.  ``events`` is a
-    view of the masks as ``Event`` objects, built the first time it is
-    read.  ``EventFamily(base, events, names)`` takes ``Event`` objects,
-    ``EventFamily.from_masks`` the masks themselves; both run the same
-    checks, once per family.
+    ``EventFamily(base, masks, names=None)`` is the one constructor: event
+    i is ``Event(base, masks[i])``.  It checks, once per family, that there
+    is at least one event, that every mask fits the base (the first bad
+    mask gets the message ``Event`` gives it), that no event repeats and
+    that ``names``, when given, names every event once.  Equality and
+    hashing read ``base``, ``masks`` and ``names``.  ``events`` is a view
+    of the masks as ``Event`` objects, built the first time it is read;
+    code that needs one event builds ``Event(family.base, family.masks[i])``.
     """
 
     base: Digraph
     masks: tuple[int, ...]
     names: tuple[str, ...] | None = None
 
-    def __init__(
-        self, base: Digraph, events: Iterable[Event], names: Iterable[str] | None = None
-    ) -> None:
-        events = tuple(events)
-        for ev in events:
-            if ev.base is not base and ev.base != base:
-                raise ValueError("all events must share the family's base graph")
-        self._store(base, tuple(ev.arc_mask for ev in events), names)
-
-    @classmethod
-    def from_masks(
-        cls, base: Digraph, masks: Iterable[int], names: Iterable[str] | None = None
-    ) -> EventFamily:
-        """The family of the events ``Event(base, x)`` for x in ``masks``."""
-        family = cls.__new__(cls)
-        family._store(base, tuple(masks), names)
-        return family
-
-    def _store(
-        self, base: Digraph, masks: tuple[int, ...], names: Iterable[str] | None
-    ) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "masks", masks)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "masks", tuple(self.masks))
+        masks = self.masks
         if not masks:
             raise ValueError("an event family needs at least one event")
-        limit = 1 << len(base.arcs)
+        limit = 1 << len(self.base.arcs)
         if min(masks) < 0 or max(masks) >= limit:
             # The first bad mask, with the message ``Event`` gives it.
-            Event(base, next(x for x in masks if not 0 <= x < limit))
+            Event(self.base, next(x for x in masks if not 0 <= x < limit))
         if len(self.mask_index) != len(masks):
             raise ValueError("duplicate events in family")
-        if names is not None:
-            names = tuple(names)
-            if len(names) != len(masks):
+        if self.names is not None:
+            object.__setattr__(self, "names", tuple(self.names))
+            if len(self.names) != len(masks):
                 raise ValueError("names must cover every event")
-            if len(set(names)) != len(names):
+            if len(set(self.names)) != len(self.names):
                 raise ValueError("event names must be unique")
-        object.__setattr__(self, "names", names)
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
@@ -164,9 +143,6 @@ class EventFamily:
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
 
     def name(self, index: int) -> str:
         if self.names is not None:
@@ -328,7 +304,7 @@ def generate_bounded_omissions(
         # The empty tuple is a prefix of every other, so it sorts first.
         empty = omit[:1] == [0]
         masks = omit[:empty] + [x | bit for x in masks] + omit[empty:]
-    return EventFamily.from_masks(base, masks)
+    return EventFamily(base, masks)
 
 
 # ---- JSON ----------------------------------------------------------------------
@@ -380,7 +356,7 @@ def family_from_json_dict(data: dict) -> EventFamily:
             mask = _entry_mask_arc_by_arc(base, i, entry)
         masks.append(mask)
         names.append(str(entry.get("name", f"E{i}")))
-    return EventFamily.from_masks(base, masks, names)
+    return EventFamily(base, masks, names)
 
 
 def _entry_mask_arc_by_arc(base: Digraph, i: int, entry) -> int:

@@ -179,7 +179,6 @@ class OracleResult:
     """
 
     max_horizon: int
-    horizon_table: tuple[tuple[int, bool], ...]  # (r, solvable at r)
     rounds: int | None
     protocol: ProtocolSpec | None
     decision_table: dict[str, int] | None
@@ -188,6 +187,12 @@ class OracleResult:
     @property
     def solvable(self) -> bool:
         return self.rounds is not None
+
+    @property
+    def horizon_table(self) -> tuple[tuple[int, bool], ...]:
+        """(r, solvable at r) for every horizon searched, up to ``rounds``."""
+        last = self.max_horizon if self.rounds is None else self.rounds
+        return tuple((r, r == self.rounds) for r in range(last + 1))
 
     def to_json_dict(self, family: EventFamily) -> dict:
         data: dict[str, Any] = {
@@ -233,7 +238,6 @@ def min_consensus_rounds(
     budget = effective_budget(budget)
     n = family.base.node_count
     k = len(family)
-    table: list[tuple[int, bool]] = []
     views = _Views(family)
     search: _Search | None = None
     for r in range(max_horizon + 1):
@@ -242,18 +246,14 @@ def min_consensus_rounds(
             views.extend()
         search = _Search(family, r, views)
         if search.solvable:
-            table.append((r, True))
             decisions = search.decisions()
             views.ids = []  # the result keeps the tables, not every execution's ids
             protocol = full_information_protocol(views, decisions, f"oracle-protocol[r={r}]")
             return OracleResult(
-                max_horizon, tuple(table), r, protocol, dict(zip(views.reprs(), decisions)), None
+                max_horizon, r, protocol, dict(zip(views.reprs(), decisions)), None
             )
-        table.append((r, False))
     assert search is not None
-    return OracleResult(
-        max_horizon, tuple(table), None, None, None, search.mixing_chain()
-    )
+    return OracleResult(max_horizon, None, None, None, search.mixing_chain())
 
 
 class _Views:

@@ -35,7 +35,7 @@ from typing import Iterable, Union
 
 from .budget import Budget, effective_budget
 from .equivalence import BetaPartition, beta_partition
-from .events import EventFamily, generate_bounded_omissions, is_convex
+from .events import Event, EventFamily, generate_bounded_omissions, is_convex
 from .graphs import Digraph, arc_connectivity, mask_nodes
 
 UNBOUNDED = math.inf
@@ -62,10 +62,6 @@ class CommonSourceWitness:
 
     nodes_mask: int
 
-    @property
-    def node(self) -> int:
-        return mask_nodes(self.nodes_mask)[0]
-
 
 @dataclass(frozen=True)
 class NoSourceEventWitness:
@@ -85,7 +81,7 @@ class IncompatibilityWitness:
         """Replay against each event's own source set, not the family kernel."""
         inter = family.base.full_mask
         for idx, mask in zip(self.events, self.source_masks):
-            if family.events[idx].sources_mask != mask or mask == 0:
+            if Event(family.base, family.masks[idx]).sources_mask != mask or mask == 0:
                 return False
             inter &= mask
         return inter == 0

@@ -2,19 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from omlab import (
-    EventFamily,
-    beta_partition,
-    cli,
-    cycle_digraph,
-    equivalence,
-    event_from_arcs,
-    family_to_json_dict,
-    solvability,
-)
+from omlab import beta_partition, cli, equivalence, family_from_json_dict, solvability
 from omlab.bundled import load_family
 
 
@@ -42,17 +34,10 @@ def test_check_json_beta_computes_partition_once(partition_calls, capsys):
     assert payload["beta"] == beta_partition(load_family("H-2node")).to_json_dict()
 
 
-def test_check_json_class_verdict_computes_partition_once(partition_calls, capsys, tmp_path):
-    c4 = cycle_digraph(4)
-    arc_lists = [
-        [(0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (3, 0)],
-        [(0, 1), (0, 3), (1, 0), (2, 1), (2, 3), (3, 2)],
-        [(0, 1), (0, 3), (1, 2), (2, 1), (3, 0)],
-        [(0, 3), (1, 0), (1, 2), (2, 3)],
-    ]
-    family = EventFamily(c4, tuple(event_from_arcs(c4, frozenset(arcs)) for arcs in arc_lists))
-    path = tmp_path / "family.json"
-    path.write_text(json.dumps(family_to_json_dict(family)))
+def test_check_json_class_verdict_computes_partition_once(partition_calls, capsys):
+    # Four events of C4, not convex and not broadcastable, all in one class.
+    path = Path(__file__).parent / "data" / "c4-class-unbroadcastable.json"
+    family = family_from_json_dict(json.loads(path.read_text()))
     code = cli.main(["check", "--family", str(path), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 2

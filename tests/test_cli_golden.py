@@ -21,7 +21,8 @@ import pytest
 
 from omlab import cli
 
-GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "cli_golden.json"
 
 CHECK_CODES = {"reliable-2node": 0, "O1-2node": 2, "H-2node": 3, "fig12": 0, "crash-C1": 64}
 
@@ -90,10 +91,16 @@ CASES.update({
         ["simulate", "--bundled", "fig12", "--protocol", "flooding", "--origin", "a",
          "--rounds", "2", "--scenario", "H1,H2", "--init", "a=1,b=0,c=0,d=1",
          "--format", "json"], None, 0),
+    # An event of P3 f=2 has no source: the DOT shows that event alone.
+    "check-p3-f2-dot": (["check", "--path", "3", "--bounded", "2", "--format", "dot"], None, 2),
+    # A class of the partition has no common source: the DOT shows its incompatible events.
+    "check-c4-class-unbroadcastable-dot": (
+        ["check", "--family", str(DATA / "c4-class-unbroadcastable.json"), "--format", "dot"],
+        None, 2),
 })
 
 
-def run_case(name: str, monkeypatch: pytest.MonkeyPatch) -> tuple[int, str]:
+def run_case(name: str, monkeypatch: pytest.MonkeyPatch, *extra: str) -> tuple[int, str]:
     argv, budget, _code = CASES[name]
     if budget is None:
         monkeypatch.delenv("OMLAB_BUDGET", raising=False)
@@ -101,7 +108,7 @@ def run_case(name: str, monkeypatch: pytest.MonkeyPatch) -> tuple[int, str]:
         monkeypatch.setenv("OMLAB_BUDGET", budget)
     out = io.StringIO()
     with redirect_stdout(out):
-        code = cli.main(argv)
+        code = cli.main(argv + list(extra))
     return code, out.getvalue()
 
 
@@ -110,6 +117,16 @@ def test_cli_golden(name, monkeypatch):
     code, out = run_case(name, monkeypatch)
     assert code == CASES[name][2]
     assert out == json.loads(GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, case in CASES.items() if case[2] < 64))
+def test_output_file_holds_what_stdout_prints(name, monkeypatch, tmp_path):
+    """``-o FILE`` writes the text with one trailing newline, as stdout shows it,
+    and prints nothing."""
+    path = tmp_path / "out"
+    assert run_case(name, monkeypatch, "-o", str(path)) == (CASES[name][2], "")
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert path.read_text() == expected and not expected.endswith("\n\n")
 
 
 def write_golden() -> None:

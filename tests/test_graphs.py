@@ -115,8 +115,8 @@ def sources(g: Digraph) -> int:
 
 
 def test_sources_two_node_events(omit_white, ok_event):
-    assert sources(Digraph(2, omit_white.arcs)) == node_mask([1])  # black only
-    assert sources(Digraph(2, ok_event.arcs)) == 0b11
+    assert sources(Digraph(2, omit_white.sorted_arcs)) == node_mask([1])  # black only
+    assert sources(Digraph(2, ok_event.sorted_arcs)) == 0b11
 
 
 def test_sources_fig_events():

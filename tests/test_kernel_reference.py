@@ -27,7 +27,6 @@ from omlab import (
     Budget,
     BudgetExceededError,
     Digraph,
-    Event,
     EventFamily,
     complete_digraph,
     cycle_digraph,
@@ -106,7 +105,7 @@ def test_sources_of_random_events_match_reference():
 
 
 def family_of_masks(base: Digraph, *arc_masks: int) -> EventFamily:
-    return EventFamily(base, tuple(Event(base, m) for m in arc_masks))
+    return EventFamily(base, arc_masks)
 
 
 @st.composite
@@ -200,8 +199,8 @@ def random_nonconvex_family(rng: random.Random) -> EventFamily:
     n = rng.randint(2, 5)
     base = random_connected_symmetric(rng, n) if rng.random() < 0.5 else complete_digraph(n)
     keep = rng.uniform(0.3, 0.95)
-    masks = {random_event(rng, base, keep).arcs for _ in range(rng.randint(1, 15))}
-    return EventFamily(base, tuple(event_from_arcs(base, arcs) for arcs in sorted(masks, key=sorted)))
+    masks = {random_event(rng, base, keep).arc_mask for _ in range(rng.randint(1, 15))}
+    return EventFamily(base, sorted(masks, key=mask_nodes))
 
 
 def test_game_matches_reference_on_random_families():
@@ -219,7 +218,7 @@ def test_game_matches_reference_with_a_stalling_event():
     # The event without arcs out of node 0 starves every state {0} forever.
     g = complete_digraph(4)
     stall = event_from_arcs(g, frozenset(a for a in g.arcs if a[0] != 0))
-    family = EventFamily(g, (stall,) + generate_bounded_omissions(g, 1).events)
+    family = EventFamily(g, (stall.arc_mask,) + generate_bounded_omissions(g, 1).masks)
     values = assert_game_matches_reference(family)
     assert values[0b0001] == UNBOUNDED
     assert values[0b0011] != UNBOUNDED
@@ -231,7 +230,7 @@ def test_game_matches_reference_when_events_share_successors():
     full = generate_bounded_omissions(g, 3)
     rng = random.Random(5)
     for size in (20, 80, 200):
-        family = EventFamily(g, tuple(rng.sample(full.events, size)))
+        family = EventFamily(g, rng.sample(full.masks, size))
         assert_game_matches_reference(family)
         assert 2 * len(reference_successors(family, 0b0001)) < size
 
@@ -274,8 +273,8 @@ def test_convexity_witness_matches_on_bounded_subsets():
     full = generate_bounded_omissions(complete_digraph(4), 2)
     rng = random.Random(29)
     for _ in range(40):
-        picked = rng.sample(full.events, rng.randint(2, len(full) - 1))
-        family = EventFamily(full.base, tuple(picked))
+        picked = rng.sample(full.masks, rng.randint(2, len(full) - 1))
+        family = EventFamily(full.base, picked)
         assert is_convex(family) == (reference_violation(family) is None)
     assert is_convex(full) and reference_violation(full) is None
 

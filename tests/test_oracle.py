@@ -15,6 +15,7 @@ up to |V| rounds.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,6 @@ from omlab import (
     Answer,
     Budget,
     BudgetExceededError,
-    Event,
     EventFamily,
     check_consensus,
     complete_digraph,
@@ -45,7 +45,7 @@ def random_family(seed: int) -> EventFamily:
     base = complete_digraph(rng.choice((2, 3)))
     masks = range(1 << len(base.arcs))
     count = min(rng.randint(1, 6), len(masks))
-    return EventFamily(base, tuple(Event(base, m) for m in rng.sample(masks, count)))
+    return EventFamily(base, rng.sample(masks, count))
 
 
 @pytest.mark.parametrize("block", range(6))
@@ -68,6 +68,43 @@ def test_oracle_checks_the_execution_budget():
     # O1 is unsolvable at every horizon; horizon 3 needs 2^2 inputs * 3^3 words.
     with pytest.raises(BudgetExceededError, match="max_executions: 108 > 50"):
         min_consensus_rounds(load_family("O1-2node"), 3, Budget(max_executions=50))
+
+
+def _with_execution(chain, i, **fields):
+    executions = list(chain.executions)
+    executions[i] = replace(executions[i], **fields)
+    return replace(chain, executions=tuple(executions))
+
+
+# O1's chain at horizon 1 runs (0,0) ok, (0,0) omit-white, (1,0) omit-white, ...,
+# (1,1) omit-black; each step's shared node is the only node whose views agree.
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda chain: replace(chain, executions=chain.executions[:1]),
+        lambda chain: replace(chain, shared_nodes=chain.shared_nodes[:-1]),
+        lambda chain: _with_execution(chain, 2, init=(1, 0, 0)),
+        lambda chain: _with_execution(chain, 2, init=(1, 2)),
+        lambda chain: _with_execution(chain, 2, word=(1, 1)),
+        lambda chain: replace(chain, depth=2),
+        lambda chain: _with_execution(chain, 2, word=(3,)),
+        lambda chain: _with_execution(chain, 0, init=(0, 1)),
+        # Every step still shares its node's view; only the endpoints are wrong.
+        lambda chain: replace(chain, executions=chain.executions[::-1],
+                              shared_nodes=chain.shared_nodes[::-1]),
+        lambda chain: replace(chain, shared_nodes=(2,) + chain.shared_nodes[1:]),
+        lambda chain: replace(chain, shared_nodes=(1,) + chain.shared_nodes[1:]),
+    ],
+    ids=["one-execution", "shared-nodes-short", "input-length", "input-value",
+         "word-length", "depth", "letter-out-of-range", "endpoint-not-all-0", "reversed",
+         "shared-node-is-n", "shared-views-differ"],
+)
+def test_verify_chain_refutes_a_chain_with_one_field_changed(forge):
+    family = load_family("O1-2node")
+    chain = min_consensus_rounds(family, 1).witness
+    assert verify_chain(chain, family)
+    assert chain.shared_nodes[0] == 0 and chain.executions[2].word == (1,)
+    assert not verify_chain(forge(chain), family)
 
 
 @pytest.mark.parametrize(

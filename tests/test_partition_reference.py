@@ -24,6 +24,7 @@ from omlab import (
     equivalence,
     event_from_arcs,
     generate_bounded_omissions,
+    mask_nodes,
 )
 from omlab.bundled import load_family
 
@@ -45,17 +46,17 @@ def random_family(seed: int) -> EventFamily:
     g = complete_digraph(n) if n < 4 else cycle_digraph(4)
     arcs = sorted(g.arcs)
     chosen = {
-        frozenset(a for a in arcs if rng.random() < 0.6)
+        event_from_arcs(g, (a for a in arcs if rng.random() < 0.6)).arc_mask
         for _ in range(rng.randint(2, 12))
     }
-    return EventFamily(g, tuple(event_from_arcs(g, m) for m in sorted(chosen, key=sorted)))
+    return EventFamily(g, sorted(chosen, key=mask_nodes))
 
 
 def k4_subset(seed: int, size: int) -> EventFamily:
     """Random events of K4 with at most three omissions: not convex."""
     full = generate_bounded_omissions(complete_digraph(4), 3)
     picked = sorted(random.Random(seed).sample(range(len(full)), size))
-    return EventFamily(full.base, tuple(full.events[i] for i in picked))
+    return EventFamily(full.base, [full.masks[i] for i in picked])
 
 
 def golden_families() -> dict[str, EventFamily]:

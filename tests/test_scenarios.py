@@ -77,3 +77,27 @@ def test_crash_prefixes_need_two_node_complete():
         crash_scheme_prefixes(complete_digraph(3), 1)
     with pytest.raises(ValueError):
         crash_scheme_prefixes(symmetric_digraph(2, []), 1)
+
+
+@pytest.mark.parametrize(
+    "bundled, decide_map, message",
+    [
+        ("fig12", "H1", "cannot parse --decide-map entry 'H1'"),
+        ("fig12", "H1=c,H3=d", "unknown name in --decide-map: H3"),
+        ("fig12", "H1=z,H2=d", "unknown name in --decide-map: unknown node label 'z'"),
+        ("fig12", "H1=c", "decision map must cover exactly the family's events"),
+        # In H1, a sends only to b.
+        ("fig12", "H1=a,H2=d", "originator a does not reach c in one round of H1"),
+        # White hears black in both ok and omit-white.
+        ("O1-2node", "ok=white,omit-white=black,omit-black=white",
+         "node white cannot distinguish ok from omit-white"),
+    ],
+    ids=["entry-without-equals", "unknown-event", "unknown-node", "event-not-mapped",
+         "originator-misses-a-node", "node-cannot-tell-events-apart"],
+)
+def test_event_detection_rejections_exit_64(bundled, decide_map, message, capsys):
+    """``event_detection_consensus`` and the ``--decide-map`` parser name each fault."""
+    code = cli.main(["simulate", "--bundled", bundled, "--protocol", "event-detection",
+                     "--decide-map", decide_map, "--all-scenarios", "1"])
+    assert code == 64
+    assert capsys.readouterr().err == f"omlab: error: {message}\n"

@@ -48,7 +48,7 @@ from conftest import (
 
 
 def _family(base, *events):
-    return EventFamily(base, tuple(events))
+    return EventFamily(base, [ev.arc_mask for ev in events])
 
 
 # ---- broadcastability ------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_incompatibility_witness_replays_without_the_family_kernel(o1):
     # Swap the cached family masks of the witness events: a witness built from
     # the swapped masks is still incompatible, yet each event refutes it.
     witness = check_broadcastable(o1).witness
-    forged = EventFamily(o1.base, o1.events, o1.names)
+    forged = EventFamily(o1.base, o1.masks, o1.names)
     masks = list(o1.source_masks)
     first, second = witness.events
     masks[first], masks[second] = masks[second], masks[first]
@@ -183,10 +183,8 @@ def _deaf_node_family(n: int) -> EventFamily:
     of the other events happened, so all events share one class.
     """
     g = complete_digraph(n)
-    events = tuple(
-        event_from_arcs(g, frozenset(a for a in g.arcs if a[1] != v)) for v in range(n)
-    )
-    return EventFamily(g, events)
+    masks = [event_from_arcs(g, (a for a in g.arcs if a[1] != v)).arc_mask for v in range(n)]
+    return EventFamily(g, masks)
 
 
 def test_consensus_unsolvable_via_class_witness():
@@ -206,10 +204,8 @@ def test_consensus_never_solvable_for_nonconvex_unbroadcastable():
     rng = random.Random(41)
     for _ in range(60):
         g = random_connected_symmetric(rng, rng.randint(2, 4))
-        events = {random_event(rng, g).arcs for _ in range(rng.randint(2, 4))}
-        family = EventFamily(
-            g, tuple(event_from_arcs(g, arcs) for arcs in sorted(events, key=sorted))
-        )
+        events = {random_event(rng, g).arc_mask for _ in range(rng.randint(2, 4))}
+        family = EventFamily(g, sorted(events, key=mask_nodes))
         broadcast = check_broadcastable(family)
         consensus = check_consensus(family)
         if broadcast.answer is Answer.UNSOLVABLE and not is_convex(family):
@@ -262,10 +258,8 @@ def test_game_finite_iff_common_source():
     rng = random.Random(43)
     for _ in range(60):
         g = random_connected_symmetric(rng, rng.randint(2, 5))
-        events = {random_event(rng, g, 0.7).arcs for _ in range(rng.randint(1, 3))}
-        family = EventFamily(
-            g, tuple(event_from_arcs(g, arcs) for arcs in sorted(events, key=sorted))
-        )
+        events = {random_event(rng, g, 0.7).arc_mask for _ in range(rng.randint(1, 3))}
+        family = EventFamily(g, sorted(events, key=mask_nodes))
         common = family.common_sources_mask()
         game = BroadcastGame(family)
         for u in range(g.node_count):
@@ -290,7 +284,7 @@ def test_adding_events_is_monotone():
         events = [random_event(rng, g, 0.7)]
         family = _family(g, *events)
         extra = random_event(rng, g, 0.7)
-        if extra.arcs in {ev.arcs for ev in events}:
+        if extra.arc_mask in {ev.arc_mask for ev in events}:
             continue
         bigger = _family(g, *events, extra)
         assert bigger.common_sources_mask() & family.common_sources_mask() == (
@@ -317,10 +311,8 @@ def test_broadcast_reduction_on_random_families():
     checked = 0
     for _ in range(40):
         g = random_connected_symmetric(rng, rng.randint(2, 4))
-        events = {random_event(rng, g, 0.8).arcs for _ in range(rng.randint(1, 2))}
-        family = EventFamily(
-            g, tuple(event_from_arcs(g, arcs) for arcs in sorted(events, key=sorted))
-        )
+        events = {random_event(rng, g, 0.8).arc_mask for _ in range(rng.randint(1, 2))}
+        family = EventFamily(g, sorted(events, key=mask_nodes))
         best = optimal_broadcast_rounds(family)
         if best is None or len(family) ** best[1] * 2 ** g.node_count > 50_000:
             continue
