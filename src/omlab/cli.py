@@ -253,13 +253,16 @@ def _build_protocol(args: argparse.Namespace, family: EventFamily) -> ProtocolSp
         raise CliError('event-detection needs --decide-map "H1=c,H2=d"')
     mapping = {}
     for part in args.decide_map.split(","):
-        event_name, sep, node_label = part.partition("=")
+        event_name, sep, node_label = (s.strip() for s in part.partition("="))
         if not sep:
             raise CliError(f"cannot parse --decide-map entry {part!r}")
-        try:
-            mapping[family.name_index[event_name.strip()]] = family.base.node(node_label.strip())
-        except KeyError as exc:
-            raise CliError(f"unknown name in --decide-map: {exc.args[0]}")
+        event = family.name_index.get(event_name)
+        if event is None:
+            raise CliError(f"unknown event in --decide-map: {event_name}")
+        node = family.base.label_index.get(node_label)
+        if node is None:
+            raise CliError(f"unknown node in --decide-map: {node_label}")
+        mapping[event] = node
     try:
         return event_detection_consensus(family, mapping)
     except ValueError as exc:

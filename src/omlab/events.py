@@ -23,12 +23,15 @@ A family also has the transposed view: ``EventFamily.carriers`` holds, for
 each base arc, the bitset over event indices of the events that deliver
 it.  ``EventFamily.source_masks`` runs on that view, one closure per node
 over all events at once, so its cost grows with the node and arc counts
-and only in big-integer width with the number of events.
+and only in big-integer width with the number of events.  Both
+transposes (masks to carriers, and the closure's columns back to one
+source mask per event) run on whole byte strings, never per event.
 ``Event.sources_mask`` stays the per-event computation for single events
 and for checks that must not share the family kernel.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -168,16 +171,18 @@ class EventFamily:
     def carriers(self) -> tuple[int, ...]:
         """Per base arc, the bitset over event indices of the events delivering it.
 
-        One transpose of the family: every arc mask is written as a
-        fixed-width binary row, the rows are joined, and each arc's column
-        is one strided slice of that string, read back as an integer.
+        One transpose of the family: every arc mask is written as a whole
+        number of bytes, last event first, the bytes are joined and read
+        as one integer, and that integer is printed in binary once.  Each
+        arc's column is then one strided slice of that string, which
+        reads event 0 as its lowest bit.
         """
-        width = len(self.base.arcs)
-        if not width:
-            return ()
-        grid = "".join([format(x, f"0{width}b") for x in self.masks])
-        # Row strings print bit 0 last, so arc ``b`` is the row's character width-1-b.
-        return tuple(int(grid[width - 1 - b::width][::-1], 2) for b in range(width))
+        row = -(-len(self.base.arcs) // 8)
+        data = b"".join([x.to_bytes(row, "big") for x in reversed(self.masks)])
+        grid = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+        step = 8 * row
+        # A row prints bit 0 last, so arc ``b`` is the row's character step-1-b.
+        return tuple(int(grid[step - 1 - b::step], 2) for b in range(len(self.base.arcs)))
 
     @cached_property
     def source_masks(self) -> tuple[int, ...]:
@@ -189,14 +194,11 @@ class EventFamily:
         t -> h by ``reach[t] & carriers[t -> h]`` until nothing changes;
         each breadth-first level pushes only the events a node gained in
         the level before.  The AND of all ``reach`` is the column of events
-        of which v is a source.  The n columns are transposed back with
-        strided slices into one row per event; events sharing a row share
-        a mask, which is parsed once.
+        of which v is a source, and ``_rows`` transposes the n columns back
+        into one mask per event.
         """
         base = self.base
         n, count = base.node_count, len(self.masks)
-        if n == 0:
-            return (0,) * count
         everything = (1 << count) - 1
         arcs_out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (tail, head), events in zip(base.sorted_arcs, self.carriers):
@@ -218,19 +220,46 @@ class EventFamily:
             column = everything
             for events in reach:
                 column &= events
-            columns.append(format(column, f"0{count}b"))
-        # Highest node first, so that each row below reads as a binary mask.
-        grid = "".join(reversed(columns))
-        # Column strings print event 0 last: row j belongs to event count-1-j.
-        rows = [grid[j::count] for j in range(count)]
-        mask_of = {row: int(row, 2) for row in set(rows)}
-        return tuple(map(mask_of.__getitem__, reversed(rows)))
+            columns.append(column)
+        return _rows(columns, count)
 
     def common_sources_mask(self) -> int:
         mask = self.base.full_mask
         for b in self.source_masks:
             mask &= b
         return mask
+
+
+# Binary digits as bytes: b"0" -> 0, b"1" -> 1.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+# Where byte j of a native 8-byte word lives in memory.
+_WORD_BYTE = range(8) if sys.byteorder == "little" else range(7, -1, -1)
+
+
+def _rows(columns: Sequence[int], count: int) -> tuple[int, ...]:
+    """The transpose of ``columns``: row i has bit v set iff column v has bit i.
+
+    Nodes go 64 at a time into one native word per row.  Each column is
+    printed in binary once, last row first, and its digits become a
+    plane of 0/1 bytes; eight planes shifted into place and added make
+    the plane of one byte of every word, which is written into a
+    ``bytearray`` with stride 8.  A ``memoryview`` cast to unsigned
+    64-bit words then reads one row per word.  Above 64 nodes, each
+    further 64-node chunk is shifted into place and OR'd in.
+    """
+    rows: Iterable[int] = (0,) * count
+    for low in range(0, len(columns), 64):
+        words = bytearray(8 * count)
+        for j, first in zip(_WORD_BYTE, range(low, min(low + 64, len(columns)), 8)):
+            plane = 0
+            for k, column in enumerate(columns[first:first + 8]):
+                digits = format(column, f"0{count}b").encode().translate(_DIGIT_BYTES)
+                plane += int.from_bytes(digits, "big") << k
+            # The plane was read last row first: little-endian bytes put row 0 first.
+            words[j::8] = plane.to_bytes(count, "little")
+        chunk = memoryview(words).cast("Q")
+        rows = chunk if not low else map(lambda row, word, low=low: row | word << low, rows, chunk)
+    return tuple(rows)
 
 
 # ---- convexity ---------------------------------------------------------------

@@ -20,6 +20,9 @@ Round counts come from an adversarial flooding game over informed sets:
 each round the adversary picks the member event that slows flooding the
 most.  Flooding dominates every algorithm under the round semantics, so
 the game value is the optimal broadcast time from a given originator.
+The best originator is the common source of least value: the first is
+played exactly, and each later one only when a search bounded by the
+best count so far (``BroadcastGame.lasts``) shows it can do better.
 Both the source sets and the game read ``EventFamily.carriers``, the
 bitset of events delivering each base arc: source sets as one closure per
 node over all events at once, the game to find all successors of an
@@ -256,6 +259,8 @@ class BroadcastGame:
     Splitting all events by each nonzero starve column leaves groups that
     starve the same nodes; each gives one distinct successor, S plus its
     border minus the group's starved nodes: O(arcs + columns * groups).
+    Each state's successors are computed once and kept, fewest informed
+    nodes first, for both ``value`` and the bounded search ``lasts``.
     """
 
     def __init__(self, family: EventFamily, budget: Budget | None = None) -> None:
@@ -264,8 +269,13 @@ class BroadcastGame:
         self._all = (1 << len(family)) - 1
         self._full = family.base.full_mask
         self._memo: dict[int, Rounds] = {self._full: 0}
+        self._lasts: dict[tuple[int, int], bool] = {}
+        self._succs: dict[int, tuple[int, ...]] = {}
 
-    def _successors(self, state: int) -> set[int]:
+    def _successors(self, state: int) -> tuple[int, ...]:
+        """The distinct successors of ``state``, fewest informed nodes first; cached."""
+        if state in self._succs:
+            return self._succs[state]
         base, carriers, everything = self.family.base, self.family.carriers, self._all
         out_arc_bits, in_arc_bits = base.out_arc_bits, base.in_arc_bits
         leaving = 0
@@ -290,7 +300,9 @@ class BroadcastGame:
                     for part in ((events & starve, starved | 1 << v), (events & ~starve, starved))
                     if part[0]
                 ]
-        return {grown & ~starved for _events, starved in groups}
+        succs = tuple(sorted({grown & ~starved for _events, starved in groups}, key=int.bit_count))
+        self._succs[state] = succs
+        return succs
 
     def value(self, state: int) -> Rounds:
         memo = self._memo
@@ -304,6 +316,25 @@ class BroadcastGame:
         memo[state] = result
         return result
 
+    def lasts(self, state: int, rounds: int) -> bool:
+        """Whether ``value(state) >= rounds``, searched at most ``rounds`` deep.
+
+        The adversary holds out for ``rounds`` rounds from ``state`` when
+        some successor holds out for ``rounds - 1``, or ``state`` is its own
+        successor.  Successors with the fewest informed nodes are tried
+        first, an exact value already known answers at once, and each
+        (state, rounds) pair is searched once.
+        """
+        if rounds <= 0:
+            return True
+        if state in self._memo:
+            return self._memo[state] >= rounds
+        key = (state, rounds)
+        if key not in self._lasts:
+            succs = self._successors(state)
+            self._lasts[key] = state in succs or any(self.lasts(s, rounds - 1) for s in succs)
+        return self._lasts[key]
+
     def rounds_from(self, u: int) -> Rounds:
         if not 0 <= u < self.family.base.node_count:
             raise ValueError(f"node {u} out of range")
@@ -316,7 +347,10 @@ def optimal_broadcast_rounds(
     """Best originator and its worst-case round count; None if unsolvable.
 
     Only common sources are candidates (any other originator can be
-    starved forever), so the minimum is taken over those.
+    starved forever), so the minimum is taken over those, the lowest
+    node winning ties.  The first is played exactly; a later one is
+    played exactly only when ``lasts`` shows the adversary cannot hold
+    it to the best count so far.
     """
     common = family.common_sources_mask()
     if common == 0:
@@ -324,10 +358,11 @@ def optimal_broadcast_rounds(
     game = BroadcastGame(family, budget)
     best: tuple[int, int] | None = None
     for u in mask_nodes(common):
+        if best is not None and game.lasts(1 << u, best[1]):
+            continue
         value = game.rounds_from(u)
         assert value != UNBOUNDED
-        if best is None or value < best[1]:
-            best = (u, int(value))
+        best = (u, int(value))
     return best
 
 

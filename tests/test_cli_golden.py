@@ -65,6 +65,10 @@ CASES.update({
     "audit-equal-rounds-k4-send-f1-json": (
         ["audit", "equal-rounds", "--complete", "4", "--bounded", "1", "--metric", "send",
          "--format", "json"], None, 0),
+    # On P4 f=0 node v1 needs 2 rounds and v0 needs 3: a later source beats the first.
+    "audit-equal-rounds-p4-f0-json": (
+        ["audit", "equal-rounds", "--path", "4", "--bounded", "0", "--format", "json"],
+        None, 0),
     "audit-connectivity-c4-json": (
         ["audit", "connectivity", "--cycle", "4", "--f-max", "2", "--format", "json"], None, 0),
     "simulate-o1-broadcast-consensus-random": (

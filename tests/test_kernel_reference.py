@@ -34,6 +34,8 @@ from omlab import (
     generate_bounded_omissions,
     is_convex,
     mask_nodes,
+    optimal_broadcast_rounds,
+    path_digraph,
 )
 from omlab import oracle
 from omlab.bundled import bundled_names, crash_scheme_prefixes, h_one_round, load_family
@@ -144,16 +146,75 @@ def test_family_source_masks_match_on_bounded_families():
             assert family.source_masks == tuple(ev.sources_mask for ev in family.events)
 
 
+def naive_carriers(family: EventFamily) -> tuple[int, ...]:
+    """Per arc, the events delivering it, one event at a time."""
+    return tuple(
+        sum(1 << i for i, ev in enumerate(family.events) if ev.arc_mask >> b & 1)
+        for b in range(len(family.base.arcs))
+    )
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(families())
 @example(family_of_masks(Digraph(0, frozenset()), 0))
 @example(family_of_masks(Digraph(3, frozenset()), 0))
 def test_carriers_match_the_naive_per_arc_index(family):
-    expected = tuple(
-        sum(1 << i for i, ev in enumerate(family.events) if ev.arc_mask >> b & 1)
-        for b in range(len(family.base.arcs))
-    )
-    assert family.carriers == expected
+    assert family.carriers == naive_carriers(family)
+
+
+def assert_transposes_match(family: EventFamily) -> None:
+    assert family.carriers == naive_carriers(family)
+    assert family.source_masks == tuple(ev.sources_mask for ev in family.events)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 33, 64, 65, 70])
+@pytest.mark.parametrize("shape", [cycle_digraph, path_digraph])
+def test_transposes_match_per_event_on_bounded_families_past_a_byte_and_a_word(n, shape):
+    # Node counts around the byte and 64-bit word edges of the source-mask transpose.
+    for f in (0, 1):
+        family = generate_bounded_omissions(shape(n), f)
+        assert_transposes_match(family)
+    if shape is path_digraph:
+        # A path cut at one arc has the nodes on the far side of the cut as sources.
+        full = family.base.full_mask
+        cuts = {full >> k << k for k in range(1, n)} | {(1 << k) - 1 for k in range(1, n)}
+        assert set(family.source_masks) == cuts | {full}
+
+
+def first_arcs_of_k9(width: int) -> Digraph:
+    return Digraph(9, frozenset(complete_digraph(9).sorted_arcs[:width]))
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 63, 64, 65])
+def test_transposes_match_per_event_at_arc_widths_past_a_byte_and_a_word(width):
+    # Arc counts around the byte edges of the carriers' rows.
+    base = first_arcs_of_k9(width)
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    masks = {0, full} | {full & ~(1 << rng.randrange(width)) for _ in range(20)}
+    masks |= {rng.getrandbits(width) for _ in range(40)}
+    family = EventFamily(base, sorted(masks))
+    assert_transposes_match(family)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        EventFamily(cycle_digraph(70), [(1 << 140) - 1]),
+        EventFamily(first_arcs_of_k9(65), [(1 << 65) - 1]),
+        EventFamily(Digraph(70, frozenset()), [0]),
+        EventFamily(Digraph(0, frozenset()), [0]),
+        EventFamily(
+            cycle_digraph(70),
+            sorted({random_event(random.Random(j), cycle_digraph(70), 0.99).arc_mask
+                    for j in range(40)}),
+        ),
+    ],
+    ids=["one-event-70-nodes", "one-event-65-arcs", "no-arcs-70-nodes", "no-nodes",
+         "random-events-70-nodes"],
+)
+def test_transposes_match_per_event_on_edge_families(family):
+    assert_transposes_match(family)
 
 
 # ---- flooding game -------------------------------------------------------------------
@@ -239,6 +300,76 @@ def test_game_matches_reference_when_events_share_successors():
 @pytest.mark.parametrize("base", [complete_digraph(4), cycle_digraph(6)], ids=["K4", "C6"])
 def test_game_matches_reference_on_bounded_families(base, metric):
     assert_game_matches_reference(generate_bounded_omissions(base, 2, metric))
+
+
+def reference_best(family: EventFamily, values: dict[int, float]) -> tuple[int, int] | None:
+    """The lowest-index common source of least game value, from each event's own sources."""
+    common = family.base.full_mask
+    for ev in family.events:
+        common &= ev.sources_mask
+    if not common:
+        return None
+    value, u = min((values[1 << u], u) for u in mask_nodes(common))
+    return u, int(value)
+
+
+def bounded_k4_c6_families() -> list[EventFamily]:
+    return [generate_bounded_omissions(base, 2, metric)
+            for base in (complete_digraph(4), cycle_digraph(6)) for metric in ("send", "recv")]
+
+
+def test_optimal_rounds_match_the_reference_best_source():
+    rng = random.Random(11)
+    families = [random_nonconvex_family(rng) for _ in range(150)] + bounded_k4_c6_families()
+    later = 0
+    for family in families:
+        expected = reference_best(family, reference_values(family))
+        assert optimal_broadcast_rounds(family) == expected
+        later += expected is not None and expected[0] != mask_nodes(family.common_sources_mask())[0]
+    # Some families are answered by a source the bounded search let through.
+    assert later >= 5
+
+
+def test_lasts_matches_the_reference_values_at_every_bound():
+    rng = random.Random(11)
+    families = [random_nonconvex_family(rng) for _ in range(40)] + bounded_k4_c6_families()
+    for family in families:
+        values = reference_values(family)
+        bounds = range(-1, family.base.node_count + 2)
+        fresh = BroadcastGame(family)
+        assert {(s, r): fresh.lasts(s, r) for s in values for r in bounds} == {
+            (s, r): values[s] >= r for s in values for r in bounds
+        }
+        # With every exact value known, lasts reads them.
+        played = BroadcastGame(family)
+        for state in values:
+            played.value(state)
+        assert all(played.lasts(s, r) == (values[s] >= r) for s in values for r in bounds)
+
+
+@pytest.mark.parametrize(
+    "family", [generate_bounded_omissions(path_digraph(4), 0)] + bounded_k4_c6_families(),
+    ids=["P4-f0", "K4-send-f2", "K4-recv-f2", "C6-send-f2", "C6-recv-f2"],
+)
+def test_lasts_expands_only_states_above_its_bound_and_each_once(family):
+    n = family.base.node_count
+    for u in range(n):
+        # within[d]: the states the adversary can reach from {u} in d rounds or fewer.
+        within = [{1 << u}]
+        for _ in range(n):
+            within.append(within[-1] | {t for s in within[-1]
+                                        for t in reference_successors(family, s)})
+        for rounds in range(n + 1):
+            game = BroadcastGame(family)
+            game.lasts(1 << u, rounds)
+            # Successors are computed only for states fewer than ``rounds`` rounds in.
+            assert set(game._succs) <= (within[rounds - 1] if rounds > 0 else set())
+            for state, succs in game._succs.items():
+                assert set(succs) == reference_successors(family, state)
+                assert [t.bit_count() for t in succs] == sorted(t.bit_count() for t in succs)
+            expanded, succs = dict(game._lasts), dict(game._succs)
+            game.lasts(1 << u, rounds)
+            assert (game._lasts, game._succs) == (expanded, succs)
 
 
 # ---- convexity -------------------------------------------------------------------

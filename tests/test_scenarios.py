@@ -83,8 +83,8 @@ def test_crash_prefixes_need_two_node_complete():
     "bundled, decide_map, message",
     [
         ("fig12", "H1", "cannot parse --decide-map entry 'H1'"),
-        ("fig12", "H1=c,H3=d", "unknown name in --decide-map: H3"),
-        ("fig12", "H1=z,H2=d", "unknown name in --decide-map: unknown node label 'z'"),
+        ("fig12", "H1=c,H3=d", "unknown event in --decide-map: H3"),
+        ("fig12", "H1=z,H2=d", "unknown node in --decide-map: z"),
         ("fig12", "H1=c", "decision map must cover exactly the family's events"),
         # In H1, a sends only to b.
         ("fig12", "H1=a,H2=d", "originator a does not reach c in one round of H1"),
