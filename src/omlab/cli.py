@@ -200,8 +200,10 @@ def _verdict_text(verdict: Verdict, family: EventFamily) -> str:
 
 
 def cmd_check(args: argparse.Namespace, budget: Budget) -> int:
+    if args.beta and args.format != "json":
+        raise CliError("--beta applies only to --format json")
     family = _resolve_family(args, budget)
-    partition = beta_partition(family) if args.format == "json" and args.beta else None
+    partition = beta_partition(family) if args.beta else None
     if args.problem == "broadcast":
         verdict = check_broadcastable(family)
     else:
@@ -259,6 +261,8 @@ def _build_protocol(args: argparse.Namespace, family: EventFamily) -> ProtocolSp
         event = family.name_index.get(event_name)
         if event is None:
             raise CliError(f"unknown event in --decide-map: {event_name}")
+        if event in mapping:
+            raise CliError(f"repeated event in --decide-map: {event_name}")
         node = family.base.label_index.get(node_label)
         if node is None:
             raise CliError(f"unknown node in --decide-map: {node_label}")
@@ -275,7 +279,7 @@ def _parse_scenario(spec: str, family: EventFamily) -> tuple[int, ...]:
         token = token.strip()
         if token in family.name_index:
             word.append(family.name_index[token])
-        elif token.isdigit() and int(token) < len(family):
+        elif token.isascii() and token.isdigit() and int(token) < len(family):
             word.append(int(token))
         else:
             raise CliError(f"unknown event {token!r} in --scenario")
@@ -288,7 +292,10 @@ def _parse_init(spec: str, family: EventFamily) -> tuple[int, ...]:
         label, sep, value = part.partition("=")
         if not sep or value.strip() not in ("0", "1"):
             raise CliError(f"cannot parse --init entry {part!r}")
-        mapping[label.strip()] = int(value)
+        label = label.strip()
+        if label in mapping:
+            raise CliError(f"repeated node in --init: {label}")
+        mapping[label] = int(value)
     g = family.base
     try:
         values = {g.node(label): value for label, value in mapping.items()}

@@ -20,9 +20,10 @@ Round counts come from an adversarial flooding game over informed sets:
 each round the adversary picks the member event that slows flooding the
 most.  Flooding dominates every algorithm under the round semantics, so
 the game value is the optimal broadcast time from a given originator.
-The best originator is the common source of least value: the first is
-played exactly, and each later one only when a search bounded by the
-best count so far (``BroadcastGame.lasts``) shows it can do better.
+The best originator is the common source of least value; each source
+is searched with its value capped at the best count so far
+(``BroadcastGame.value(state, cap)``), so a search stops as soon as it
+shows that source cannot do better.
 Both the source sets and the game read ``EventFamily.carriers``, the
 bitset of events delivering each base arc: source sets as one closure per
 node over all events at once, the game to find all successors of an
@@ -259,8 +260,9 @@ class BroadcastGame:
     Splitting all events by each nonzero starve column leaves groups that
     starve the same nodes; each gives one distinct successor, S plus its
     border minus the group's starved nodes: O(arcs + columns * groups).
-    Each state's successors are computed once and kept, fewest informed
-    nodes first, for both ``value`` and the bounded search ``lasts``.
+    ``value`` is the one search: exact values are kept in ``_memo``, and a
+    state whose search stopped at a cap is kept in ``_atleast`` with that
+    cap, which answers every query capped at or below it.
     """
 
     def __init__(self, family: EventFamily, budget: Budget | None = None) -> None:
@@ -269,13 +271,10 @@ class BroadcastGame:
         self._all = (1 << len(family)) - 1
         self._full = family.base.full_mask
         self._memo: dict[int, Rounds] = {self._full: 0}
-        self._lasts: dict[tuple[int, int], bool] = {}
-        self._succs: dict[int, tuple[int, ...]] = {}
+        self._atleast: dict[int, Rounds] = {}
 
-    def _successors(self, state: int) -> tuple[int, ...]:
-        """The distinct successors of ``state``, fewest informed nodes first; cached."""
-        if state in self._succs:
-            return self._succs[state]
+    def _successors(self, state: int) -> list[int]:
+        """The distinct successors of ``state``, fewest informed nodes first."""
         base, carriers, everything = self.family.base, self.family.carriers, self._all
         out_arc_bits, in_arc_bits = base.out_arc_bits, base.in_arc_bits
         leaving = 0
@@ -300,45 +299,31 @@ class BroadcastGame:
                     for part in ((events & starve, starved | 1 << v), (events & ~starve, starved))
                     if part[0]
                 ]
-        succs = tuple(sorted({grown & ~starved for _events, starved in groups}, key=int.bit_count))
-        self._succs[state] = succs
-        return succs
+        return sorted({grown & ~starved for _events, starved in groups}, key=int.bit_count)
 
-    def value(self, state: int) -> Rounds:
-        memo = self._memo
-        if state in memo:
-            return memo[state]
+    def value(self, state: int, cap: Rounds = UNBOUNDED) -> Rounds:
+        """``min(game value of state, cap)``, searched fewer than ``cap`` rounds deep.
+
+        Successors with the fewest informed nodes are tried first, and the
+        search stops at the first one whose value reaches ``cap - 1``.
+        """
+        if state in self._memo:
+            return min(self._memo[state], cap)
+        # Every value is at least 0, so a cap of 0 or less is answered here.
+        if self._atleast.get(state, 0) >= cap:
+            return cap
         succs = self._successors(state)
         if state in succs:
-            result: Rounds = UNBOUNDED
-        else:
-            result = 1 + max(self.value(s) for s in succs)
-        memo[state] = result
+            self._memo[state] = UNBOUNDED
+            return cap
+        result = 0
+        for s in succs:
+            result = max(result, 1 + self.value(s, cap - 1))
+            if result >= cap:
+                self._atleast[state] = cap
+                return cap
+        self._memo[state] = result
         return result
-
-    def lasts(self, state: int, rounds: int) -> bool:
-        """Whether ``value(state) >= rounds``, searched at most ``rounds`` deep.
-
-        The adversary holds out for ``rounds`` rounds from ``state`` when
-        some successor holds out for ``rounds - 1``, or ``state`` is its own
-        successor.  Successors with the fewest informed nodes are tried
-        first, an exact value already known answers at once, and each
-        (state, rounds) pair is searched once.
-        """
-        if rounds <= 0:
-            return True
-        if state in self._memo:
-            return self._memo[state] >= rounds
-        key = (state, rounds)
-        if key not in self._lasts:
-            succs = self._successors(state)
-            self._lasts[key] = state in succs or any(self.lasts(s, rounds - 1) for s in succs)
-        return self._lasts[key]
-
-    def rounds_from(self, u: int) -> Rounds:
-        if not 0 <= u < self.family.base.node_count:
-            raise ValueError(f"node {u} out of range")
-        return self.value(1 << u)
 
 
 def optimal_broadcast_rounds(
@@ -348,9 +333,8 @@ def optimal_broadcast_rounds(
 
     Only common sources are candidates (any other originator can be
     starved forever), so the minimum is taken over those, the lowest
-    node winning ties.  The first is played exactly; a later one is
-    played exactly only when ``lasts`` shows the adversary cannot hold
-    it to the best count so far.
+    node winning ties.  Each source is played capped at the best count
+    so far, so a source that cannot beat it is given up early.
     """
     common = family.common_sources_mask()
     if common == 0:
@@ -358,11 +342,9 @@ def optimal_broadcast_rounds(
     game = BroadcastGame(family, budget)
     best: tuple[int, int] | None = None
     for u in mask_nodes(common):
-        if best is not None and game.lasts(1 << u, best[1]):
-            continue
-        value = game.rounds_from(u)
-        assert value != UNBOUNDED
-        best = (u, int(value))
+        value = game.value(1 << u, best[1] if best else UNBOUNDED)
+        if best is None or value < best[1]:
+            best = (u, int(value))
     return best
 
 

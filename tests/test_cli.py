@@ -131,6 +131,29 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
     assert err.startswith("omlab: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--bundled", "fig12", "--beta"], "--beta applies only to --format json"),
+        (["check", "--bundled", "fig12", "--beta", "--format", "dot"],
+         "--beta applies only to --format json"),
+        # A superscript two is a digit to str.isdigit but not to int().
+        (H_ONE_ROUND[:-2] + ["--scenario", "\u00b2", "--init", "white=0,black=1"],
+         "unknown event '\u00b2' in --scenario"),
+        # An Arabic-Indic one is a digit to int() too, but event indices are ASCII.
+        (H_ONE_ROUND[:-2] + ["--scenario", "\u0661", "--init", "white=0,black=1"],
+         "unknown event '\u0661' in --scenario"),
+        (H_ONE_ROUND[:-2] + ["--scenario", "0", "--init", "white=0,white=1,black=1"],
+         "repeated node in --init: white"),
+    ],
+    ids=["beta-with-text", "beta-with-dot", "scenario-superscript-digit",
+         "scenario-arabic-indic-digit", "init-repeated-node"],
+)
+def test_misplaced_and_malformed_inputs_exit_64_naming_the_fault(argv, message, capsys):
+    assert cli.main(argv) == 64
+    assert capsys.readouterr().err == f"omlab: error: {message}\n"
+
+
 def test_random_sweep_checks_the_budget_before_drawing_words(monkeypatch, capsys):
     def no_words(seed):
         raise AssertionError("a word was drawn")

@@ -251,7 +251,7 @@ def assert_game_matches_reference(family: EventFamily) -> dict[int, float]:
     expected = reference_values(family)
     game = BroadcastGame(family)
     for u in range(family.base.node_count):
-        assert game.rounds_from(u) == expected[1 << u]
+        assert game.value(1 << u) == expected[1 << u]
     assert {state: game.value(state) for state in expected} == expected
     return expected
 
@@ -326,50 +326,67 @@ def test_optimal_rounds_match_the_reference_best_source():
         expected = reference_best(family, reference_values(family))
         assert optimal_broadcast_rounds(family) == expected
         later += expected is not None and expected[0] != mask_nodes(family.common_sources_mask())[0]
-    # Some families are answered by a source the bounded search let through.
+    # Some families are answered by a source after the first.
     assert later >= 5
 
 
-def test_lasts_matches_the_reference_values_at_every_bound():
+def assert_game_memos_are_sound(game: BroadcastGame, values: dict[int, float]) -> None:
+    """Every kept value is exact, and every kept cap is at most the value."""
+    assert all(values[s] == v for s, v in game._memo.items())
+    assert all(values[s] >= cap for s, cap in game._atleast.items())
+
+
+def test_capped_value_matches_the_reference_values_at_every_cap():
     rng = random.Random(11)
     families = [random_nonconvex_family(rng) for _ in range(40)] + bounded_k4_c6_families()
     for family in families:
         values = reference_values(family)
-        bounds = range(-1, family.base.node_count + 2)
+        caps = range(-1, family.base.node_count + 2)
         fresh = BroadcastGame(family)
-        assert {(s, r): fresh.lasts(s, r) for s in values for r in bounds} == {
-            (s, r): values[s] >= r for s in values for r in bounds
+        assert {(s, cap): fresh.value(s, cap) for s in values for cap in caps} == {
+            (s, cap): min(values[s], cap) for s in values for cap in caps
         }
-        # With every exact value known, lasts reads them.
+        assert_game_memos_are_sound(fresh, values)
+        # With every exact value known, a capped call reads it.
         played = BroadcastGame(family)
         for state in values:
             played.value(state)
-        assert all(played.lasts(s, r) == (values[s] >= r) for s in values for r in bounds)
+        assert all(played.value(s, cap) == min(values[s], cap) for s in values for cap in caps)
 
 
 @pytest.mark.parametrize(
     "family", [generate_bounded_omissions(path_digraph(4), 0)] + bounded_k4_c6_families(),
     ids=["P4-f0", "K4-send-f2", "K4-recv-f2", "C6-send-f2", "C6-recv-f2"],
 )
-def test_lasts_expands_only_states_above_its_bound_and_each_once(family):
+def test_capped_value_expands_only_states_within_its_cap(family):
     n = family.base.node_count
+    values = reference_values(family)
     for u in range(n):
         # within[d]: the states the adversary can reach from {u} in d rounds or fewer.
         within = [{1 << u}]
         for _ in range(n):
             within.append(within[-1] | {t for s in within[-1]
                                         for t in reference_successors(family, s)})
-        for rounds in range(n + 1):
+        for cap in range(-1, n + 1):
             game = BroadcastGame(family)
-            game.lasts(1 << u, rounds)
-            # Successors are computed only for states fewer than ``rounds`` rounds in.
-            assert set(game._succs) <= (within[rounds - 1] if rounds > 0 else set())
-            for state, succs in game._succs.items():
+            expanded: list[int] = []
+            successors = game._successors
+
+            def spy(state: int) -> list[int]:
+                expanded.append(state)
+                succs = successors(state)
                 assert set(succs) == reference_successors(family, state)
                 assert [t.bit_count() for t in succs] == sorted(t.bit_count() for t in succs)
-            expanded, succs = dict(game._lasts), dict(game._succs)
-            game.lasts(1 << u, rounds)
-            assert (game._lasts, game._succs) == (expanded, succs)
+                return succs
+
+            game._successors = spy
+            assert game.value(1 << u, cap) == min(values[1 << u], cap)
+            # Successors are computed only for states fewer than ``cap`` rounds in.
+            assert set(expanded) <= (within[cap - 1] if cap > 0 else set())
+            assert_game_memos_are_sound(game, values)
+            count = len(expanded)
+            assert game.value(1 << u, cap) == min(values[1 << u], cap)
+            assert len(expanded) == count
 
 
 # ---- convexity -------------------------------------------------------------------

@@ -85,6 +85,7 @@ def test_crash_prefixes_need_two_node_complete():
         ("fig12", "H1", "cannot parse --decide-map entry 'H1'"),
         ("fig12", "H1=c,H3=d", "unknown event in --decide-map: H3"),
         ("fig12", "H1=z,H2=d", "unknown node in --decide-map: z"),
+        ("fig12", "H1=d,H1=c,H2=d", "repeated event in --decide-map: H1"),
         ("fig12", "H1=c", "decision map must cover exactly the family's events"),
         # In H1, a sends only to b.
         ("fig12", "H1=a,H2=d", "originator a does not reach c in one round of H1"),
@@ -92,7 +93,8 @@ def test_crash_prefixes_need_two_node_complete():
         ("O1-2node", "ok=white,omit-white=black,omit-black=white",
          "node white cannot distinguish ok from omit-white"),
     ],
-    ids=["entry-without-equals", "unknown-event", "unknown-node", "event-not-mapped",
+    ids=["entry-without-equals", "unknown-event", "unknown-node", "repeated-event",
+         "event-not-mapped",
          "originator-misses-a-node", "node-cannot-tell-events-apart"],
 )
 def test_event_detection_rejections_exit_64(bundled, decide_map, message, capsys):

@@ -232,13 +232,13 @@ def test_verdict_json_payloads(h_scheme):
 
 def test_fig12_rounds_per_source(fig12):
     game = BroadcastGame(fig12)
-    assert [game.rounds_from(u) for u in range(4)] == [3, 3, 2, 2]
+    assert [game.value(1 << u) for u in range(4)] == [3, 3, 2, 2]
 
 
 def test_h_scheme_stalls_forever(h_scheme):
     game = BroadcastGame(h_scheme)
-    assert game.rounds_from(WHITE) == UNBOUNDED
-    assert game.rounds_from(BLACK) == UNBOUNDED
+    assert game.value(1 << WHITE) == UNBOUNDED
+    assert game.value(1 << BLACK) == UNBOUNDED
 
 
 def test_optimal_broadcast_fig12(fig12):
@@ -263,7 +263,7 @@ def test_game_finite_iff_common_source():
         common = family.common_sources_mask()
         game = BroadcastGame(family)
         for u in range(g.node_count):
-            value = game.rounds_from(u)
+            value = game.value(1 << u)
             if common >> u & 1:
                 assert value != UNBOUNDED
                 assert value <= g.node_count - 1
