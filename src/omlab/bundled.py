@@ -13,7 +13,6 @@ family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Mapping
 
@@ -22,53 +21,15 @@ from .graphs import Digraph
 from .simulator import ProtocolSpec
 
 
-@dataclass(frozen=True)
-class BundledEntry:
-    filename: str
-    mobile: bool
-    description: str
-
-
-REGISTRY: dict[str, BundledEntry] = {
-    "reliable-2node": BundledEntry(
-        "reliable-2node.json", True, "two nodes, every message delivered"
-    ),
-    "O1-2node": BundledEntry(
-        "o1-2node.json", True, "two nodes, at most one omission per round"
-    ),
-    "H-2node": BundledEntry(
-        "h-2node.json", True, "two nodes, at most one message received per round"
-    ),
-    "fig12": BundledEntry(
-        "fig12.json", True,
-        "four nodes, two events; consensus in one round, broadcast needs two",
-    ),
-    "crash-C1": BundledEntry(
-        "crash-c1.json", False,
-        "support events of the two-node single-crash scheme (simulation only)",
-    ),
-}
-
-
-def bundled_names() -> tuple[str, ...]:
-    return tuple(REGISTRY)
-
-
-def is_mobile(name: str) -> bool:
-    return _entry(name).mobile
-
-
-def _entry(name: str) -> BundledEntry:
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        known = ", ".join(REGISTRY)
-        raise KeyError(f"unknown bundled example {name!r} (known: {known})") from None
+NAMES = ("reliable-2node", "O1-2node", "H-2node", "fig12", "crash-C1")
+NOT_MOBILE = "crash-C1"
 
 
 def load_family(name: str) -> EventFamily:
-    entry = _entry(name)
-    text = resources.files("omlab.data").joinpath(entry.filename).read_text()
+    """The bundled example ``name``, read from ``data/<name in lower case>.json``."""
+    if name not in NAMES:
+        raise KeyError(f"unknown bundled example {name!r} (known: {', '.join(NAMES)})")
+    text = resources.files("omlab.data").joinpath(f"{name.lower()}.json").read_text()
     return family_from_json_dict(json.loads(text))
 
 
@@ -86,9 +47,7 @@ def h_one_round() -> ProtocolSpec:
         return (None, value)
 
     def transition(v: int, state, delivered: Mapping[int, Any]):
-        decided, own = state
-        if decided is not None:
-            return state
+        own = state[1]
         return (next(iter(delivered.values()), own), own)
 
     return ProtocolSpec(

@@ -118,7 +118,7 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
     group = _add_graph_flags(parser)
     group.add_argument("--family", metavar="FILE", help="event family JSON file")
     group.add_argument("--bundled", metavar="NAME",
-                       help="bundled example: " + ", ".join(bundled.bundled_names()))
+                       help="bundled example: " + ", ".join(bundled.NAMES))
     parser.add_argument("--bounded", type=non_negative_int, metavar="F",
                         help="generate events with at most F omissions")
     parser.add_argument("--metric", choices=get_args(OmissionMetric),
@@ -164,7 +164,7 @@ def _resolve_family(
             family = bundled.load_family(args.bundled)
         except KeyError as exc:
             raise CliError(str(exc.args[0]))
-        if not bundled.is_mobile(args.bundled) and not allow_non_mobile:
+        if args.bundled == bundled.NOT_MOBILE and not allow_non_mobile:
             raise CliError(
                 f"{args.bundled} is not a mobile scheme; solvability analysis "
                 "does not apply (use `simulate --crash-horizon`)"
@@ -181,9 +181,13 @@ def _resolve_family(
     return family
 
 
-def _write_output(text: str, args: argparse.Namespace) -> None:
+def _render(args: argparse.Namespace, **formats) -> None:
+    """Write ``formats[args.format]()`` to stdout or ``-o FILE``: the ``json``
+    function returns the object to serialize, the others return the text."""
+    answer = formats[args.format]()
+    text = json.dumps(answer, indent=2) if args.format == "json" else answer
     if args.output:
-        Path(args.output).write_text(text if text.endswith("\n") else text + "\n")
+        Path(args.output).write_text(text + "\n")
     else:
         print(text)
 
@@ -208,17 +212,17 @@ def cmd_check(args: argparse.Namespace, budget: Budget) -> int:
         verdict = check_broadcastable(family)
     else:
         verdict = check_consensus(family, partition)
-    if args.format == "json":
+    if isinstance(verdict.witness, BetaClassWitness):
+        partition = verdict.witness.partition
+
+    def as_json() -> dict:
         payload = verdict_to_json_dict(verdict, family)
-        if isinstance(verdict.witness, BetaClassWitness):
-            partition = verdict.witness.partition
         if partition is not None:
             payload["beta"] = partition.to_json_dict()
-        _write_output(json.dumps(payload, indent=2), args)
-    elif args.format == "dot":
-        _write_output(dot.verdict_dot(verdict, family), args)
-    else:
-        _write_output(_verdict_text(verdict, family), args)
+        return payload
+
+    _render(args, text=lambda: _verdict_text(verdict, family), json=as_json,
+            dot=lambda: dot.verdict_dot(verdict, family))
     return verdict.exit_code
 
 
@@ -228,10 +232,7 @@ def cmd_gen(args: argparse.Namespace, budget: Budget) -> int:
     family = generate_bounded_omissions(
         _resolve_graph(args), args.bounded, args.metric, budget
     )
-    if args.format == "dot":
-        _write_output(dot.family_dot(family), args)
-    else:
-        _write_output(json.dumps(family_to_json_dict(family), indent=2), args)
+    _render(args, json=lambda: family_to_json_dict(family), dot=lambda: dot.family_dot(family))
     print(f"generated {len(family)} events", file=sys.stderr)
     return EXIT_OK
 
@@ -400,15 +401,11 @@ def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
             protocol, family, _parse_scenario(args.scenario, family),
             _parse_init(args.init, family),
         )
-        if args.format == "json":
-            _write_output(json.dumps(_trace_json(trace, protocol, family), indent=2), args)
-        else:
-            _write_output(_trace_text(trace, protocol, family), args)
+        _render(args, text=lambda: _trace_text(trace, protocol, family),
+                json=lambda: _trace_json(trace, protocol, family))
         return EXIT_OK
-    if args.format == "json":
-        _write_output(json.dumps(report.to_json_dict(family), indent=2), args)
-    else:
-        _write_output(_report_text(report, family), args)
+    _render(args, text=lambda: _report_text(report, family),
+            json=lambda: report.to_json_dict(family))
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
@@ -417,17 +414,16 @@ def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
 def cmd_oracle(args: argparse.Namespace, budget: Budget) -> int:
     family = _resolve_family(args, budget)
     result = min_consensus_rounds(family, args.max_horizon, budget)
-    if args.format == "json":
-        _write_output(json.dumps(result.to_json_dict(family), indent=2), args)
-    else:
-        lines = [
-            f"consensus solvable in {result.rounds} round(s)"
-            if result.solvable
-            else f"no consensus protocol with horizon <= {result.max_horizon}"
-        ]
-        for r, ok in result.horizon_table:
-            lines.append(f"  r={r}: {'solvable' if ok else 'not solvable'}")
-        _write_output("\n".join(lines), args)
+    _render(
+        args,
+        text=lambda: "\n".join([
+            f"consensus solvable in {result.rounds} round(s)" if result.solvable
+            else f"no consensus protocol with horizon <= {result.max_horizon}",
+            *(f"  r={r}: {'solvable' if ok else 'not solvable'}"
+              for r, ok in result.horizon_table),
+        ]),
+        json=lambda: result.to_json_dict(family),
+    )
     return EXIT_OK if result.solvable else EXIT_NEGATIVE
 
 
@@ -447,16 +443,16 @@ def cmd_audit_connectivity(args: argparse.Namespace, budget: Budget) -> int:
         }
         for row in rows
     ]
-    if args.format == "json":
-        _write_output(json.dumps(payload, indent=2), args)
-    else:
-        lines = [
+    _render(
+        args,
+        text=lambda: "\n".join(
             f"f={r['f']}: {r['answer']} "
             f"(expected {'solvable' if r['expected_solvable'] else 'unsolvable'})"
             + ("" if r["agrees"] else "  << MISMATCH")
             for r in payload
-        ]
-        _write_output("\n".join(lines), args)
+        ),
+        json=lambda: payload,
+    )
     return EXIT_OK if all(row.agrees for row in rows) else EXIT_NEGATIVE
 
 
@@ -466,25 +462,26 @@ def cmd_audit_equal_rounds(args: argparse.Namespace, budget: Budget) -> int:
         report = equal_rounds_audit(family, budget)
     except ValueError as exc:
         raise CliError(str(exc))
-    if args.format == "json":
-        _write_output(json.dumps(report.to_json_dict(family), indent=2), args)
-    else:
-        _write_output(
+    _render(
+        args,
+        text=lambda: (
             f"broadcast rounds: {report.broadcast_rounds}\n"
             f"consensus rounds: {report.consensus_rounds}\n"
-            f"equal: {report.equal}",
-            args,
-        )
+            f"equal: {report.equal}"
+        ),
+        json=lambda: report.to_json_dict(family),
+    )
     return EXIT_OK if report.equal else EXIT_NEGATIVE
 
 
 # ---- parser ---------------------------------------------------------------------
 
 def _add_command(sub, name: str, run, text: str, formats=("text", "json")) -> _Parser:
-    """A subcommand parser that dispatches to ``run(args, budget)``."""
+    """A subcommand parser that dispatches to ``run(args, budget)``; the first of
+    ``formats``, the names ``run`` passes to ``_render``, is the default."""
     parser = sub.add_parser(name, help=text)
     parser.set_defaults(run=run)
-    parser.add_argument("--format", choices=formats, default="text")
+    parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("-o", "--output", metavar="FILE")
     return parser
 
@@ -496,16 +493,16 @@ def build_parser() -> _Parser:
         epilog="Set OMLAB_BUDGET to override state-space caps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    with_dot = ("text", "json", "dot")
-
-    check = _add_command(sub, "check", cmd_check, "solvability verdict for a family", with_dot)
+    check = _add_command(sub, "check", cmd_check, "solvability verdict for a family",
+                         ("text", "json", "dot"))
     _add_family_flags(check)
     check.add_argument("--problem", choices=("consensus", "broadcast"),
                        default="consensus")
     check.add_argument("--beta", action="store_true",
                        help="include the class partition in JSON output")
 
-    gen = _add_command(sub, "gen", cmd_gen, "generate a bounded-omission family", with_dot)
+    gen = _add_command(sub, "gen", cmd_gen, "generate a bounded-omission family",
+                       ("json", "dot"))
     _add_graph_flags(gen)
     gen.add_argument("--bounded", type=non_negative_int, metavar="F", required=True)
     gen.add_argument("--metric", choices=get_args(OmissionMetric), default="global")

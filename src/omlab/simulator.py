@@ -260,9 +260,7 @@ def event_detection_consensus(
         return (None, value)
 
     def transition(v: int, state, delivered: Mapping[int, Any]):
-        decided, own = state
-        if decided is not None:
-            return state
+        own = state[1]
         senders = node_mask(delivered.keys())
         e = lookup[v][senders]
         origin = decision_map[e]

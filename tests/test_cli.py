@@ -61,7 +61,20 @@ INPUT_FILES = {
         "events": [],
     },
     "NO_NODES": {"graph": {"nodes": [], "arcs": []}, "events": [{"name": "E0", "arcs": []}]},
+    "DUPLICATE_NODES": {"nodes": ["a", "a"], "arcs": []},
+    "NO_ARCS": {"nodes": ["a", "b"]},
+    "NOT_JSON": "{not json",
 }
+
+
+def with_input_files(argv: list[str], tmp_path: Path) -> list[str]:
+    """``argv`` with each INPUT_FILES name replaced by the path of its file.
+
+    A string is the file's text as it stands; anything else is written as JSON.
+    """
+    for name, data in INPUT_FILES.items():
+        (tmp_path / f"{name}.json").write_text(data if isinstance(data, str) else json.dumps(data))
+    return [str(tmp_path / f"{arg}.json") if arg in INPUT_FILES else arg for arg in argv]
 
 
 @pytest.mark.parametrize(
@@ -107,6 +120,7 @@ INPUT_FILES = {
         ["check", "--complete", "0", "--bounded", "0"],
         ["oracle", "--path", "0", "--bounded", "0"],
         ["check", "--family", "NO_NODES"],
+        ["gen", "--complete", "3", "--bounded", "1", "--format", "text"],
     ],
     ids=[
         "one-node-connectivity", "asymmetric-connectivity", "negative-bound",
@@ -119,13 +133,11 @@ INPUT_FILES = {
         "init-value-2", "scenario-unknown-event", "init-without-scenario",
         "length-without-random", "seed-without-random", "origin-with-h-one-round",
         "rounds-with-h-one-round", "decide-map-with-flooding", "unknown-protocol",
-        "no-nodes-check", "no-nodes-oracle", "no-nodes-family",
+        "no-nodes-check", "no-nodes-oracle", "no-nodes-family", "gen-text",
     ],
 )
 def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
-    for name, data in INPUT_FILES.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    code = cli.main([str(tmp_path / f"{arg}.json") if arg in INPUT_FILES else arg for arg in argv])
+    code = cli.main(with_input_files(argv, tmp_path))
     err = capsys.readouterr().err
     assert code == 64
     assert err.startswith("omlab: error: ") and err.count("\n") == 1
@@ -145,13 +157,49 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
          "unknown event '\u0661' in --scenario"),
         (H_ONE_ROUND[:-2] + ["--scenario", "0", "--init", "white=0,white=1,black=1"],
          "repeated node in --init: white"),
+        (["check", "--family", "NOT_JSON"],
+         "cannot parse {NOT_JSON}: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (["check", "--bundled", "nope"],
+         "unknown bundled example 'nope' "
+         "(known: reliable-2node, O1-2node, H-2node, fig12, crash-C1)"),
+        (["check", "--complete", "3"], "generated families need --bounded F"),
+        (FIG12_FLOODING[:-4] + ["--all-scenarios", "1"],
+         "flooding needs --origin NODE and --rounds R"),
+        (FIG12_FLOODING[:-3] + ["zz", "--rounds", "2", "--all-scenarios", "1"],
+         "unknown node label 'zz'"),
+        (["simulate", "--bundled", "fig12", "--protocol", "event-detection",
+          "--all-scenarios", "1"],
+         'event-detection needs --decide-map "H1=c,H2=d"'),
+        (H_ONE_ROUND[:-2] + ["--random-scenarios", "3"], "--random-scenarios needs --length L"),
+        (H_ONE_ROUND[:-2],
+         "give --scenario and --init for a single run, or --all-scenarios / "
+         "--random-scenarios / --crash-horizon for a sweep"),
+        (["audit", "equal-rounds", "--bundled", "H-2node"],
+         "the equal-rounds audit applies to convex families only"),
+        (["gen", "--graph", "DUPLICATE_NODES", "--bounded", "1"],
+         "duplicate node names in digraph JSON"),
+        (["gen", "--graph", "NO_ARCS", "--bounded", "1"], "malformed digraph JSON: 'arcs'"),
     ],
     ids=["beta-with-text", "beta-with-dot", "scenario-superscript-digit",
-         "scenario-arabic-indic-digit", "init-repeated-node"],
+         "scenario-arabic-indic-digit", "init-repeated-node", "family-not-json",
+         "unknown-bundled", "generated-without-bound", "flooding-without-origin",
+         "flooding-unknown-origin", "event-detection-without-map", "random-without-length",
+         "simulate-without-mode", "equal-rounds-not-convex", "graph-duplicate-nodes",
+         "graph-without-arcs"],
 )
-def test_misplaced_and_malformed_inputs_exit_64_naming_the_fault(argv, message, capsys):
-    assert cli.main(argv) == 64
-    assert capsys.readouterr().err == f"omlab: error: {message}\n"
+def test_misplaced_and_malformed_inputs_exit_64_naming_the_fault(argv, message, capsys, tmp_path):
+    assert cli.main(with_input_files(argv, tmp_path)) == 64
+    paths = {name: tmp_path / f"{name}.json" for name in INPUT_FILES}
+    assert capsys.readouterr().err == f"omlab: error: {message.format(**paths)}\n"
+
+
+def test_sweep_report_lists_twenty_violations_and_counts_the_rest(capsys):
+    code = cli.main(["simulate", "--bundled", "O1-2node", "--protocol", "flooding",
+                     "--origin", "white", "--rounds", "1", "--all-scenarios", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert len(lines) == 22 and lines[-1] == "  ... and 16 more violations"
 
 
 def test_random_sweep_checks_the_budget_before_drawing_words(monkeypatch, capsys):

@@ -34,6 +34,7 @@ CASES: dict[str, tuple[list[str], str | None, int]] = {
 }
 CASES.update({
     "gen-k3-f1-json": (["gen", "--complete", "3", "--bounded", "1", "--format", "json"], None, 0),
+    "gen-k3-f1-default": (["gen", "--complete", "3", "--bounded", "1"], None, 0),
     "gen-k3-f1-dot": (["gen", "--complete", "3", "--bounded", "1", "--format", "dot"], None, 0),
     "simulate-h-one-round-all": (
         ["simulate", "--bundled", "H-2node", "--protocol", "h-one-round",
@@ -131,6 +132,11 @@ def test_output_file_holds_what_stdout_prints(name, monkeypatch, tmp_path):
     assert run_case(name, monkeypatch, "-o", str(path)) == (CASES[name][2], "")
     expected = json.loads(GOLDEN.read_text())[name]
     assert path.read_text() == expected and not expected.endswith("\n\n")
+
+
+def test_gen_prints_json_by_default():
+    golden = json.loads(GOLDEN.read_text())
+    assert golden["gen-k3-f1-default"] == golden["gen-k3-f1-json"]
 
 
 def write_golden() -> None:

@@ -38,7 +38,7 @@ from omlab import (
     symmetric_digraph,
     verdict_to_json_dict,
 )
-from omlab.bundled import bundled_names, load_family
+from omlab.bundled import NAMES, load_family
 from omlab.simulator import _check_run
 
 from conftest import BLACK, WHITE, random_connected_symmetric
@@ -346,7 +346,7 @@ def test_all_initial_configs_enumeration(o1):
 def test_family_json_round_trip():
     q3 = generate_bounded_omissions(hypercube_digraph(3), 3)
     assert len(q3) == 2325
-    for family in [*map(load_family, bundled_names()), q3]:
+    for family in [*map(load_family, NAMES), q3]:
         data = family_to_json_dict(family)
         again = family_from_json_dict(data)
         # A family without names is written with its default names E0, E1, ...

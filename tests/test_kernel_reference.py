@@ -38,7 +38,7 @@ from omlab import (
     path_digraph,
 )
 from omlab import oracle
-from omlab.bundled import bundled_names, crash_scheme_prefixes, h_one_round, load_family
+from omlab.bundled import NAMES, crash_scheme_prefixes, h_one_round, load_family
 from omlab.equivalence import _UnionFind
 from omlab.graphs import sources_of_arcs
 from omlab.oracle import Execution, IndistinguishabilityChain, execution_views
@@ -523,7 +523,7 @@ def test_oracle_matches_nested_tuple_search_on_random_families(block, monkeypatc
         assert_oracle_matches_reference(random_family(seed), ORACLE_HORIZON, monkeypatch)
 
 
-@pytest.mark.parametrize("name", bundled_names())
+@pytest.mark.parametrize("name", NAMES)
 def test_oracle_matches_nested_tuple_search_on_bundled_families(name, monkeypatch):
     assert_oracle_matches_reference(load_family(name), 3, monkeypatch)
 
