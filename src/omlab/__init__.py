@@ -11,7 +11,7 @@ against a brute-force execution-view oracle on small instances.
 Scenario words and input vectors are plain tuples of ints: a word holds
 one event index per round, an input one 0/1 value per node.
 """
-from .budget import Budget, BudgetExceededError
+from .budget import Budget, BudgetExceededError, InputError
 from .equivalence import (
     AlphaWitness,
     BetaPartition,

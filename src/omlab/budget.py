@@ -7,6 +7,11 @@ of hanging.  The ``OMLAB_BUDGET`` environment variable overrides the
 defaults, either as a bare integer, which sets both the execution cap and
 the family-size cap, or as a comma list of ``key=value`` pairs, e.g.
 ``OMLAB_BUDGET=max_executions=2000000``.
+
+The CLI maps the two error types defined here to exit codes:
+``BudgetExceededError``, which a capped enumeration raises, to 65, and
+``InputError``, which every input check of the library and the CLI raises,
+to 64.
 """
 from __future__ import annotations
 
@@ -24,6 +29,10 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured resource caps."""
 
 
+class InputError(ValueError):
+    """An argument, file or setting is malformed or out of range."""
+
+
 @dataclass(frozen=True)
 class Budget:
     max_family_events: int = DEFAULT_MAX_FAMILY_EVENTS
@@ -33,7 +42,7 @@ class Budget:
     def __post_init__(self) -> None:
         for f in fields(self):
             if getattr(self, f.name) <= 0:
-                raise ValueError(f"budget cap {f.name} must be positive")
+                raise InputError(f"budget cap {f.name} must be positive")
 
     def check(self, cap: str, amount: int) -> None:
         """Raise ``BudgetExceededError`` naming ``cap`` when ``amount`` exceeds it."""
@@ -55,7 +64,7 @@ class Budget:
             key, sep, value = part.partition("=")
             key = key.strip()
             if not sep or key not in names or not value.strip().isdecimal():
-                raise ValueError(f"cannot parse entry: {part!r}")
+                raise InputError(f"cannot parse entry: {part!r}")
             budget = replace(budget, **{key: int(value)})
         return budget
 

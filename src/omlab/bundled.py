@@ -16,6 +16,7 @@ import json
 from importlib import resources
 from typing import Any, Mapping
 
+from .budget import InputError
 from .events import EventFamily, family_from_json_dict
 from .graphs import Digraph
 from .simulator import ProtocolSpec
@@ -28,7 +29,7 @@ NOT_MOBILE = "crash-C1"
 def load_family(name: str) -> EventFamily:
     """The bundled example ``name``, read from ``data/<name in lower case>.json``."""
     if name not in NAMES:
-        raise KeyError(f"unknown bundled example {name!r} (known: {', '.join(NAMES)})")
+        raise InputError(f"unknown bundled example {name!r} (known: {', '.join(NAMES)})")
     text = resources.files("omlab.data").joinpath(f"{name.lower()}.json").read_text()
     return family_from_json_dict(json.loads(text))
 
@@ -73,9 +74,9 @@ def crash_scheme_prefixes(
     prefix of the given length, as words over that family.
     """
     if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+        raise InputError("horizon must be non-negative")
     if g.node_count != 2 or len(g.arcs) != 2:
-        raise ValueError("the crash scheme is defined on the complete 2-node digraph")
+        raise InputError("the crash scheme is defined on the complete 2-node digraph")
     # Bit 0 of an arc mask is the arc (0, 1), bit 1 the arc (1, 0).
     family = EventFamily(
         g, (0b11, 0b10, 0b01), ("ok", f"crash-{g.label(0)}", f"crash-{g.label(1)}")

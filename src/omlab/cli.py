@@ -1,9 +1,10 @@
 """Command-line entry point: check, gen, simulate, oracle, audit.
 
 Exit codes: 0 solvable / checks passed, 2 unsolvable / violations found,
-3 necessary condition holds (inconclusive), 64 usage or parse error,
-65 resource budget exceeded.  The ``OMLAB_BUDGET`` environment variable
-overrides the default state-space caps; a malformed value exits 64.
+3 necessary condition holds (inconclusive), 64 the library or the CLI
+raised ``InputError``, 65 resource budget exceeded.  The ``OMLAB_BUDGET``
+environment variable overrides the default state-space caps; a malformed
+value exits 64.
 ``check`` and ``gen`` render DOT with ``--format dot``; ``-o FILE``
 writes any format to a file instead of stdout.
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import get_args
 
 from . import bundled, dot
-from .budget import Budget, BudgetExceededError
+from .budget import Budget, BudgetExceededError, InputError
 from .equivalence import beta_partition
 from .events import (
     EventFamily,
@@ -77,13 +78,9 @@ RULE_TEXT = {
 }
 
 
-class CliError(Exception):
-    """Usage or input error; maps to exit code 64."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise CliError(message)
+        raise InputError(message)
 
 
 def non_negative_int(text: str) -> int:
@@ -129,23 +126,20 @@ def _load_json(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"cannot parse {path}: {exc}")
+        raise InputError(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # bad JSON, bytes that are not text, or an overlong integer
+        raise InputError(f"cannot parse {path}: {exc}")
 
 
 def _resolve_graph(args: argparse.Namespace) -> Digraph:
     if args.graph is not None:
-        try:
-            return digraph_from_json_dict(_load_json(args.graph))
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return digraph_from_json_dict(_load_json(args.graph))
     flag = next(flag for flag in GRAPH_BUILDERS if getattr(args, flag) is not None)
     size = getattr(args, flag)
     try:
         return GRAPH_BUILDERS[flag][0](size)
-    except ValueError as exc:  # e.g. the self-loop of a one-node cycle
-        raise CliError(f"--{flag} {size}: {exc}")
+    except InputError as exc:  # e.g. the self-loop of a one-node cycle
+        raise InputError(f"--{flag} {size}: {exc}")
 
 
 def _resolve_family(
@@ -153,31 +147,25 @@ def _resolve_family(
 ) -> EventFamily:
     given = args.family is not None or args.bundled is not None
     if given and (args.bounded is not None or args.metric is not None):
-        raise CliError("--bounded and --metric apply only to a family generated from a graph")
+        raise InputError("--bounded and --metric apply only to a family generated from a graph")
     if args.family is not None:
-        try:
-            family = family_from_json_dict(_load_json(args.family))
-        except ValueError as exc:
-            raise CliError(str(exc))
+        family = family_from_json_dict(_load_json(args.family))
     elif args.bundled is not None:
-        try:
-            family = bundled.load_family(args.bundled)
-        except KeyError as exc:
-            raise CliError(str(exc.args[0]))
+        family = bundled.load_family(args.bundled)
         if args.bundled == bundled.NOT_MOBILE and not allow_non_mobile:
-            raise CliError(
+            raise InputError(
                 f"{args.bundled} is not a mobile scheme; solvability analysis "
                 "does not apply (use `simulate --crash-horizon`)"
             )
     elif args.bounded is None:
-        raise CliError("generated families need --bounded F")
+        raise InputError("generated families need --bounded F")
     else:
         family = generate_bounded_omissions(
             _resolve_graph(args), args.bounded, args.metric or "global", budget
         )
     # Verdicts on a graph without nodes contradict each other; none is asked for.
     if not family.base.node_count:
-        raise CliError("the family's graph has no nodes")
+        raise InputError("the family's graph has no nodes")
     return family
 
 
@@ -187,7 +175,10 @@ def _render(args: argparse.Namespace, **formats) -> None:
     answer = formats[args.format]()
     text = json.dumps(answer, indent=2) if args.format == "json" else answer
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc.strerror}")
     else:
         print(text)
 
@@ -205,7 +196,7 @@ def _verdict_text(verdict: Verdict, family: EventFamily) -> str:
 
 def cmd_check(args: argparse.Namespace, budget: Budget) -> int:
     if args.beta and args.format != "json":
-        raise CliError("--beta applies only to --format json")
+        raise InputError("--beta applies only to --format json")
     family = _resolve_family(args, budget)
     partition = beta_partition(family) if args.beta else None
     if args.problem == "broadcast":
@@ -245,33 +236,30 @@ def _build_protocol(args: argparse.Namespace, family: EventFamily) -> ProtocolSp
         return bundled.h_one_round()
     if name in ("flooding", "broadcast-consensus"):
         if args.origin is None or args.rounds is None:
-            raise CliError(f"{name} needs --origin NODE and --rounds R")
+            raise InputError(f"{name} needs --origin NODE and --rounds R")
         try:
             origin = family.base.node(args.origin)
         except KeyError as exc:
-            raise CliError(str(exc.args[0]))
+            raise InputError(exc.args[0])
         factory = flooding if name == "flooding" else broadcast_consensus
         return factory(origin, args.rounds)
     if not args.decide_map:
-        raise CliError('event-detection needs --decide-map "H1=c,H2=d"')
+        raise InputError('event-detection needs --decide-map "H1=c,H2=d"')
     mapping = {}
     for part in args.decide_map.split(","):
         event_name, sep, node_label = (s.strip() for s in part.partition("="))
         if not sep:
-            raise CliError(f"cannot parse --decide-map entry {part!r}")
+            raise InputError(f"cannot parse --decide-map entry {part!r}")
         event = family.name_index.get(event_name)
         if event is None:
-            raise CliError(f"unknown event in --decide-map: {event_name}")
+            raise InputError(f"unknown event in --decide-map: {event_name}")
         if event in mapping:
-            raise CliError(f"repeated event in --decide-map: {event_name}")
+            raise InputError(f"repeated event in --decide-map: {event_name}")
         node = family.base.label_index.get(node_label)
         if node is None:
-            raise CliError(f"unknown node in --decide-map: {node_label}")
+            raise InputError(f"unknown node in --decide-map: {node_label}")
         mapping[event] = node
-    try:
-        return event_detection_consensus(family, mapping)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return event_detection_consensus(family, mapping)
 
 
 def _parse_scenario(spec: str, family: EventFamily) -> tuple[int, ...]:
@@ -283,7 +271,7 @@ def _parse_scenario(spec: str, family: EventFamily) -> tuple[int, ...]:
         elif token.isascii() and token.isdigit() and int(token) < len(family):
             word.append(int(token))
         else:
-            raise CliError(f"unknown event {token!r} in --scenario")
+            raise InputError(f"unknown event {token!r} in --scenario")
     return tuple(word)
 
 
@@ -292,19 +280,19 @@ def _parse_init(spec: str, family: EventFamily) -> tuple[int, ...]:
     for part in spec.split(","):
         label, sep, value = part.partition("=")
         if not sep or value.strip() not in ("0", "1"):
-            raise CliError(f"cannot parse --init entry {part!r}")
+            raise InputError(f"cannot parse --init entry {part!r}")
         label = label.strip()
         if label in mapping:
-            raise CliError(f"repeated node in --init: {label}")
+            raise InputError(f"repeated node in --init: {label}")
         mapping[label] = int(value)
     g = family.base
     try:
         values = {g.node(label): value for label, value in mapping.items()}
     except KeyError as exc:
-        raise CliError(str(exc.args[0]))
+        raise InputError(exc.args[0])
     missing = [g.label(u) for u in range(g.node_count) if u not in values]
     if missing:
-        raise CliError(f"initial value missing for nodes: {missing}")
+        raise InputError(f"initial value missing for nodes: {missing}")
     return tuple(values[u] for u in range(g.node_count))
 
 
@@ -369,13 +357,10 @@ def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
         ("--decide-map", args.decide_map, "event-detection", args.protocol == "event-detection"),
     ):
         if value is not None and not read:
-            raise CliError(f"{flag} applies only to {reader}")
+            raise InputError(f"{flag} applies only to {reader}")
     family = _resolve_family(args, budget, allow_non_mobile=args.crash_horizon is not None)
     if args.crash_horizon is not None:
-        try:
-            family, words = bundled.crash_scheme_prefixes(family.base, args.crash_horizon)
-        except ValueError as exc:  # the graph is not the complete 2-node digraph
-            raise CliError(str(exc))
+        family, words = bundled.crash_scheme_prefixes(family.base, args.crash_horizon)
     protocol = _build_protocol(args, family)
     if args.crash_horizon is not None:
         report = check_scenarios(protocol, family, sorted(words), args.crash_horizon, budget)
@@ -383,7 +368,7 @@ def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
         report = exhaustive_check(protocol, family, args.all_scenarios, budget)
     elif args.random_scenarios is not None:
         if args.length is None:
-            raise CliError("--random-scenarios needs --length L")
+            raise InputError("--random-scenarios needs --length L")
         budget.check("max_executions", args.random_scenarios << family.base.node_count)
         # One generator per word, seeded seed + i, so each word depends on its seed only.
         letters = range(len(family))
@@ -393,7 +378,7 @@ def cmd_simulate(args: argparse.Namespace, budget: Budget) -> int:
         report = check_scenarios(protocol, family, words, args.length, budget)
     else:
         if args.scenario is None or args.init is None:
-            raise CliError(
+            raise InputError(
                 "give --scenario and --init for a single run, or --all-scenarios / "
                 "--random-scenarios / --crash-horizon for a sweep"
             )
@@ -430,10 +415,7 @@ def cmd_oracle(args: argparse.Namespace, budget: Budget) -> int:
 # ---- audit ----------------------------------------------------------------------
 
 def cmd_audit_connectivity(args: argparse.Namespace, budget: Budget) -> int:
-    try:
-        rows = connectivity_threshold_check(_resolve_graph(args), args.f_max, budget)
-    except ValueError as exc:  # the graph is not symmetric or has one node
-        raise CliError(str(exc))
+    rows = connectivity_threshold_check(_resolve_graph(args), args.f_max, budget)
     payload = [
         {
             "f": row.f,
@@ -458,10 +440,7 @@ def cmd_audit_connectivity(args: argparse.Namespace, budget: Budget) -> int:
 
 def cmd_audit_equal_rounds(args: argparse.Namespace, budget: Budget) -> int:
     family = _resolve_family(args, budget)
-    try:
-        report = equal_rounds_audit(family, budget)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = equal_rounds_audit(family, budget)
     _render(
         args,
         text=lambda: (
@@ -547,10 +526,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         try:
             budget = Budget.from_env()
-        except ValueError as exc:
-            raise CliError(f"OMLAB_BUDGET: {exc}")
+        except InputError as exc:
+            raise InputError(f"OMLAB_BUDGET: {exc}")
         return args.run(args, budget)
-    except CliError as exc:
+    except InputError as exc:
         print(f"omlab: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:

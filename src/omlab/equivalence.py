@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .budget import InputError
 from .events import Event, EventFamily
 from .graphs import Digraph, mask_nodes
 
@@ -54,7 +55,7 @@ def alpha_related(left: Event, right: Event, k: Event) -> bool:
     """True when the sources of ``k`` receive identical arcs under both events."""
     # Events of one family hold the very same base; compare by value only otherwise.
     if not (left.base is right.base is k.base or left.base == right.base == k.base):
-        raise ValueError("events must share a base graph")
+        raise InputError("events must share a base graph")
     head_filter = _head_filter(k.base, k.sources_mask)
     return left.arc_mask & head_filter == right.arc_mask & head_filter
 

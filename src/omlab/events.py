@@ -37,7 +37,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Literal, Sequence
 
-from .budget import Budget, effective_budget
+from .budget import Budget, InputError, effective_budget
 from .graphs import Arc, Digraph, mask_nodes, sources_of_arcs
 
 OmissionMetric = Literal["global", "send", "recv"]
@@ -57,7 +57,7 @@ class Event:
 
     def __post_init__(self) -> None:
         if not 0 <= self.arc_mask < 1 << len(self.base.arcs):
-            raise ValueError(
+            raise InputError(
                 f"arc mask {self.arc_mask:#x} out of range for {len(self.base.arcs)} base arcs"
             )
 
@@ -99,7 +99,7 @@ def event_from_arcs(base: Digraph, arcs: Iterable[Arc]) -> Event:
     arcs = {tuple(a) for a in arcs}
     extra = arcs - base.arcs
     if extra:
-        raise ValueError(f"event arcs not in base graph: {sorted(extra)}")
+        raise InputError(f"event arcs not in base graph: {sorted(extra)}")
     bit = base.arc_bit
     return Event(base, sum(1 << bit[a] for a in arcs))
 
@@ -126,19 +126,19 @@ class EventFamily:
         object.__setattr__(self, "masks", tuple(self.masks))
         masks = self.masks
         if not masks:
-            raise ValueError("an event family needs at least one event")
+            raise InputError("an event family needs at least one event")
         limit = 1 << len(self.base.arcs)
         if min(masks) < 0 or max(masks) >= limit:
             # The first bad mask, with the message ``Event`` gives it.
             Event(self.base, next(x for x in masks if not 0 <= x < limit))
         if len(self.mask_index) != len(masks):
-            raise ValueError("duplicate events in family")
+            raise InputError("duplicate events in family")
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
             if len(self.names) != len(masks):
-                raise ValueError("names must cover every event")
+                raise InputError("names must cover every event")
             if len(set(self.names)) != len(self.names):
-                raise ValueError("event names must be unique")
+                raise InputError("event names must be unique")
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
@@ -159,13 +159,6 @@ class EventFamily:
     @cached_property
     def mask_index(self) -> dict[int, int]:
         return dict(zip(self.masks, range(len(self.masks))))
-
-    @cached_property
-    def union_arc_mask(self) -> int:
-        mask = 0
-        for x in self.masks:
-            mask |= x
-        return mask
 
     @cached_property
     def carriers(self) -> tuple[int, ...]:
@@ -274,7 +267,9 @@ def is_convex(family: EventFamily) -> bool:
     stops at the first miss; the answer does not depend on the order.
     """
     members = family.mask_index
-    union = family.union_arc_mask
+    union = 0
+    for mask in family.masks:
+        union |= mask
     for mask in family.masks:
         missing = union & ~mask
         while missing:
@@ -313,13 +308,13 @@ def generate_bounded_omissions(
     the family would exceed the budget's family cap.
     """
     if f < 0:
-        raise ValueError("omission bound must be non-negative")
+        raise InputError("omission bound must be non-negative")
     m = len(base.arcs)
     groups = {
         "global": ((1 << m) - 1,), "send": base.out_arc_bits, "recv": base.in_arc_bits,
     }.get(metric)
     if groups is None:
-        raise ValueError(f"unknown omission metric {metric!r}")
+        raise InputError(f"unknown omission metric {metric!r}")
     count = _count_bounded([g.bit_count() for g in groups], f)
     effective_budget(budget).check("max_family_events", count)
     masks = [0]
@@ -355,7 +350,7 @@ def family_to_json_dict(family: EventFamily) -> dict:
 
 
 def family_from_json_dict(data: dict) -> EventFamily:
-    """The family that ``family_to_json_dict`` wrote, or a ValueError naming the fault.
+    """The family that ``family_to_json_dict`` wrote, or an InputError naming the fault.
 
     Each event entry is parsed through one table per family, built from
     ``base.sorted_arcs``, that maps a ``(tail label, head label)`` pair to
@@ -371,7 +366,7 @@ def family_from_json_dict(data: dict) -> EventFamily:
         base = digraph_from_json_dict(data["graph"])
         raw_events = list(data["events"])
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed family JSON: {exc}") from exc
+        raise InputError(f"malformed family JSON: {exc}") from exc
     label = base.label
     arc_bits = {(label(t), label(h)): 1 << i for i, (t, h) in enumerate(base.sorted_arcs)}
     masks = []
@@ -397,15 +392,22 @@ def _entry_mask_arc_by_arc(base: Digraph, i: int, entry) -> int:
         try:
             return index[str(label)]
         except KeyError:
-            raise ValueError(f"{where}: unknown node label {str(label)!r}") from None
+            raise InputError(f"{where}: unknown node label {str(label)!r}") from None
 
     try:
-        arcs = {(node(t), node(h)) for t, h in entry["arcs"]}
+        pairs = list(entry["arcs"])
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        raise InputError(f"{where}: {exc}") from exc
+    arcs = set()
+    for pair in pairs:
+        try:
+            tail, head = pair
+        except (TypeError, ValueError):
+            raise InputError(f"{where}: arc {pair!r} is not a pair") from None
+        arcs.add((node(tail), node(head)))
     extra = sorted(arcs - base.arcs)
     if extra:
         labelled = [[base.label(t), base.label(h)] for t, h in extra]
-        raise ValueError(f"{where}: arcs not in base graph: {labelled}")
+        raise InputError(f"{where}: arcs not in base graph: {labelled}")
     bit = base.arc_bit
     return sum(1 << bit[a] for a in arcs)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from .budget import InputError
+
 Arc = tuple[int, int]
 
 
@@ -52,19 +54,19 @@ class Digraph:
 
     def __post_init__(self) -> None:
         if self.node_count < 0:
-            raise ValueError("node_count must be non-negative")
+            raise InputError("node_count must be non-negative")
         object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
         for tail, head in self.arcs:
             if not (0 <= tail < self.node_count and 0 <= head < self.node_count):
-                raise ValueError(f"arc ({tail},{head}) out of range for {self.node_count} nodes")
+                raise InputError(f"arc ({tail},{head}) out of range for {self.node_count} nodes")
             if tail == head:
-                raise ValueError(f"self-loop ({tail},{head}) rejected")
+                raise InputError(f"self-loop ({tail},{head}) rejected")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.node_count:
-                raise ValueError("labels must cover every node")
+                raise InputError("labels must cover every node")
             if len(set(self.labels)) != self.node_count:
-                raise ValueError("labels must be unique")
+                raise InputError("labels must be unique")
 
     # -- basic views --
 
@@ -102,13 +104,6 @@ class Digraph:
         for arc, bit in self.arc_bit.items():
             masks[arc[0]] |= 1 << bit
         return tuple(masks)
-
-    @cached_property
-    def is_symmetric(self) -> bool:
-        return all((head, tail) in self.arcs for tail, head in self.arcs)
-
-    def out_neighbors(self, u: int) -> tuple[int, ...]:
-        return mask_nodes(self.out_masks[u])
 
     # -- labels --
 
@@ -165,9 +160,9 @@ def arc_connectivity(g: Digraph) -> int:
     """
     n = g.node_count
     if n < 2:
-        raise ValueError("arc connectivity needs at least two nodes")
-    if not g.is_symmetric:
-        raise ValueError("arc connectivity is defined for symmetric digraphs only")
+        raise InputError("arc connectivity needs at least two nodes")
+    if any((head, tail) not in g.arcs for tail, head in g.arcs):
+        raise InputError("arc connectivity is defined for symmetric digraphs only")
     return min(_arc_flow(g, 0, t) for t in range(1, n))
 
 
@@ -181,7 +176,7 @@ def _arc_flow(g: Digraph, s: int, t: int) -> int:
         queue = deque([s])
         while queue and t not in prev:
             x = queue.popleft()
-            for y in g.out_neighbors(x):
+            for y in mask_nodes(g.out_masks[x]):
                 if y not in prev and residual[(x, y)]:
                     prev[y] = x
                     queue.append(y)
@@ -249,17 +244,17 @@ def digraph_from_json_dict(data: dict) -> Digraph:
         nodes = list(data["nodes"])
         raw_arcs = list(data["arcs"])
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed digraph JSON: {exc}") from exc
+        raise InputError(f"malformed digraph JSON: {exc}") from exc
     index = {str(name): i for i, name in enumerate(nodes)}
     if len(index) != len(nodes):
-        raise ValueError("duplicate node names in digraph JSON")
+        raise InputError("duplicate node names in digraph JSON")
     arcs = set()
     for pair in raw_arcs:
         try:
             tail, head = pair
         except (TypeError, ValueError):
-            raise ValueError(f"malformed digraph JSON: arc {pair!r} is not a pair") from None
+            raise InputError(f"malformed digraph JSON: arc {pair!r} is not a pair") from None
         if str(tail) not in index or str(head) not in index:
-            raise ValueError(f"arc {pair!r} references unknown node")
+            raise InputError(f"arc {pair!r} references unknown node")
         arcs.add((index[str(tail)], index[str(head)]))
     return Digraph(len(nodes), frozenset(arcs), tuple(str(n) for n in nodes))

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any
 
-from .budget import Budget, effective_budget
+from .budget import Budget, InputError, effective_budget
 from .events import EventFamily, is_convex
 from .graphs import mask_nodes
 from .simulator import ProtocolSpec, ProtocolError
@@ -234,7 +234,7 @@ def min_consensus_rounds(
     mixing chain showing why that horizon is not enough.
     """
     if max_horizon < 0:
-        raise ValueError("horizon must be non-negative")
+        raise InputError("horizon must be non-negative")
     budget = effective_budget(budget)
     n = family.base.node_count
     k = len(family)
@@ -433,7 +433,7 @@ def equal_rounds_audit(
     budget's execution cap; the report's horizon is that h.
     """
     if not is_convex(family):
-        raise ValueError("the equal-rounds audit applies to convex families only")
+        raise InputError("the equal-rounds audit applies to convex families only")
     budget = effective_budget(budget)
     best = optimal_broadcast_rounds(family, budget)
     if best is None:

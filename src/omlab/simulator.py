@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .budget import Budget, effective_budget
+from .budget import Budget, InputError, effective_budget
 from .events import EventFamily
 from .graphs import Arc, node_mask
 
@@ -75,7 +75,7 @@ def run(
     """Execute the protocol on input ``init`` subject to ``word``."""
     _check_letters(family, word, 0)
     if len(init) != family.base.node_count or any(value not in (0, 1) for value in init):
-        raise ValueError(f"input {init} is not one 0/1 value per node")
+        raise InputError(f"input {init} is not one 0/1 value per node")
     states, decisions = _start(protocol, init)
     all_states = [tuple(states)]
     deliveries: list[tuple[Arc, ...]] = []
@@ -93,7 +93,7 @@ def run(
 def _check_letters(family: EventFamily, word: tuple[int, ...], start: int) -> None:
     """Reject ``word`` if a letter from position ``start`` on is not an event index."""
     if any(letter not in range(len(family)) for letter in word[start:]):
-        raise ValueError(f"word {word} has a letter outside the {len(family)}-event family")
+        raise InputError(f"word {word} has a letter outside the {len(family)}-event family")
 
 
 def _start(
@@ -159,7 +159,7 @@ def _record_decisions(
 def flooding(u: int, rounds: int) -> ProtocolSpec:
     """Originator ``u`` sends its value; informed nodes forward every round."""
     if rounds < 0:
-        raise ValueError("round count must be non-negative")
+        raise InputError("round count must be non-negative")
 
     def init(v: int, value: int):
         return value if v == u else None
@@ -189,7 +189,7 @@ def broadcast_consensus(u: int, rounds: int) -> ProtocolSpec:
     ``rounds`` at least the worst-case flooding time.
     """
     if rounds < 0:
-        raise ValueError("round count must be non-negative")
+        raise InputError("round count must be non-negative")
 
     def init(v: int, value: int):
         got = value if v == u else None
@@ -233,12 +233,12 @@ def event_detection_consensus(
     """
     n = family.base.node_count
     if set(decision_map) != set(range(len(family))):
-        raise ValueError("decision map must cover exactly the family's events")
+        raise InputError("decision map must cover exactly the family's events")
     for e, origin in decision_map.items():
         event = family.events[e]
         for v in range(n):
             if v != origin and not event.out_masks[origin] >> v & 1:
-                raise ValueError(
+                raise InputError(
                     f"originator {family.base.label(origin)} does not reach "
                     f"{family.base.label(v)} in one round of {family.name(e)}"
                 )
@@ -249,7 +249,7 @@ def event_detection_consensus(
             senders = event.in_masks[v]
             if senders in senders_to_event:
                 other = senders_to_event[senders]
-                raise ValueError(
+                raise InputError(
                     f"node {family.base.label(v)} cannot distinguish "
                     f"{family.name(other)} from {family.name(e)}"
                 )
@@ -340,7 +340,7 @@ def exhaustive_check(
     """``check_scenarios`` over every length-``horizon`` word of the family,
     in lexicographic order, so each prefix is simulated once."""
     if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+        raise InputError("horizon must be non-negative")
     k = len(family)
     words = product(range(k), repeat=horizon)
     return _sweep(protocol, family, words, k**horizon, horizon, budget)

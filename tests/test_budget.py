@@ -1,10 +1,24 @@
-"""``Budget.from_env``: how ``OMLAB_BUDGET`` is read, and the cap message."""
+"""``Budget.from_env``: how ``OMLAB_BUDGET`` is read, the cap message, and the
+one error type that the library's input checks raise."""
 from __future__ import annotations
 
 import pytest
 
-from omlab import Budget, BudgetExceededError, cli
+from omlab import (
+    Budget,
+    BudgetExceededError,
+    Digraph,
+    InputError,
+    arc_connectivity,
+    cli,
+    complete_digraph,
+    digraph_from_json_dict,
+    equal_rounds_audit,
+    event_detection_consensus,
+    family_from_json_dict,
+)
 from omlab.budget import DEFAULT_MAX_GAME_NODES
+from omlab.bundled import crash_scheme_prefixes, load_family
 
 
 def test_unset_or_empty_gives_the_defaults(monkeypatch):
@@ -64,3 +78,33 @@ def test_cli_names_the_variable_once(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "omlab: error: OMLAB_BUDGET: cannot parse entry: 'max_executions=abc'\n"
     )
+
+
+TWO_NODES = {"nodes": ["a", "b"], "arcs": [["a", "b"], ["b", "a"]]}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: digraph_from_json_dict({"nodes": ["a"]}), "malformed digraph JSON: 'arcs'"),
+        (lambda: family_from_json_dict({"graph": TWO_NODES, "events": [{"arcs": [["a"]]}]}),
+         "malformed event entry 0: arc ['a'] is not a pair"),
+        (lambda: load_family("nope"), "unknown bundled example 'nope' "
+         "(known: reliable-2node, O1-2node, H-2node, fig12, crash-C1)"),
+        (lambda: Budget.from_env("x"), "cannot parse entry: 'x'"),
+        (lambda: crash_scheme_prefixes(complete_digraph(3), 1),
+         "the crash scheme is defined on the complete 2-node digraph"),
+        (lambda: arc_connectivity(Digraph(2, frozenset({(0, 1)}))),
+         "arc connectivity is defined for symmetric digraphs only"),
+        (lambda: equal_rounds_audit(load_family("H-2node")),
+         "the equal-rounds audit applies to convex families only"),
+        (lambda: event_detection_consensus(load_family("fig12"), {0: 2}),
+         "decision map must cover exactly the family's events"),
+    ],
+    ids=["graph-json", "family-json", "unknown-bundled", "budget-env", "crash-on-k3",
+         "asymmetric-connectivity", "equal-rounds-not-convex", "incomplete-decide-map"],
+)
+def test_library_input_checks_raise_input_error(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

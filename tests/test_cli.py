@@ -64,16 +64,29 @@ INPUT_FILES = {
     "DUPLICATE_NODES": {"nodes": ["a", "a"], "arcs": []},
     "NO_ARCS": {"nodes": ["a", "b"]},
     "NOT_JSON": "{not json",
+    "ARC_OF_ONE": {"graph": {"nodes": ["a", "b"], "arcs": [["a", "b"]]},
+                   "events": [{"arcs": [["a"]]}]},
+    "ARC_OF_THREE": {"graph": {"nodes": ["a", "b"], "arcs": [["a", "b"]]},
+                     "events": [{"arcs": [["a", "b", "c"]]}]},
+    "ARC_NOT_A_LIST": {"graph": {"nodes": ["a", "b"], "arcs": [["a", "b"]]},
+                       "events": [{"arcs": [5]}]},
+    "NOT_TEXT": b"\xff\xfe{}",
+    # json.loads raises a plain ValueError, not a JSONDecodeError, past the
+    # interpreter's limit on the digits of an integer (4,300 by default).
+    "LONG_INTEGER": '{"nodes": [' + "9" * 5000 + '], "arcs": []}',
 }
 
 
 def with_input_files(argv: list[str], tmp_path: Path) -> list[str]:
     """``argv`` with each INPUT_FILES name replaced by the path of its file.
 
-    A string is the file's text as it stands; anything else is written as JSON.
+    Bytes or a string are the file's contents as they stand; anything else is
+    written as JSON.
     """
     for name, data in INPUT_FILES.items():
-        (tmp_path / f"{name}.json").write_text(data if isinstance(data, str) else json.dumps(data))
+        if not isinstance(data, (str, bytes)):
+            data = json.dumps(data)
+        (tmp_path / f"{name}.json").write_bytes(data if isinstance(data, bytes) else data.encode())
     return [str(tmp_path / f"{arg}.json") if arg in INPUT_FILES else arg for arg in argv]
 
 
@@ -121,6 +134,8 @@ def with_input_files(argv: list[str], tmp_path: Path) -> list[str]:
         ["oracle", "--path", "0", "--bounded", "0"],
         ["check", "--family", "NO_NODES"],
         ["gen", "--complete", "3", "--bounded", "1", "--format", "text"],
+        ["check", "--family", "NOT_TEXT"],
+        ["gen", "--graph", "LONG_INTEGER", "--bounded", "0"],
     ],
     ids=[
         "one-node-connectivity", "asymmetric-connectivity", "negative-bound",
@@ -134,6 +149,7 @@ def with_input_files(argv: list[str], tmp_path: Path) -> list[str]:
         "length-without-random", "seed-without-random", "origin-with-h-one-round",
         "rounds-with-h-one-round", "decide-map-with-flooding", "unknown-protocol",
         "no-nodes-check", "no-nodes-oracle", "no-nodes-family", "gen-text",
+        "family-not-text", "graph-integer-too-long",
     ],
 )
 def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
@@ -180,18 +196,41 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
         (["gen", "--graph", "DUPLICATE_NODES", "--bounded", "1"],
          "duplicate node names in digraph JSON"),
         (["gen", "--graph", "NO_ARCS", "--bounded", "1"], "malformed digraph JSON: 'arcs'"),
+        (["gen", "--complete", "3", "--bounded", "1", "-o", "missing/out.json"],
+         "cannot write missing/out.json: No such file or directory"),
+        (["check", "--family", "ARC_OF_ONE"], "malformed event entry 0: arc ['a'] is not a pair"),
+        (["check", "--family", "ARC_OF_THREE"],
+         "malformed event entry 0: arc ['a', 'b', 'c'] is not a pair"),
+        (["check", "--family", "ARC_NOT_A_LIST"], "malformed event entry 0: arc 5 is not a pair"),
     ],
     ids=["beta-with-text", "beta-with-dot", "scenario-superscript-digit",
          "scenario-arabic-indic-digit", "init-repeated-node", "family-not-json",
          "unknown-bundled", "generated-without-bound", "flooding-without-origin",
          "flooding-unknown-origin", "event-detection-without-map", "random-without-length",
          "simulate-without-mode", "equal-rounds-not-convex", "graph-duplicate-nodes",
-         "graph-without-arcs"],
+         "graph-without-arcs", "output-in-missing-directory", "family-arc-of-one",
+         "family-arc-of-three", "family-arc-not-a-list"],
 )
-def test_misplaced_and_malformed_inputs_exit_64_naming_the_fault(argv, message, capsys, tmp_path):
+def test_misplaced_and_malformed_inputs_exit_64_naming_the_fault(
+    argv, message, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
     assert cli.main(with_input_files(argv, tmp_path)) == 64
     paths = {name: tmp_path / f"{name}.json" for name in INPUT_FILES}
-    assert capsys.readouterr().err == f"omlab: error: {message.format(**paths)}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"omlab: error: {message.format(**paths)}\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+
+
+def test_a_value_error_no_input_check_raised_is_not_a_usage_error(monkeypatch):
+    def broken(family, budget=None):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "equal_rounds_audit", broken)
+    with pytest.raises(ValueError, match="^a bug$") as info:
+        cli.main(["audit", "equal-rounds", "--bundled", "O1-2node"])
+    assert type(info.value) is ValueError
 
 
 def test_sweep_report_lists_twenty_violations_and_counts_the_rest(capsys):

@@ -16,6 +16,7 @@ from omlab import (
     Event,
     EventFamily,
     IncompatibilityWitness,
+    InputError,
     beta_partition,
     check_broadcastable,
     check_consensus,
@@ -331,7 +332,7 @@ def test_initial_config_uniform_detection():
 def test_initial_config_from_mapping(two_node):
     family = EventFamily(two_node, (0b11,))
     assert cli._parse_init("white=0,black=1", family) == (0, 1)
-    with pytest.raises(cli.CliError, match="missing for nodes: \\['black'\\]"):
+    with pytest.raises(InputError, match="missing for nodes: \\['black'\\]"):
         cli._parse_init("white=0", family)
 
 
