@@ -16,7 +16,6 @@ from .equivalence import (
     AlphaWitness,
     BetaPartition,
     alpha_related,
-    alpha_star,
     beta_partition,
 )
 from .events import (

@@ -22,9 +22,14 @@ with the class as its own witnesses, and splits each class into the
 components found.  The first round runs on the single class of all
 events, so it is the transitive closure, one kernel call over all
 events; when it finds one class, it is also the last round.  When a
-round splits nothing, the witness edges of that round form a spanning
-tree of each class, so every intra-class pair has a replayable chain
-whose intermediates and witnesses all live in the class.  The result is
+class splits, the piece that holds all of its witnesses is final: a
+later round would meet the same witnesses, in the same order, and the
+same groups.  That piece settles with the class's edges inside it, and
+no later round calls the kernel on it, nor on a piece of one event,
+which has nothing to join.  When a round splits nothing, the witness
+edges of that round and of the settled pieces form a spanning tree of
+each class, so every intra-class pair has a replayable chain whose
+intermediates and witnesses all live in the class.  The result is
 self-verified, by a replay that builds each witness's head filter on
 its own, before it is returned; a failure raises instead of silently
 producing a partition that does not satisfy the closure condition.
@@ -36,6 +41,7 @@ Solvability analysis handles them separately as immediately fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .budget import InputError
 from .events import Event, EventFamily
@@ -75,81 +81,100 @@ class AlphaWitness:
 
 
 class _UnionFind:
+    """Disjoint sets over ``0..n-1``, with path halving."""
+
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
 
     def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def join(self, group: list[int]) -> list[int]:
+        """Join every member of ``group`` to the first; return those that were apart from it.
+
+        The first member's root is found once, and every other root found
+        is hung under it, so it stays the root for the whole group.
+        """
+        parent = self.parent
+        root = self.find(group[0])
+        apart = []
+        for x in group[1:]:
+            r = x
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            if r != root:
+                parent[r] = root
+                apart.append(x)
+        return apart
 
     def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
+        return bool(self.join([a, b]))
 
 
 def _connect(
     family: EventFamily, members: list[int]
-) -> tuple[list[list[int]], list[AlphaWitness]]:
+) -> tuple[list[list[int]], list[list[AlphaWitness]], int | None]:
     """Split ``members`` by the relations whose witnesses are members too.
 
     This is the one grouping kernel.  Each distinct nonzero source mask
     among the members is taken once, in member order, with its first
     member with that mask as the witness: its head filter is built once,
     the members are grouped by the arcs they deliver into that source
-    set, and each group's first member is joined with the rest.  Every
-    join that merges two components becomes a witness edge, in order, so
-    the edges form a spanning forest.  The scan stops as soon as the
-    members are connected.
+    set, and each group's first member is joined with the rest.  A
+    witness whose groups are all single members joins nothing and is
+    skipped.  Every join that merges two components becomes a witness
+    edge, in order, so the edges form a spanning forest.  The scan stops
+    as soon as the members are connected.
 
-    Returns the connected components (member indices in member order) and
-    the witness edges.  Source-less members never act as witnesses: they
-    observe nothing and would relate every pair vacuously.
+    Returns the connected components (member indices in member order),
+    the witness edges inside each component, and, when the members split,
+    the index of the component that holds every witness (``None`` when no
+    component does, or when the members stay connected).  Source-less
+    members never act as witnesses: they observe nothing and would relate
+    every pair vacuously.
     """
-    masks = family.masks
+    masks, source_masks, base = family.masks, family.source_masks, family.base
     arc_masks = [masks[i] for i in members]
-    uf = _UnionFind(len(members))
-    components = len(members)
-    edges: list[AlphaWitness] = []
-    seen_source_masks: set[int] = set()
-    for k in members:
+    size = len(members)
+    uf = _UnionFind(size)
+    components = size
+    joins: list[tuple[int, int, int]] = []  # (group's first position, joined one, witness)
+    witnesses: dict[int, int] = {}  # source mask -> position of its witness
+    for w, k in enumerate(members):
         if components == 1:
             break
-        b = family.source_masks[k]
-        if b == 0 or b in seen_source_masks:
+        b = source_masks[k]
+        if b == 0 or b in witnesses:
             continue
-        seen_source_masks.add(b)
-        head_filter = _head_filter(family.base, b)
+        witnesses[b] = w
+        head_filter = _head_filter(base, b)
         groups: dict[int, list[int]] = {}
         for pos, arcs in enumerate(arc_masks):
             groups.setdefault(arcs & head_filter, []).append(pos)
-        for first, *rest in groups.values():
-            for pos in rest:
-                if uf.union(first, pos):
-                    edges.append(AlphaWitness(members[first], members[pos], k))
-                    components -= 1
+        if len(groups) == size:
+            continue
+        for group in groups.values():
+            if len(group) > 1:
+                apart = uf.join(group)
+                components -= len(apart)
+                first = group[0]
+                joins.extend((first, pos, k) for pos in apart)
     if components == 1:
-        return [list(members)], edges
+        edges = [AlphaWitness(members[a], members[b], k) for a, b, k in joins]
+        return [list(members)], [edges], None
+    root = [uf.find(pos) for pos in range(size)]
     pieces: dict[int, list[int]] = {}
     for pos, i in enumerate(members):
-        pieces.setdefault(uf.find(pos), []).append(i)
-    return list(pieces.values()), edges
-
-
-def alpha_star(family: EventFamily) -> tuple[tuple[int, ...], ...]:
-    """Partition of event indices by the transitive closure of the relations.
-
-    Classes are the connected components of the graph that joins two
-    events whenever some member event's sources cannot distinguish them.
-    """
-    pieces, _edges = _connect(family, list(range(len(family))))
-    return tuple(sorted(tuple(p) for p in pieces))
+        pieces.setdefault(root[pos], []).append(i)
+    piece_edges: dict[int, list[AlphaWitness]] = {r: [] for r in pieces}
+    for a, b, k in joins:
+        piece_edges[root[a]].append(AlphaWitness(members[a], members[b], k))
+    keepers = {root[w] for w in witnesses.values()}
+    keeper = list(pieces).index(keepers.pop()) if len(keepers) == 1 else None
+    return list(pieces.values()), list(piece_edges.values()), keeper
 
 
 @dataclass(frozen=True)
@@ -165,11 +190,12 @@ class BetaPartition:
         """Replay every stored edge and recheck the closure condition.
 
         One union-find serves every class: the classes are checked to be
-        disjoint, and each edge must lie inside its class.  Each witness's
-        head filter is built once, from the ``Event.sources_mask`` of an
-        event built for it alone, so the replay shares nothing with the
-        family's ``source_masks``; every edge it witnesses compares the
-        two arc masks, read from ``family.masks``, under that filter.
+        disjoint and to cover every event, and each edge must lie inside
+        its class.  Each witness's head filter is built once, from the
+        ``Event.sources_mask`` of an event built for it alone, so the
+        replay shares nothing with the family's ``source_masks``; every
+        edge it witnesses compares the two arc masks, read from
+        ``family.masks``, under that filter.
         """
         base, masks = self.family.base, self.family.masks
         head_filters: dict[int, int] = {}
@@ -192,7 +218,7 @@ class BetaPartition:
                 uf.union(edge.left, edge.right)
             if len({uf.find(i) for i in members}) > 1:
                 return False
-        return True
+        return seen == set(range(len(masks)))
 
     def to_json_dict(self) -> dict:
         fam = self.family
@@ -223,31 +249,46 @@ def beta_partition(family: EventFamily) -> BetaPartition:
     class is observed once, and the scan stops as soon as the class is
     connected.  A class that is not connected splits into its components.
     The first round runs on the single class of all events, so it is the
-    transitive closure (``alpha_star``).  Splitting can only remove
-    witnesses from a class, so the refinement is monotone and stabilizes
-    after at most one round per event.  The witness edges of the round in
-    which no class splits are the result's spanning trees.
+    transitive closure.  Splitting can only remove witnesses from a class,
+    so the refinement is monotone and stabilizes after at most one round
+    per event.  The witness edges of the round in which no class splits
+    are the result's spanning trees.
+
+    A class that splits has had every one of its witnesses scanned, and no
+    group straddles two of its pieces.  So the piece that holds every
+    witness would meet the same witnesses in the same order, and the same
+    groups, in every later round: it is final, and its edges are the
+    class's edges inside it.  It settles at once, and no later round runs
+    the kernel on it.  A piece of one event settles too, with no edges:
+    the kernel would find it connected in every round.  The other
+    pieces, and the classes that did not split, go to the next round.
 
     ``iterations`` counts the rounds after the closure, up to and
     including the one that splits nothing; when the closure itself splits
     nothing, that round is the closure's, and the count is one.
     """
     classes = [list(range(len(family)))]
+    settled: list[tuple[list[int], list[AlphaWitness]]] = []
     rounds = 0
     while True:
         rounds += 1
-        next_classes: list[list[int]] = []
-        class_edges: list[tuple[AlphaWitness, ...]] = []
-        for members in classes:
-            pieces, edges = _connect(family, members)
-            next_classes.extend(pieces)
-            class_edges.append(tuple(edges))
-        if len(next_classes) == len(classes):
+        results = [_connect(family, members) for members in classes]
+        if all(len(pieces) == 1 for pieces, _edges, _keeper in results):
             break
-        classes = sorted(next_classes)
-    iterations = max(rounds - 1, 1)
+        classes = []
+        for pieces, piece_edges, keeper in results:
+            for j, piece in enumerate(pieces):
+                if j == keeper or len(piece) == 1:
+                    settled.append((piece, piece_edges[j]))
+                else:
+                    classes.append(piece)
+    settled += ((pieces[0], piece_edges[0]) for pieces, piece_edges, _keeper in results)
+    settled.sort(key=itemgetter(0))
     result = BetaPartition(
-        family, tuple(tuple(c) for c in classes), tuple(class_edges), iterations
+        family,
+        tuple(tuple(members) for members, _edges in settled),
+        tuple(tuple(edges) for _members, edges in settled),
+        max(rounds - 1, 1),
     )
     if not result.verify():
         raise AssertionError(

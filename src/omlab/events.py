@@ -358,7 +358,10 @@ def family_from_json_dict(data: dict) -> EventFamily:
     listed twice sets its bit once.  An entry the table cannot read, for
     a ``KeyError``, ``TypeError`` or ``ValueError``, is parsed again arc by
     arc; that path also reads labels that are not strings, such as JSON
-    integers, and raises the error that names what is wrong.
+    integers, and raises the error that names what is wrong.  The table
+    would read the string ``"ab"`` as the arc ``(a, b)``, so when some
+    node label is one character long, an entry holding a string takes
+    that path too; otherwise no string can match the table.
     """
     from .graphs import digraph_from_json_dict
 
@@ -369,12 +372,16 @@ def family_from_json_dict(data: dict) -> EventFamily:
         raise InputError(f"malformed family JSON: {exc}") from exc
     label = base.label
     arc_bits = {(label(t), label(h)): 1 << i for i, (t, h) in enumerate(base.sorted_arcs)}
+    strings_unpack = 1 in map(len, base.labels)
     masks = []
     names = []
     for i, entry in enumerate(raw_events):
         try:
             mask = 0
-            for t, h in entry["arcs"]:
+            arcs = entry["arcs"]
+            if strings_unpack and str in map(type, arcs):
+                raise TypeError
+            for t, h in arcs:
                 mask |= arc_bits[t, h]
         except (KeyError, TypeError, ValueError):
             mask = _entry_mask_arc_by_arc(base, i, entry)
@@ -401,6 +408,8 @@ def _entry_mask_arc_by_arc(base: Digraph, i: int, entry) -> int:
     arcs = set()
     for pair in pairs:
         try:
+            if isinstance(pair, str):  # "ab" would unpack into the labels a and b
+                raise TypeError
             tail, head = pair
         except (TypeError, ValueError):
             raise InputError(f"{where}: arc {pair!r} is not a pair") from None

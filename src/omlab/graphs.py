@@ -251,6 +251,8 @@ def digraph_from_json_dict(data: dict) -> Digraph:
     arcs = set()
     for pair in raw_arcs:
         try:
+            if isinstance(pair, str):  # "ab" would unpack into the labels a and b
+                raise TypeError
             tail, head = pair
         except (TypeError, ValueError):
             raise InputError(f"malformed digraph JSON: arc {pair!r} is not a pair") from None

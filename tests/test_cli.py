@@ -70,6 +70,11 @@ INPUT_FILES = {
                      "events": [{"arcs": [["a", "b", "c"]]}]},
     "ARC_NOT_A_LIST": {"graph": {"nodes": ["a", "b"], "arcs": [["a", "b"]]},
                        "events": [{"arcs": [5]}]},
+    # Two-character strings would unpack into the one-character labels a and b.
+    "GRAPH_ARC_STRING": {"graph": {"nodes": ["a", "b"], "arcs": ["ab", "ba"]},
+                         "events": [{"arcs": [["a", "b"]]}]},
+    "ARC_STRING": {"graph": {"nodes": ["a", "b"], "arcs": [["a", "b"], ["b", "a"]]},
+                   "events": [{"arcs": ["ab"]}]},
     "NOT_TEXT": b"\xff\xfe{}",
     # json.loads raises a plain ValueError, not a JSONDecodeError, past the
     # interpreter's limit on the digits of an integer (4,300 by default).
@@ -202,6 +207,9 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
         (["check", "--family", "ARC_OF_THREE"],
          "malformed event entry 0: arc ['a', 'b', 'c'] is not a pair"),
         (["check", "--family", "ARC_NOT_A_LIST"], "malformed event entry 0: arc 5 is not a pair"),
+        (["check", "--family", "GRAPH_ARC_STRING"],
+         "malformed digraph JSON: arc 'ab' is not a pair"),
+        (["check", "--family", "ARC_STRING"], "malformed event entry 0: arc 'ab' is not a pair"),
     ],
     ids=["beta-with-text", "beta-with-dot", "scenario-superscript-digit",
          "scenario-arabic-indic-digit", "init-repeated-node", "family-not-json",
@@ -209,7 +217,8 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
          "flooding-unknown-origin", "event-detection-without-map", "random-without-length",
          "simulate-without-mode", "equal-rounds-not-convex", "graph-duplicate-nodes",
          "graph-without-arcs", "output-in-missing-directory", "family-arc-of-one",
-         "family-arc-of-three", "family-arc-not-a-list"],
+         "family-arc-of-three", "family-arc-not-a-list", "family-graph-arc-string",
+         "family-arc-string"],
 )
 def test_misplaced_and_malformed_inputs_exit_64_naming_the_fault(
     argv, message, capsys, tmp_path, monkeypatch

@@ -10,7 +10,6 @@ from omlab import (
     Event,
     EventFamily,
     alpha_related,
-    alpha_star,
     beta_partition,
     complete_digraph,
     cycle_digraph,
@@ -19,7 +18,7 @@ from omlab import (
     mask_nodes,
     node_mask,
 )
-from omlab.equivalence import _head_filter
+from omlab.equivalence import _connect, _head_filter
 
 from conftest import A, B, C, D, BLACK, WHITE
 
@@ -72,6 +71,12 @@ def test_alpha_requires_shared_base(ok_event):
 
 
 # ---- alpha star -------------------------------------------------------------------
+
+def alpha_star(family: EventFamily) -> tuple[tuple[int, ...], ...]:
+    """The transitive closure: the kernel's components of all events, all of them witnesses."""
+    pieces = _connect(family, list(range(len(family))))[0]
+    return tuple(sorted(tuple(p) for p in pieces))
+
 
 def test_alpha_star_o1_single_class(o1):
     assert alpha_star(o1) == ((0, 1, 2),)
@@ -128,6 +133,12 @@ def test_beta_verify_catches_tampering(o1):
     forged = (AlphaWitness(left=1, right=2, witness=0),)
     tampered = replace(bp, class_edges=(forged,))
     assert not tampered.verify()
+
+
+def test_beta_verify_catches_a_missing_event(h_scheme):
+    bp = beta_partition(h_scheme)
+    assert bp.classes == ((0,), (1,))
+    assert not replace(bp, classes=bp.classes[:1], class_edges=bp.class_edges[:1]).verify()
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,11 @@
 
 The golden file holds ``BetaPartition.to_json_dict()`` (classes, witness
 edges in order, iteration count) for the bundled families and a few
-seeded random ones.  The reference partition is built straight from the
+seeded random ones.  The reference classes are built straight from the
 definition: every triple of a class is tested with ``alpha_related``, and
-the classes are split until a round changes nothing.
+the classes are split until a round changes nothing.  The reference
+edges are those of the round that changes nothing, with the kernel run
+afresh on every class and no class settled early.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from omlab import (
+    BetaPartition,
     EventFamily,
     alpha_related,
     beta_partition,
@@ -27,6 +30,7 @@ from omlab import (
     mask_nodes,
 )
 from omlab.bundled import load_family
+from omlab.equivalence import _connect
 
 GOLDEN = Path(__file__).parent / "data" / "beta_golden.json"
 
@@ -66,14 +70,16 @@ def golden_families() -> dict[str, EventFamily]:
     return families
 
 
-def reference_partition(family: EventFamily) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Classes and round count of the partition, from the definition alone.
+def reference_partition(family: EventFamily) -> BetaPartition:
+    """The partition, with classes and round count from the definition alone.
 
     Round 0 joins two events when some event with sources relates them;
     each later round keeps only relations whose witness lies in the class
     and splits the class into connected components.  Rounds are counted
     as ``beta_partition`` counts them: up to and including the first one
-    that changes nothing.
+    that changes nothing.  Each class's witness edges are those the
+    kernel finds when it is run on that class alone, as the last round
+    runs it when no class is settled early.
     """
 
     def components(members, witnesses):
@@ -105,8 +111,14 @@ def reference_partition(family: EventFamily) -> tuple[tuple[tuple[int, ...], ...
         rounds += 1
         refined = sorted(p for c in classes for p in components(list(c), list(c)))
         if refined == classes:
-            return tuple(classes), rounds
+            break
         classes = refined
+    class_edges = []
+    for c in classes:
+        pieces, piece_edges, _keeper = _connect(family, list(c))
+        assert pieces == [list(c)]
+        class_edges.append(tuple(piece_edges[0]))
+    return BetaPartition(family, tuple(classes), tuple(class_edges), rounds)
 
 
 def test_golden_file_covers_every_family():
@@ -123,13 +135,15 @@ def test_partition_matches_golden(key):
 @pytest.mark.parametrize("key", sorted(golden_families()))
 def test_partition_matches_reference(key):
     family = golden_families()[key]
-    bp = beta_partition(family)
-    assert (bp.classes, bp.iterations) == reference_partition(family)
+    assert beta_partition(family).to_json_dict() == reference_partition(family).to_json_dict()
 
 
-# Kernel calls per family: a closure with one class takes one call; the
-# closure of k4-34-40 finds 4 classes, which split into 6 that stay: 1 + 4 + 6.
-@pytest.mark.parametrize("key, calls", [("o1", 1), ("k4-1-80", 1), ("k4-34-40", 11)])
+# Kernel calls per family: a closure with one class takes one call.  The
+# closure of k4-34-40 finds classes of 35, 1, 2 and 2 events.  The 35 keep
+# every witness and the single event has nothing to join, so both settle.
+# The next round runs the two pairs, which split into single events that
+# all settle, and the last round runs nothing: 1 + 2.
+@pytest.mark.parametrize("key, calls", [("o1", 1), ("k4-1-80", 1), ("k4-34-40", 3)])
 def test_closure_is_the_first_round(key, calls, monkeypatch):
     """The closure runs once, and a closure with one class is also the last round."""
     counted = []
@@ -149,11 +163,52 @@ def test_closure_is_the_first_round(key, calls, monkeypatch):
 def test_reference_covers_no_source_events_and_several_rounds():
     families = golden_families()
     assert any(0 in families[f"random-{s}"].source_masks for s in RANDOM_SEEDS)
-    assert max(reference_partition(families[f"random-{s}"])[1] for s in RANDOM_SEEDS) >= 4
+    assert max(reference_partition(families[f"random-{s}"]).iterations for s in RANDOM_SEEDS) >= 4
 
 
 def test_partition_matches_reference_on_random_families():
     for seed in range(400, 460):
         family = random_family(seed)
-        bp = beta_partition(family)
-        assert (bp.classes, bp.iterations) == reference_partition(family)
+        assert beta_partition(family).to_json_dict() == reference_partition(family).to_json_dict()
+
+
+def agrees_with_reference(family: EventFamily) -> bool:
+    try:
+        return beta_partition(family).to_json_dict() == reference_partition(family).to_json_dict()
+    except AssertionError:  # the partition failed its own closure check
+        return False
+
+
+def witnesses(family: EventFamily, members: list[int]) -> set[int]:
+    """The first member of each distinct nonzero source mask."""
+    first = {}
+    for i in members:
+        first.setdefault(family.source_masks[i], i)
+    first.pop(0, None)
+    return set(first.values())
+
+
+def settle_a_piece_missing_one_witness(family, members):
+    pieces, piece_edges, keeper = _connect(family, members)
+    lacking = [witnesses(family, members) - set(p) for p in pieces]
+    short = [j for j, missing in enumerate(lacking) if len(missing) == 1]
+    return pieces, piece_edges, short[0] if short else keeper
+
+
+def settle_with_every_edge_of_the_class(family, members):
+    pieces, piece_edges, keeper = _connect(family, members)
+    if keeper is not None:
+        piece_edges[keeper] = [e for edges in piece_edges for e in edges]
+    return pieces, piece_edges, keeper
+
+
+@pytest.mark.parametrize(
+    "mutant", [settle_a_piece_missing_one_witness, settle_with_every_edge_of_the_class]
+)
+def test_reference_catches_a_wrongly_settled_piece(mutant, monkeypatch):
+    """Settling a piece the next round could split, or giving it edges from
+    outside it, changes the partition on some family."""
+    families = [*golden_families().values(), *map(random_family, range(400, 460))]
+    assert all(map(agrees_with_reference, families))
+    monkeypatch.setattr(equivalence, "_connect", mutant)
+    assert not all(map(agrees_with_reference, families))
