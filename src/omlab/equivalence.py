@@ -190,23 +190,26 @@ class BetaPartition:
         """Replay every stored edge and recheck the closure condition.
 
         One union-find serves every class: the classes are checked to be
-        disjoint and to cover every event, and each edge must lie inside
-        its class.  Each witness's head filter is built once, from the
+        disjoint and to cover every event, there must be one edge tuple
+        per class, and each edge must lie inside its class.  Each
+        witness's head filter is built once, from the
         ``Event.sources_mask`` of an event built for it alone, so the
         replay shares nothing with the family's ``source_masks``; every
         edge it witnesses compares the two arc masks, read from
         ``family.masks``, under that filter.
         """
+        if len(self.class_edges) != len(self.classes):
+            return False
         base, masks = self.family.base, self.family.masks
         head_filters: dict[int, int] = {}
         uf = _UnionFind(len(masks))
         seen: set[int] = set()
-        for ci, members in enumerate(self.classes):
+        for members, edges in zip(self.classes, self.class_edges):
             member_set = set(members)
             if seen & member_set:
                 return False
             seen |= member_set
-            for edge in self.class_edges[ci]:
+            for edge in edges:
                 if not {edge.left, edge.right, edge.witness} <= member_set:
                     return False
                 head_filter = head_filters.get(edge.witness)

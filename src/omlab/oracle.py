@@ -3,33 +3,44 @@
 The state of any deterministic algorithm after r rounds is a function of
 the node's full-information view: everything it could possibly have
 learned.  So r-round consensus exists if and only if the full-information
-views admit a consistent decision labelling.  Concretely: enumerate every
+views admit a consistent decision labelling.  Concretely: take every
 execution (binary input vector x scenario word of length r), link two
 executions whenever some node ends with the same view in both (that node,
 hence by agreement everyone, must decide the same value in both), and
 check that no connected component contains both an all-zeros-input and an
 all-ones-input execution.
 
-The search works on interned integer view ids, one level per round,
-each level built once from the one before for the whole horizon loop.
-Executions are numbered input-major, then by word in lexicographic
-order, so execution s*k + e of depth r is execution s of depth r - 1
-followed by letter e.  At depth 0 node v's id is 2v + x_v.  At depth r
-its id interns the tuple (v's id at depth r - 1, then the depth r - 1
-ids of v's in-neighbours under the letter, in node order), in one table
-per depth shared by all nodes.  Equal ids mean equal views, by induction
-on depth: a view holds its owner from depth 0, so an id fixes the node
-that holds it, the in-neighbour ids fix who delivered, and their order
-pairs each sender with its view.  So executions that share an id are
-exactly those that share a view, and no nested view is built or hashed
-during the search.  One breadth-first pass over the groups of executions
-that share an id labels every component by its lowest execution; while
-a component starts at an all-0 execution it also records how it reached
-each execution, so the first all-1 execution it reaches ends the mixing
-chain.  The decision table maps each final view's ``repr``, rendered once
-per id from the strings of the depth before, to its decision.
+The words alone decide the components.  Node v's view is its input-free
+*structure*, which the word fixes, with the inputs of the nodes it heard
+at the leaves, so (x, w) and (x', w') share it exactly when v has the
+same structure under w and w' and x = x' on the nodes v heard.  Link two
+words when some node has the same structure under both; in the *word
+component* C of w an execution moves to any word of C with its input
+fixed, and flips node u's input at any word where some node did not
+hear u, but never changes it on B(C), the nodes every node heard in
+every word of C.  So the component of (x, w) is C(w) x {x' : x' = x on
+B(C(w))}: r rounds suffice iff every B(C) is non-empty, and the
+decision "1 iff x is all 1 on B(C(w))" labels every component.
 
-On success the component labelling *is* a protocol on the same ids: a
+The search interns integer ids, one level per round, each level built
+once from the one before for the whole horizon loop.  Executions are
+numbered input-major, then by word in lexicographic order, so execution
+s*k + e of depth r is execution s of depth r - 1 followed by letter e.
+At depth 0 node v's view id is 2v + x_v and its structure id is v.  At
+depth r an id interns the tuple (v's id at depth r - 1, then the depth
+r - 1 ids of v's in-neighbours under the letter, in node order), in one
+table per depth shared by all nodes.  Equal ids mean equal views, by
+induction on depth: a view holds its owner from depth 0, so an id fixes
+the node that holds it, the in-neighbour ids fix who delivered, and
+their order pairs each sender with its view.  So no nested view is built
+or hashed during the search.  One breadth-first pass over the groups of
+words sharing a structure id labels the word components; the view ids
+of every execution are interned too, because the protocol and the
+decision table are read from them.  The decision table maps each final
+view's ``repr``, rendered once per id from the strings of the depth
+before, to its decision.
+
+On success the decision labelling *is* a protocol on the view ids: a
 node starts from its depth-0 id, each round sends its id and looks (its
 own id, the delivered ids in sender order) up in the next depth's table,
 and after r rounds decides its final id's label.  The certificate stays
@@ -37,12 +48,14 @@ independent of the search: ``exhaustive_check`` runs this protocol in the
 generic engine on every word and input, and since the tables are
 read-only, a node's state is a function of its own input and the
 messages it received, not of which execution the search saw.  On failure
-at the horizon, the offending component yields a replayable chain of
-executions from an all-0 input to an all-1 input, adjacent executions
-sharing one node's view: no algorithm can decide by round r without
-breaking agreement or validity somewhere along the chain.
-``verify_chain`` replays it with ``execution_views``, which builds the
-nested views directly and shares no code with the search.
+at the horizon, a breadth-first pass over executions sharing a view id,
+from the all-0 input at the least word w* whose component has B(C)
+empty to the first all-1 execution it reaches, yields a replayable chain
+of executions, adjacent executions sharing one node's view: no algorithm
+can decide by round r without breaking agreement or validity somewhere
+along the chain.  ``verify_chain`` replays it with ``execution_views``,
+which builds the nested views directly and shares no code with the
+search.
 
 Because a mobile scheme branches finitely, solvable consensus always has
 some uniform round bound, so "unsolvable up to horizon h" is meaningful
@@ -51,7 +64,9 @@ evidence but never a claim beyond h; the report records h explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import Any
 
 from .budget import Budget, InputError, effective_budget
@@ -256,13 +271,35 @@ def min_consensus_rounds(
     return OracleResult(max_horizon, None, None, None, search.mixing_chain())
 
 
+def _deepen(
+    cols: list[list[int]], in_nodes: list[list[list[int]]], k: int
+) -> tuple[list[list[int]], dict[tuple[int, ...], int]]:
+    """Intern one round deeper: column v's entry s*k + e keys (v's id at s,
+    then the ids at s of v's in-neighbours under letter e), in node order.
+    Returns the new columns and the table from key to id, in id order."""
+    intern: dict[tuple[int, ...], int] = {}
+    deeper = []
+    for v, own in enumerate(cols):
+        col = [0] * (len(own) * k)
+        for e, nodes in enumerate(in_nodes):
+            keys = zip(own, *(cols[u] for u in nodes[v]))
+            col[e::k] = [intern.setdefault(key, len(intern)) for key in keys]
+        deeper.append(col)
+    return deeper, intern
+
+
 class _Views:
-    """Interned view ids of every execution, one level per round.
+    """Interned view ids of every execution, and structure ids of every
+    word, one level per round.
 
     ``ids[v][s]`` is node v's view id in execution s of the current depth,
     and ``tables[d]`` maps what each id of depth d interns to the id, in
     id order.  The depth-0 keys are the views ``(v, x)``; a deeper key
-    starts from its owner's id of the depth before.
+    starts from its owner's id of the depth before.  ``structures[v][w]``
+    is node v's input-free view id under word w, interned the same way
+    from the depth-0 id v, and ``heard[i]`` is the mask of the nodes
+    whose inputs structure id i holds, node v at bit n - 1 - v as in an
+    input's index.
     """
 
     def __init__(self, family: EventFamily) -> None:
@@ -276,21 +313,16 @@ class _Views:
         self.tables: list[dict[tuple[int, ...], int]] = [
             {(v, x): 2 * v + x for v in range(n) for x in (0, 1)}
         ]
+        self.structures = [[v] for v in range(n)]
+        self.heard = [1 << n - 1 - v for v in range(n)]
 
     def extend(self) -> None:
         """Go one round deeper: state s*k + e is state s under letter e."""
-        k = self.k
-        old = self.ids
-        intern: dict[tuple[int, ...], int] = {}
-        ids = []
-        for v, own in enumerate(old):
-            col = [0] * (len(own) * k)
-            for e, in_nodes in enumerate(self.in_nodes):
-                keys = zip(own, *(old[u] for u in in_nodes[v]))
-                col[e::k] = [intern.setdefault(key, len(intern)) for key in keys]
-            ids.append(col)
-        self.ids = ids
-        self.tables.append(intern)
+        self.ids, table = _deepen(self.ids, self.in_nodes, self.k)
+        self.tables.append(table)
+        self.structures, table = _deepen(self.structures, self.in_nodes, self.k)
+        heard = self.heard
+        self.heard = [reduce(or_, map(heard.__getitem__, key)) for key in table]
 
     def reprs(self) -> list[str]:
         """``repr`` of the nested view of every id at the current depth, each
@@ -312,13 +344,13 @@ class _Views:
 
 
 class _Search:
-    """One-horizon component search: executions sharing a view id are joined.
+    """One-horizon search: words sharing a structure id are joined.
 
-    One breadth-first pass takes components in execution order and labels
-    each by its lowest execution.  Until a chain is found, a component that
-    starts at an all-0 execution records each execution's (parent execution,
-    owner of the shared view); the first all-1 execution it reaches ends
-    the chain.
+    One breadth-first pass takes word components in word order and ANDs
+    the heard masks of each into B(C).  It stops at the first component
+    with B(C) empty; ``start`` is that component's lowest word w*, and
+    the all-0 execution the chain starts from.  ``executions`` ranges over
+    the 2^n * k^r executions whose view ids ``views`` holds.
     """
 
     def __init__(self, family: EventFamily, rounds: int, views: _Views) -> None:
@@ -328,55 +360,98 @@ class _Search:
         self.k = k = len(family)
         # Execution i runs input vector i // k^r under word i % k^r.
         self.executions = range((1 << n) * k**rounds)
-        size = len(self.executions)
-        # The all-0 input comes first and the all-1 input last.
-        block = k**rounds if n else 0
-        members: list = [[] for _ in views.tables[-1]]
-        for col in views.ids:
-            for s, i in enumerate(col):
-                members[i].append(s)
-        self.root = root = [-1] * size
-        self.parent: dict[int, tuple[int, int]] = {}
-        self.goal: int | None = None
-        for start in self.executions:
-            if root[start] >= 0:
+        words = k**rounds
+        # words_of[i]: the words under which structure id i's node has it.
+        self.words_of = words_of = [[] for _ in views.heard]
+        for col in views.structures:
+            for w, i in enumerate(col):
+                words_of[i].append(w)
+        heard, scanned = views.heard, bytearray(len(words_of))
+        # common[w]: B(C(w)) as a mask of input bits; -1 until labelled.
+        self.common = common = [-1] * words
+        self.start: int | None = None
+        for start in range(words):
+            if common[start] >= 0:
                 continue
-            root[start] = start
-            record = start < block and self.goal is None
-            if record:
-                self.parent.clear()
+            common[start] = 0
+            mask = (1 << n) - 1
             queue = [start]
-            for idx in queue:
-                for owner, col in enumerate(views.ids):
-                    group, members[col[idx]] = members[col[idx]], ()
-                    # A group scanned once holds no unlabelled execution.
-                    for other in group:
-                        if root[other] < 0:
-                            root[other] = start
-                            queue.append(other)
-                            if record:
-                                self.parent[other] = (idx, owner)
-                                if other >= size - block:
-                                    self.goal = other
-                                    record = False
-        self.ones = set(root[size - block:])
-        self.solvable = self.goal is None
+            for w in queue:
+                for col in views.structures:
+                    # A group scanned once holds no unlabelled word.
+                    if not scanned[col[w]]:
+                        scanned[col[w]] = 1
+                        mask &= heard[col[w]]
+                        for other in words_of[col[w]]:
+                            if common[other] < 0:
+                                common[other] = 0
+                                queue.append(other)
+            if not mask and n:
+                self.start = start
+                break
+            for w in queue:
+                common[w] = mask
+        self.solvable = self.start is None
 
     def decisions(self) -> list[int]:
-        """The decision of every view id at this depth, by id."""
-        decision = [int(root in self.ones) for root in self.root]
+        """The decision of every view id at this depth, by id: 1 iff the
+        execution's input is all 1 on B(C) of its word's component."""
+        common = self.common
+        decision: list[int] = []
+        for x in range(1 << self.n):
+            decision += [int(x & bits == bits) for bits in common]
         by_id: dict[int, int] = {}
         for col in self.views.ids:
             by_id.update(zip(col, decision))
         return [by_id[i] for i in range(len(by_id))]
 
     def mixing_chain(self) -> IndistinguishabilityChain:
-        """The recorded chain: the parents walked back from the first all-1
-        execution reached, owner by owner and then by execution index."""
-        assert self.goal is not None, "only an unsolvable search records a chain"
-        path, nodes = [self.goal], []
-        while path[-1] in self.parent:
-            idx, node = self.parent[path[-1]]
+        """A chain from execution (all-0, w*) to the first all-1 execution
+        that a breadth-first pass over executions sharing a view id reaches,
+        taking groups owner by owner and each group by execution index.
+
+        Node v's view at (x, w) is shared by exactly the executions (x', w')
+        where v has w's structure and x' = x on what v heard, so each group
+        is listed from the structure's words when it is first reached.
+        """
+        assert self.start is not None, "only an unsolvable search has a chain"
+        n, words = self.n, self.k**self.rounds
+        views, words_of = self.views, self.words_of
+        scanned = bytearray(len(views.tables[-1]))
+        full = (1 << n) - 1
+        # The all-1 input comes last.
+        ones = len(self.executions) - words
+        parent: list = [None] * len(self.executions)
+        parent[self.start] = (-1, -1)
+        queue = [self.start]
+        for idx in queue:
+            x, w = divmod(idx, words)
+            for owner, col in enumerate(views.ids):
+                if scanned[col[idx]]:
+                    continue
+                scanned[col[idx]] = 1
+                sid = views.structures[owner][w]
+                fixed = views.heard[sid]
+                # Every input that agrees with x on ``fixed``, in increasing order.
+                y = x & fixed
+                while True:
+                    for other in words_of[sid]:
+                        other += y * words
+                        if parent[other] is None:
+                            parent[other] = (idx, owner)
+                            queue.append(other)
+                            if other >= ones:
+                                return self._chain(parent, other)
+                    if y | fixed == full:
+                        break
+                    y = ((y | fixed) + 1) & ~fixed | x & fixed
+        raise AssertionError("a component with B(C) empty holds an all-1 execution")
+
+    def _chain(self, parent: list, goal: int) -> IndistinguishabilityChain:
+        """The parents walked back from ``goal`` to the start."""
+        path, nodes = [goal], []
+        while path[-1] != self.start:
+            idx, node = parent[path[-1]]
             path.append(idx)
             nodes.append(node)
         return IndistinguishabilityChain(

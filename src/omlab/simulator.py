@@ -13,6 +13,12 @@ actual letter, except through what they receive.
 A sweep checks a sequence of words against every input; each word
 resumes from the runs of the longest prefix it shares with the word
 before it, so words in lexicographic order simulate each prefix once.
+It keeps one run record per input and prefix, ``[states, decisions,
+payloads]``: the payloads are the messages the states send, computed
+when the record is first stepped and kept for every later letter, and a
+stepped run shares its parent's decisions list until one of them
+changes.  ``run`` steps one run at a time and is the reference the sweep
+is tested against.
 
 Decisions are sticky: once a node's decision extractor reports a value,
 reporting a different value (or none) later is a protocol error.
@@ -25,7 +31,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .budget import Budget, InputError, effective_budget
 from .events import EventFamily
-from .graphs import Arc, node_mask
+from .graphs import Arc, mask_nodes, node_mask
 
 
 class ProtocolError(RuntimeError):
@@ -148,10 +154,11 @@ def _record_decisions(
             if value is not None:
                 decisions[v] = (value, round_no)
         elif value != previous[0]:
-            raise ProtocolError(
-                f"node {v} changed its decision from {previous[0]} to {value} "
-                f"at round {round_no}"
-            )
+            raise _changed_decision(v, previous[0], value, round_no)
+
+
+def _changed_decision(v: int, old: int, new: int | None, round_no: int) -> ProtocolError:
+    return ProtocolError(f"node {v} changed its decision from {old} to {new} at round {round_no}")
 
 
 # ---- standard protocols -------------------------------------------------------
@@ -352,23 +359,27 @@ def _sweep(
 ) -> CheckReport:
     """Check ``count`` words, in the given order, against every input.
 
-    ``levels[d]`` holds the runs of every input after the first d letters
-    of the previous word; each word keeps the levels of the prefix it
-    shares with that word and steps the rest.  A run that raises
-    ``ProtocolError`` stops, and keeps the error until a word ends on it:
-    errors surface in word-major, input-minor order, so the one raised is
-    the one a run per word and input would raise first.
+    ``levels[d]`` holds the run records of every input after the first d
+    letters of the previous word; each word keeps the levels of the prefix
+    it shares with that word and steps the rest, a whole level per loop.
+    A run that raises ``ProtocolError`` stops, and keeps the error until a
+    word ends on it: errors surface in word-major, input-minor order, so
+    the one raised is the one a run per word and input would raise first.
     """
     n = family.base.node_count
     runs = count << n
     effective_budget(budget).check("max_executions", runs)
     inits = list(product((0, 1), repeat=n))
+    # The common value of each uniform input, else None.
+    uniform = [init[0] if len(set(init)) == 1 else None for init in inits]
+    senders = [tuple(map(mask_nodes, event.in_masks)) for event in family.events]
+    message, transition, decision = protocol.message, protocol.transition, protocol.decision
     level = []
     for init in inits:
         try:
-            level.append(_start(protocol, init))
+            level.append([*_start(protocol, init), None])
         except ProtocolError as exc:
-            level.append((exc, None))
+            level.append([exc, None, None])
     levels = [level]
     previous: tuple[int, ...] = ()
     violations: list[Violation] = []
@@ -380,20 +391,55 @@ def _sweep(
         _check_letters(family, word, shared)
         del levels[shared + 1:]
         for round_no in range(shared + 1, len(word) + 1):
-            letter = word[round_no - 1]
+            if protocol.halting_round is not None and round_no > protocol.halting_round:
+                # A halted protocol keeps its states and decides nothing more.
+                levels.append(levels[-1])
+                continue
+            heard_from = senders[word[round_no - 1]]
             stepped = []
-            for states, decisions in levels[-1]:
-                if not isinstance(states, ProtocolError):
-                    decisions = list(decisions)
+            for record in levels[-1]:
+                states, decisions, payloads = record
+                if isinstance(states, ProtocolError):
+                    stepped.append(record)
+                    continue
+                if payloads is None:
                     try:
-                        states, _arcs = _step(protocol, family, states, letter, decisions, round_no)
+                        payloads = [message(u, state) for u, state in enumerate(states)]
                     except ProtocolError as exc:
-                        states = exc
-                stepped.append((states, decisions))
+                        payloads = exc
+                    record[2] = payloads
+                if isinstance(payloads, ProtocolError):
+                    stepped.append([payloads, decisions, None])
+                    continue
+                try:
+                    states = [
+                        transition(v, state, {
+                            u: payloads[u] for u in heard_from[v] if payloads[u] is not None
+                        })
+                        for v, state in enumerate(states)
+                    ]
+                    inherited = decisions
+                    for v, state in enumerate(states):
+                        value = decision(v, state)
+                        old = decisions[v]
+                        if old is None:
+                            if value is not None:
+                                if decisions is inherited:
+                                    decisions = list(decisions)
+                                decisions[v] = (value, round_no)
+                        elif value != old[0]:
+                            raise _changed_decision(v, old[0], value, round_no)
+                except ProtocolError as exc:
+                    states = exc
+                stepped.append([states, decisions, None])
             levels.append(stepped)
-        for init, (states, decisions) in zip(inits, levels[-1]):
+        for init, value, (states, decisions, _payloads) in zip(inits, uniform, levels[-1]):
             if isinstance(states, ProtocolError):
                 raise states
+            first = decisions[0] if n else None
+            # Every node decided the same value at the same round, and it is valid.
+            if first is not None and decisions.count(first) == n and value in (None, first[0]):
+                continue
             violations.extend(_check_run(word, init, decisions))
         previous = word
     return CheckReport(protocol.name, horizon, runs, tuple(violations))

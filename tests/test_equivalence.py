@@ -152,9 +152,13 @@ def test_beta_verify_catches_a_missing_event(h_scheme):
         ("o1", ((0, 1, 2), (2,)), ((AlphaWitness(0, 2, 1), AlphaWitness(0, 1, 2)), ())),
         # The one edge holds, but it leaves event 1 apart from the rest of the class.
         ("o1", ((0, 1, 2),), ((AlphaWitness(0, 2, 1),),)),
+        # Two classes that need no edges, but no edge tuple for either.
+        ("h_scheme", ((0,), (1,)), ()),
+        # Every class holds, but an edge tuple is left over with no class.
+        ("h_scheme", ((0,), (1,)), ((), (), ())),
     ],
     ids=["cached-witness-edge-fails", "witness-outside-class", "classes-overlap",
-         "edges-do-not-span"],
+         "edges-do-not-span", "edge-tuples-missing", "edge-tuple-left-over"],
 )
 def test_beta_verify_refutes_forged_partitions(request, fixture, classes, class_edges):
     bp = beta_partition(request.getfixturevalue(fixture))

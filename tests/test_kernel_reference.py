@@ -529,12 +529,18 @@ def test_oracle_matches_nested_tuple_search_on_bundled_families(name, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "base",
-    [complete_digraph(3), cycle_digraph(4), Digraph(0, frozenset()), Digraph(1, frozenset())],
-    ids=["K3", "C4", "0-node", "1-node"],  # each small base has one event, the empty one
+    "base, horizon",
+    [
+        (complete_digraph(3), 2), (cycle_digraph(4), 2),
+        # Each small base has one event, the empty one.
+        (Digraph(0, frozenset()), 2), (Digraph(1, frozenset()), 2),
+        # The benchmark's largest searches; C5 ends in a chain.
+        (cycle_digraph(4), 3), (complete_digraph(4), 3), (cycle_digraph(5), 2),
+    ],
+    ids=["K3", "C4", "0-node", "1-node", "C4-h3", "K4-h3", "C5-h2"],
 )
-def test_oracle_matches_nested_tuple_search_on_bounded_families(base, monkeypatch):
-    assert_oracle_matches_reference(generate_bounded_omissions(base, 1), 2, monkeypatch)
+def test_oracle_matches_nested_tuple_search_on_bounded_families(base, horizon, monkeypatch):
+    assert_oracle_matches_reference(generate_bounded_omissions(base, 1), horizon, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -699,17 +705,23 @@ def test_sweep_matches_reference_on_unsorted_crash_prefixes(horizon, two_node):
         assert_sweeps_match_reference(protocol, family, horizon, shuffled)
 
 
-def counting(transitions: list) -> ProtocolSpec:
-    """Never halts; appends the node to ``transitions`` at every transition."""
+def counting(transitions: list, messages: list | None = None) -> ProtocolSpec:
+    """Never halts; appends the node to ``transitions`` at every transition,
+    and to ``messages``, when given, at every message."""
 
     def transition(v, state, got):
         transitions.append(v)
         return state + 1
 
+    def message(v, state):
+        if messages is not None:
+            messages.append(v)
+        return state
+
     return ProtocolSpec(
         name="counting",
         init=lambda v, value: 0,
-        message=lambda v, state: state,
+        message=message,
         transition=transition,
         decision=lambda v, state: 0,
     )
@@ -727,6 +739,22 @@ def test_sweep_simulates_each_prefix_once(horizon, two_node):
     transitions.clear()
     check_scenarios(counting(transitions), family, sorted(words), horizon)
     assert len(transitions) == n * 2**n * len(prefixes)
+
+
+@pytest.mark.parametrize("horizon", range(4))
+def test_sweep_computes_each_runs_messages_once(horizon, two_node):
+    # A run's messages are computed when it is first stepped and kept for
+    # every letter after, so runs at the last depth send none.
+    family = load_family("O1-2node")
+    n, k = 2, 3
+    messages = []
+    exhaustive_check(counting([], messages), family, horizon)
+    assert len(messages) == n * 2**n * sum(k**d for d in range(horizon))
+    family, words = crash_scheme_prefixes(two_node, horizon)
+    stepped = {word[:d] for word in words for d in range(len(word))}
+    messages.clear()
+    check_scenarios(counting([], messages), family, sorted(words), horizon)
+    assert len(messages) == n * 2**n * len(stepped)
 
 
 def test_sweeps_check_the_execution_budget():
