@@ -13,7 +13,8 @@ from .solvability import (
 
 
 def _quote(name: str) -> str:
-    return '"' + name.replace('"', r"\"") + '"'
+    """A DOT quoted ID: backslashes doubled first, then each quote escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', r"\"") + '"'
 
 
 def digraph_dot(g: Digraph, name: str = "G", highlight_mask: int = 0) -> str:

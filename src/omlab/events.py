@@ -16,8 +16,11 @@ the masks as ``Event`` objects, built and cached the first time something
 that reads every event asks for it; a reader of one event builds just
 that ``Event``.  An ``Event``'s arc tuples and per-node neighbour masks
 are in turn cached views of its mask.  Only generated families are
-ordered: they are built in the order of their events' arc tuples.  Any
-other family keeps the order it was built in.
+ordered: ``generate_bounded_omissions`` builds them in the order of their
+events' arc tuples, as lists of omitted-arc patterns that it carries
+along each group of arcs and, on entering the next group, takes whole
+or filters by the omissions that group has left.  Any other family
+keeps the order it was built in.
 
 A family also has the transposed view: ``EventFamily.carriers`` holds, for
 each base arc, the bitset over event indices of the events that deliver
@@ -300,35 +303,63 @@ def generate_bounded_omissions(
     ``metric`` selects how omissions are counted: ``global`` bounds the
     total number of missing arcs, ``send`` bounds each node's missing
     out-arcs (``base.out_arc_bits``), ``recv`` each node's missing in-arcs
-    (``base.in_arc_bits``).  The family is counted first, then built
-    highest arc first: with the arcs above j decided and the masks in
-    arc-tuple order, the empty mask comes first, then every mask that
-    delivers j, then the others that omit j, each part in its old order.
-    The result is convex by construction.  Raises BudgetExceededError when
-    the family would exceed the budget's family cap.
+    (``base.in_arc_bits``).  The family is counted first, then built as
+    the sets ``o`` of arcs its events omit; each ``o`` becomes the event
+    ``full ^ o`` only at the end.
+
+    The walk decides the arcs highest first.  With the arcs above j
+    decided, it keeps the valid patterns in arc-tuple order as lists:
+    list b holds those with at least b omissions left in arc j's group.
+    Arc j turns list b into list b (j delivered) followed by list b + 1
+    with j omitted, except that "omit every arc from j on", whose tuple
+    is empty, goes to the front; it can only be the first pattern of
+    list b + 1.  Only the lists that the group's unbroken run of arcs
+    from j down can still use are built.  Entering a group, the walk
+    takes a list as the whole list, at no cost, when the group's decided
+    arcs cannot use up its omissions.  That always holds for a group with
+    no decided arc, that is the global group and each sender's block of
+    out-arcs, entered at its top arc; so those families cost about one
+    step per pattern.  Otherwise, as under ``recv``, the list is filtered
+    by ``bit_count``, and a run of one arc builds only lists 0 and 1.
+    The result is convex by construction.  Raises BudgetExceededError
+    when the family would exceed the budget's family cap.
     """
     if f < 0:
         raise InputError("omission bound must be non-negative")
     m = len(base.arcs)
-    groups = {
-        "global": ((1 << m) - 1,), "send": base.out_arc_bits, "recv": base.in_arc_bits,
-    }.get(metric)
+    full = (1 << m) - 1
+    groups = {"global": (full,), "send": base.out_arc_bits, "recv": base.in_arc_bits}.get(metric)
     if groups is None:
         raise InputError(f"unknown omission metric {metric!r}")
     count = _count_bounded([g.bit_count() for g in groups], f)
     effective_budget(budget).check("max_family_events", count)
-    masks = [0]
+    lists = [[0]]
     for j in reversed(range(m)):
         bit = 1 << j
-        # Arc j's group, cut to the arcs above j, all of them decided.
-        above = next(g for g in groups if g & bit) >> j + 1 << j + 1
-        limit = above.bit_count() - f
-        # x may omit j too while its group omits fewer than f arcs above j.
-        omit = [x for x in masks if (above & x).bit_count() > limit]
-        # The empty tuple is a prefix of every other, so it sorts first.
-        empty = omit[:1] == [0]
-        masks = omit[:empty] + [x | bit for x in masks] + omit[empty:]
-    return EventFamily(base, masks)
+        group = next(g for g in groups if g & bit)
+        # The group's unbroken run of arcs from j down, along which the lists carry over.
+        run = j + 1 - (~group & bit - 1).bit_length()
+        if not group & bit << 1:  # j enters its group: arc j + 1, if any, is in another
+            whole = lists[0]
+            decided = group >> j + 1 << j + 1
+            used = decided.bit_count()
+            lists = [whole]
+            for b in range(1, min(f, run) + 1):
+                limit = f - b  # decided omissions of the group that leave b
+                lists.append(
+                    whole if used <= limit
+                    else [o for o in whole if (decided & o).bit_count() <= limit]
+                )
+        lists.append([])
+        # Omitting every decided arc is the empty tuple, first wherever it is valid.
+        empty = [full >> j + 1 << j + 1]
+        grown = []
+        for kept, omit in zip(lists, lists[1:min(f + 1, run) + 1]):
+            tail = [o | bit for o in omit]
+            moved = omit[:1] == empty
+            grown.append(tail[:moved] + kept + tail[moved:])
+        lists = grown
+    return EventFamily(base, [full ^ o for o in lists[0]])
 
 
 # ---- JSON ----------------------------------------------------------------------

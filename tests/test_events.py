@@ -35,11 +35,13 @@ from omlab import (
     mask_nodes,
     node_mask,
     optimal_broadcast_rounds,
+    path_digraph,
     run,
     symmetric_digraph,
     verdict_to_json_dict,
 )
 from omlab.bundled import NAMES, load_family
+from omlab.events import _count_bounded
 from omlab.simulator import _check_run
 
 from conftest import BLACK, WHITE, random_connected_symmetric
@@ -281,36 +283,58 @@ def test_unknown_metric_rejected(two_node):
         generate_bounded_omissions(two_node, 1, "bogus")
 
 
+GROUP_OF = {"global": lambda arc: 0, "send": lambda arc: arc[0], "recv": lambda arc: arc[1]}
+
+
+def brute_force_bounded(base: Digraph, metric: str, bounds: range) -> dict[int, list[int]]:
+    """Per bound f, every arc mask within each group's cap, sorted by arc tuples."""
+    arcs = base.sorted_arcs
+    group = GROUP_OF[metric]
+    # The most omissions any one group sees, per arc mask.
+    worst = [
+        max(Counter(group(a) for i, a in enumerate(arcs) if not mask >> i & 1).values(),
+            default=0)
+        for mask in range(1 << len(arcs))
+    ]
+    return {f: sorted((m for m, w in enumerate(worst) if w <= f), key=mask_nodes) for f in bounds}
+
+
 def test_generator_matches_brute_force_reference():
-    """Every arc mask within each group's cap, sorted by arc tuples, on
-    random asymmetric digraphs: the generator's masks in the generator's order."""
+    """The generator's masks in the generator's order, on random asymmetric
+    digraphs and on bases that reach each way of entering an arc's group."""
     rng = random.Random(31)
-    group_of = {"global": lambda arc: 0, "send": lambda arc: arc[0], "recv": lambda arc: arc[1]}
+    bases = []
     for _ in range(150):
         n = rng.randint(0, 6)
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        base = Digraph(n, frozenset(rng.sample(pairs, min(len(pairs), rng.randint(0, 10)))))
-        arcs = base.sorted_arcs
-        for metric, group in group_of.items():
-            # The most omissions any one group sees, per arc mask.
-            worst = [
-                max(Counter(group(a) for i, a in enumerate(arcs) if not mask >> i & 1).values(),
-                    default=0)
-                for mask in range(1 << len(arcs))
-            ]
-            for f in range(4):
-                expected = sorted((m for m, w in enumerate(worst) if w <= f), key=mask_nodes)
+        bases.append(Digraph(n, frozenset(rng.sample(pairs, min(len(pairs), rng.randint(0, 10))))))
+    # Under recv, arcs (0,2) and (1,2) are consecutive and share head 2,
+    # whose higher arc (3,2) is decided before them.
+    bases.append(Digraph(4, frozenset({(0, 2), (1, 2), (1, 3), (3, 2)})))
+    # Groups of one or two arcs, which f omits whole, so "omit every arc
+    # from j on" stays valid across group boundaries.
+    bases += [Digraph(5, frozenset((i, (i + 1) % 5) for i in range(5))), path_digraph(4)]
+    bases += [cycle_digraph(6), cycle_digraph(7), complete_digraph(4)]
+    for base in bases:
+        for metric in GROUP_OF:
+            for f, expected in brute_force_bounded(base, metric, range(5)).items():
                 family = generate_bounded_omissions(base, f, metric)
                 assert list(family.masks) == expected, (base, metric, f)
 
 
 def test_generator_output_is_canonically_ordered(two_node):
-    k4 = complete_digraph(4)
-    families = [generate_bounded_omissions(two_node, 2, "global")]
-    families += [generate_bounded_omissions(k4, 2, metric) for metric in ("global", "send", "recv")]
-    for family in families:
-        orders = [ev.sorted_arcs for ev in family.events]
-        assert orders == sorted(orders)
+    """Below and past brute-force size: strictly increasing arc tuples, one per counted event."""
+    k4, k5 = complete_digraph(4), complete_digraph(5)
+    cases = [(two_node, 2, "global")] + [(k4, 2, metric) for metric in ("global", "send", "recv")]
+    cases += [(complete_digraph(6), 3, "global"), (cycle_digraph(12), 2, "global")]
+    cases += [(k5, 2, "send"), (k5, 2, "recv")]
+    for base, f, metric in cases:
+        family = generate_bounded_omissions(base, f, metric)
+        groups = {"global": [(1 << len(base.arcs)) - 1], "send": base.out_arc_bits,
+                  "recv": base.in_arc_bits}[metric]
+        assert len(family) == _count_bounded([g.bit_count() for g in groups], f)
+        tuples = [tuple(base.sorted_arcs[i] for i in mask_nodes(x)) for x in family.masks]
+        assert all(a < b for a, b in zip(tuples, tuples[1:])), (base, f, metric)
 
 
 # ---- initial configurations: input tuples ---------------------------------------------
