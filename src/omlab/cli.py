@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -174,13 +175,16 @@ def _render(args: argparse.Namespace, **formats) -> None:
     function returns the object to serialize, the others return the text."""
     answer = formats[args.format]()
     text = json.dumps(answer, indent=2) if args.format == "json" else answer
-    if args.output:
-        try:
+    try:
+        if args.output:
             Path(args.output).write_text(text + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.output}: {exc.strerror}")
-    else:
-        print(text)
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        if not args.output:
+            # Python flushes stdout again at exit: send what is left nowhere.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputError(f"cannot write {args.output or 'stdout'}: {exc.strerror}")
 
 
 # ---- check --------------------------------------------------------------------

@@ -22,40 +22,40 @@ every word of C.  So the component of (x, w) is C(w) x {x' : x' = x on
 B(C(w))}: r rounds suffice iff every B(C) is non-empty, and the
 decision "1 iff x is all 1 on B(C(w))" labels every component.
 
-The search interns integer ids, one level per round, each level built
-once from the one before for the whole horizon loop.  Executions are
-numbered input-major, then by word in lexicographic order, so execution
-s*k + e of depth r is execution s of depth r - 1 followed by letter e.
-At depth 0 node v's view id is 2v + x_v and its structure id is v.  At
+The search interns integer structure ids, one level per round, each
+level built once from the one before for the whole horizon loop.  Words
+are numbered in lexicographic order, so word w*k + e of depth r is word
+w of depth r - 1 followed by letter e.  At depth 0 node v's id is v.  At
 depth r an id interns the tuple (v's id at depth r - 1, then the depth
 r - 1 ids of v's in-neighbours under the letter, in node order), in one
-table per depth shared by all nodes.  Equal ids mean equal views, by
-induction on depth: a view holds its owner from depth 0, so an id fixes
-the node that holds it, the in-neighbour ids fix who delivered, and
-their order pairs each sender with its view.  So no nested view is built
-or hashed during the search.  One breadth-first pass over the groups of
-words sharing a structure id labels the word components; the view ids
-of every execution are interned too, because the protocol and the
-decision table are read from them.  The decision table maps each final
-view's ``repr``, rendered once per id from the strings of the depth
-before, to its decision.
+table per depth shared by all nodes, and it heard what its key's ids
+heard.  Equal ids mean equal structures, by induction on depth: an id
+fixes the node that holds it, the in-neighbour ids fix who delivered,
+and their order pairs each sender with its structure.  So a view is the
+pair (structure id, inputs heard), and no nested view is built or
+hashed.  One breadth-first pass over the groups of words sharing an id
+labels the word components.
 
-On success the decision labelling *is* a protocol on the view ids: a
-node starts from its depth-0 id, each round sends its id and looks (its
-own id, the delivered ids in sender order) up in the next depth's table,
-and after r rounds decides its final id's label.  The certificate stays
-independent of the search: ``exhaustive_check`` runs this protocol in the
-generic engine on every word and input, and since the tables are
-read-only, a node's state is a function of its own input and the
-messages it received, not of which execution the search saw.  On failure
-at the horizon, a breadth-first pass over executions sharing a view id,
-from the all-0 input at the least word w* whose component has B(C)
-empty to the first all-1 execution it reaches, yields a replayable chain
-of executions, adjacent executions sharing one node's view: no algorithm
-can decide by round r without breaking agreement or validity somewhere
-along the chain.  ``verify_chain`` replays it with ``execution_views``,
-which builds the nested views directly and shares no code with the
-search.
+The protocol, the decision table and the chain read structures too.  On
+success the decision labelling *is* a protocol: a node starts from its
+depth-0 id and its input, each round sends its id and the heard inputs
+that are 1, looks (its own id, the delivered ids in sender order) up in
+the next depth's table, ORs in the delivered inputs, and after r rounds
+decides 1 iff they cover B(C) of its final id's component.  The decision
+table renders each final structure once, with a slot for each heard
+input, and fills it with every input the structure can hear.  The
+certificate stays independent of the search: ``exhaustive_check`` runs
+the protocol in the generic engine on every word and input, and since
+the tables are read-only, a node's state is a function of its own input
+and the messages it received, not of which execution the search saw.
+On failure at the horizon, a breadth-first pass over executions sharing
+a view, from the all-0 input at the least word w* whose component has
+B(C) empty to the first all-1 execution it reaches, yields a replayable
+chain of executions, adjacent executions sharing one node's view: no
+algorithm can decide by round r without breaking agreement or validity
+somewhere along the chain.  ``verify_chain`` replays it with
+``execution_views``, which builds the nested views directly and shares
+no code with the search.
 
 Because a mobile scheme branches finitely, solvable consensus always has
 some uniform round bound, so "unsolvable up to horizon h" is meaningful
@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import or_
+from operator import itemgetter, or_
 from typing import Any
 
 from .budget import Budget, InputError, effective_budget
@@ -109,26 +109,33 @@ def execution_views(
 # ---- full-information protocol ----------------------------------------------
 
 def full_information_protocol(
-    views: _Views, decisions: list[int], name: str = "oracle-protocol"
+    views: _Views, needs: list[int], name: str = "oracle-protocol"
 ) -> ProtocolSpec:
-    """Exchange view ids as deep as ``views`` goes, then decide ``decisions[id]``.
+    """Exchange structure ids as deep as ``views`` goes, with the heard
+    inputs that are 1 (node v at bit n - 1 - v), then decide 1 iff those
+    cover ``needs[id]``.
 
-    A view the tables lack gets id -1, which no key holds, so every view
-    built on it is missing too, as the nested view holding it would be.
+    A structure the tables lack gets id -1, which no key holds, so every
+    structure built on it is missing too, as the nested view would be.
     """
     tables = views.tables
     rounds = len(tables) - 1
+    n = len(tables[0])
 
     def init(v: int, value: int):
-        return (0, tables[0].get((v, value), -1))
+        return (0, v, value << n - 1 - v) if v in tables[0] else (0, -1, 0)
 
     def transition(v: int, state, delivered):
-        depth, own = state
+        depth, own, ones = state
+        key = [own]
         # The engine delivers in sender order, the order the keys list senders in.
-        return (depth + 1, tables[depth + 1].get((own, *delivered.values()), -1))
+        for sid, bits in delivered.values():
+            key.append(sid)
+            ones |= bits
+        return (depth + 1, tables[depth + 1].get(tuple(key), -1), ones)
 
     def decision(v: int, state):
-        depth, own = state
+        depth, own, ones = state
         if depth < rounds:
             return None
         if own < 0:
@@ -136,16 +143,43 @@ def full_information_protocol(
                 f"node {v} reached a view outside the decision table; "
                 "was the protocol run against the family it was built for?"
             )
-        return decisions[own]
+        need = needs[own]
+        return int(ones & need == need)
 
     return ProtocolSpec(
         name=name,
         init=init,
-        message=lambda v, state: state[1],
+        message=lambda v, state: state[1:],
         transition=transition,
         decision=decision,
         halting_round=rounds,
     )
+
+
+def _decision_table(views: _Views, needs: list[int]) -> dict[str, int]:
+    """``repr`` of every final view to its decision.  Each structure is
+    rendered once, from the strings of the depth before, with a ``%s``
+    where each heard input goes; ``slots`` lists those inputs' nodes."""
+    texts = [f"({v}, %s)" for v in views.tables[0]]
+    slots = [(v,) for v in views.tables[0]]
+    for table in views.tables[1:]:
+        # What a structure adds to those that hear it: (owner, structure).
+        # Its first slot, where its owner's input goes, names the owner.
+        heard = [f"({fill[0]}, {text})" for fill, text in zip(slots, texts)]
+        texts = [
+            # A one-item tuple prints a trailing comma.
+            f"({texts[own]}, ({', '.join(heard[u] for u in senders)}"
+            f"{',' if len(senders) == 1 else ''}))"
+            for own, *senders in table
+        ]
+        slots = [tuple(v for i in key for v in slots[i]) for key in table]
+    inputs = list(enumerate(product((0, 1), repeat=len(views.tables[0]))))
+    return {
+        text % itemgetter(*fill)(x): int(i & need == need)
+        for text, fill, heard_mask, need in zip(texts, slots, views.heard, needs)
+        # Each input the structure can hear: 0 on the nodes it did not.
+        for i, x in inputs if i | heard_mask == heard_mask
+    }
 
 
 # ---- the component search -----------------------------------------------------
@@ -251,55 +285,32 @@ def min_consensus_rounds(
     if max_horizon < 0:
         raise InputError("horizon must be non-negative")
     budget = effective_budget(budget)
-    n = family.base.node_count
-    k = len(family)
     views = _Views(family)
     search: _Search | None = None
     for r in range(max_horizon + 1):
-        budget.check("max_executions", (1 << n) * k**r)
+        budget.check("max_executions", (1 << family.base.node_count) * len(family)**r)
         if r:
             views.extend()
         search = _Search(family, r, views)
         if search.solvable:
-            decisions = search.decisions()
-            views.ids = []  # the result keeps the tables, not every execution's ids
-            protocol = full_information_protocol(views, decisions, f"oracle-protocol[r={r}]")
-            return OracleResult(
-                max_horizon, r, protocol, dict(zip(views.reprs(), decisions)), None
-            )
+            needs = search.needs()
+            protocol = full_information_protocol(views, needs, f"oracle-protocol[r={r}]")
+            return OracleResult(max_horizon, r, protocol, _decision_table(views, needs), None)
     assert search is not None
     return OracleResult(max_horizon, None, None, None, search.mixing_chain())
 
 
-def _deepen(
-    cols: list[list[int]], in_nodes: list[list[list[int]]], k: int
-) -> tuple[list[list[int]], dict[tuple[int, ...], int]]:
-    """Intern one round deeper: column v's entry s*k + e keys (v's id at s,
-    then the ids at s of v's in-neighbours under letter e), in node order.
-    Returns the new columns and the table from key to id, in id order."""
-    intern: dict[tuple[int, ...], int] = {}
-    deeper = []
-    for v, own in enumerate(cols):
-        col = [0] * (len(own) * k)
-        for e, nodes in enumerate(in_nodes):
-            keys = zip(own, *(cols[u] for u in nodes[v]))
-            col[e::k] = [intern.setdefault(key, len(intern)) for key in keys]
-        deeper.append(col)
-    return deeper, intern
-
-
 class _Views:
-    """Interned view ids of every execution, and structure ids of every
-    word, one level per round.
+    """Interned structure ids of every word, one level per round.
 
-    ``ids[v][s]`` is node v's view id in execution s of the current depth,
-    and ``tables[d]`` maps what each id of depth d interns to the id, in
-    id order.  The depth-0 keys are the views ``(v, x)``; a deeper key
-    starts from its owner's id of the depth before.  ``structures[v][w]``
-    is node v's input-free view id under word w, interned the same way
-    from the depth-0 id v, and ``heard[i]`` is the mask of the nodes
-    whose inputs structure id i holds, node v at bit n - 1 - v as in an
-    input's index.
+    ``structures[v][w]`` is node v's structure id under word w of the
+    current depth, and ``tables[d]`` lists what each id of depth d
+    interns, in id order: ``tables[0]`` the depth-0 owners, id v for node
+    v, and a deeper table maps each key, its owner's id of the depth
+    before and then its in-neighbours' ids, to the id.  ``heard[i]`` is
+    the mask of the nodes whose inputs structure id i holds, node v at
+    bit n - 1 - v as in an input's index.  A view is a structure id with
+    the inputs on its heard nodes.
     """
 
     def __init__(self, family: EventFamily) -> None:
@@ -308,39 +319,25 @@ class _Views:
         self.in_nodes = [
             [mask_nodes(event.in_masks[v]) for v in range(n)] for event in family.events
         ]
-        inits = list(product((0, 1), repeat=n))
-        self.ids = [[2 * v + x[v] for x in inits] for v in range(n)]
-        self.tables: list[dict[tuple[int, ...], int]] = [
-            {(v, x): 2 * v + x for v in range(n) for x in (0, 1)}
-        ]
+        self.tables: list[Any] = [range(n)]
         self.structures = [[v] for v in range(n)]
         self.heard = [1 << n - 1 - v for v in range(n)]
 
     def extend(self) -> None:
-        """Go one round deeper: state s*k + e is state s under letter e."""
-        self.ids, table = _deepen(self.ids, self.in_nodes, self.k)
+        """Go one round deeper: column v's entry w*k + e keys (v's id at w,
+        then the ids at w of v's in-neighbours under letter e), in node order."""
+        cols, k = self.structures, self.k
+        table: dict[tuple[int, ...], int] = {}
+        self.structures = []
+        for v, own in enumerate(cols):
+            col = [0] * (len(own) * k)
+            for e, nodes in enumerate(self.in_nodes):
+                keys = zip(own, *(cols[u] for u in nodes[v]))
+                col[e::k] = [table.setdefault(key, len(table)) for key in keys]
+            self.structures.append(col)
         self.tables.append(table)
-        self.structures, table = _deepen(self.structures, self.in_nodes, self.k)
         heard = self.heard
         self.heard = [reduce(or_, map(heard.__getitem__, key)) for key in table]
-
-    def reprs(self) -> list[str]:
-        """``repr`` of the nested view of every id at the current depth, each
-        rendered once from the strings of the depth before."""
-        views = list(map(repr, self.tables[0]))
-        owners = [v for v, _x in self.tables[0]]
-        for table in self.tables[1:]:
-            # What a view adds to the views that hear it: (owner, view).
-            heard = list(map("({}, {})".format, owners, views))
-            views = [
-                # A one-item tuple prints a trailing comma.
-                f"({views[own]}, ({', '.join(heard[u] for u in senders)}"
-                f"{',' if len(senders) == 1 else ''}))"
-                for own, *senders in table
-            ]
-            # An id belongs to the owner of the id its key starts from.
-            owners = [owners[key[0]] for key in table]
-        return views
 
 
 class _Search:
@@ -350,7 +347,7 @@ class _Search:
     the heard masks of each into B(C).  It stops at the first component
     with B(C) empty; ``start`` is that component's lowest word w*, and
     the all-0 execution the chain starts from.  ``executions`` ranges over
-    the 2^n * k^r executions whose view ids ``views`` holds.
+    the 2^n * k^r executions the chain walks.
     """
 
     def __init__(self, family: EventFamily, rounds: int, views: _Views) -> None:
@@ -393,21 +390,15 @@ class _Search:
                 common[w] = mask
         self.solvable = self.start is None
 
-    def decisions(self) -> list[int]:
-        """The decision of every view id at this depth, by id: 1 iff the
-        execution's input is all 1 on B(C) of its word's component."""
+    def needs(self) -> list[int]:
+        """B(C) of every structure id's word component, by id: the inputs
+        a node with that id must see all 1 to decide 1."""
         common = self.common
-        decision: list[int] = []
-        for x in range(1 << self.n):
-            decision += [int(x & bits == bits) for bits in common]
-        by_id: dict[int, int] = {}
-        for col in self.views.ids:
-            by_id.update(zip(col, decision))
-        return [by_id[i] for i in range(len(by_id))]
+        return [common[words[0]] for words in self.words_of]
 
     def mixing_chain(self) -> IndistinguishabilityChain:
         """A chain from execution (all-0, w*) to the first all-1 execution
-        that a breadth-first pass over executions sharing a view id reaches,
+        that a breadth-first pass over executions sharing a view reaches,
         taking groups owner by owner and each group by execution index.
 
         Node v's view at (x, w) is shared by exactly the executions (x', w')
@@ -417,7 +408,7 @@ class _Search:
         assert self.start is not None, "only an unsolvable search has a chain"
         n, words = self.n, self.k**self.rounds
         views, words_of = self.views, self.words_of
-        scanned = bytearray(len(views.tables[-1]))
+        scanned: set[tuple[int, int]] = set()
         full = (1 << n) - 1
         # The all-1 input comes last.
         ones = len(self.executions) - words
@@ -426,14 +417,15 @@ class _Search:
         queue = [self.start]
         for idx in queue:
             x, w = divmod(idx, words)
-            for owner, col in enumerate(views.ids):
-                if scanned[col[idx]]:
-                    continue
-                scanned[col[idx]] = 1
-                sid = views.structures[owner][w]
+            for owner, col in enumerate(views.structures):
+                sid = col[w]
                 fixed = views.heard[sid]
-                # Every input that agrees with x on ``fixed``, in increasing order.
+                # The view is the structure with the inputs it heard.
                 y = x & fixed
+                if (sid, y) in scanned:
+                    continue
+                scanned.add((sid, y))
+                # Every input that agrees with x on ``fixed``, in increasing order.
                 while True:
                     for other in words_of[sid]:
                         other += y * words

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,6 +233,31 @@ def test_misplaced_and_malformed_inputs_exit_64_naming_the_fault(
     assert captured.err == f"omlab: error: {message.format(**paths)}\n"
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+
+
+def start_omlab(*argv: str, **streams) -> subprocess.Popen:
+    """``python -m omlab.cli`` in a new process, with stderr piped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.Popen([sys.executable, "-m", "omlab.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, **streams)
+
+
+def test_stdout_closed_early_exits_64_with_one_line():
+    # K6 f=3 has 4,526 events: far more JSON than a pipe holds.
+    with start_omlab("gen", "--complete", "6", "--bounded", "3", stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 64
+    assert err == "omlab: error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_64_with_one_line():
+    with open("/dev/full", "w") as full, start_omlab(*H_ONE_ROUND[:-1], "2", stdout=full) as proc:
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 64
+    assert err == "omlab: error: cannot write stdout: No space left on device\n"
 
 
 def test_a_value_error_no_input_check_raised_is_not_a_usage_error(monkeypatch):
