@@ -5,8 +5,8 @@ informed-set game states, execution trees).  A ``Budget`` makes the caps
 explicit so oversized instances fail fast with a dedicated error instead
 of hanging.  The ``OMLAB_BUDGET`` environment variable overrides the
 defaults, either as a bare integer, which sets both the execution cap and
-the family-size cap, or as a comma list of ``key=value`` pairs, e.g.
-``OMLAB_BUDGET=max_executions=2000000``.
+the family-size cap, or as a comma list of ``key=value`` pairs that
+names each cap at most once, e.g. ``OMLAB_BUDGET=max_executions=2000000``.
 
 The CLI maps the two error types defined here to exit codes:
 ``BudgetExceededError``, which a capped enumeration raises, to 65, and
@@ -16,7 +16,7 @@ to 64.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 DEFAULT_MAX_FAMILY_EVENTS = 1 << 20
 DEFAULT_MAX_GAME_NODES = 20
@@ -58,15 +58,17 @@ class Budget:
         raw = raw.strip()
         if raw.isdecimal():
             return cls(max_executions=int(raw), max_family_events=int(raw))
-        budget = cls()
+        caps: dict[str, int] = {}
         names = {f.name for f in fields(cls)}
         for part in raw.split(","):
             key, sep, value = part.partition("=")
             key = key.strip()
             if not sep or key not in names or not value.strip().isdecimal():
                 raise InputError(f"cannot parse entry: {part!r}")
-            budget = replace(budget, **{key: int(value)})
-        return budget
+            if key in caps:
+                raise InputError(f"repeated entry: {part!r}")
+            caps[key] = int(value)
+        return cls(**caps)
 
 
 def effective_budget(budget: Budget | None) -> Budget:

@@ -34,9 +34,8 @@ def _event_cluster(
     g = event.base
     lines = [f"  subgraph cluster_{index} {{", f"    label={_quote(title)};"]
     for u in range(g.node_count):
-        attrs = ["shape=doublecircle"] if highlight_mask >> u & 1 else []
-        attr = f" [{','.join(attrs)}]" if attrs else ""
-        lines.append(f"    {_quote(f'{index}:{g.label(u)}')} [label={_quote(g.label(u))}]{attr};")
+        shape = " [shape=doublecircle]" if highlight_mask >> u & 1 else ""
+        lines.append(f"    {_quote(f'{index}:{g.label(u)}')} [label={_quote(g.label(u))}]{shape};")
     for tail, head in event.sorted_arcs:
         lines.append(
             f"    {_quote(f'{index}:{g.label(tail)}')} -> {_quote(f'{index}:{g.label(head)}')};"

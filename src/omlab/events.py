@@ -41,7 +41,7 @@ from math import comb
 from typing import Iterable, Literal, Sequence
 
 from .budget import Budget, InputError, effective_budget
-from .graphs import Arc, Digraph, mask_nodes, sources_of_arcs
+from .graphs import Arc, Digraph, arc_from_json, mask_nodes, sources_of_arcs
 
 OmissionMetric = Literal["global", "send", "recv"]
 
@@ -424,27 +424,11 @@ def family_from_json_dict(data: dict) -> EventFamily:
 def _entry_mask_arc_by_arc(base: Digraph, i: int, entry) -> int:
     """Arc mask of event entry ``i``, with labels compared as strings."""
     where = f"malformed event entry {i}"
-    index = base.label_index
-
-    def node(label) -> int:
-        try:
-            return index[str(label)]
-        except KeyError:
-            raise InputError(f"{where}: unknown node label {str(label)!r}") from None
-
     try:
         pairs = list(entry["arcs"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"{where}: {exc}") from exc
-    arcs = set()
-    for pair in pairs:
-        try:
-            if isinstance(pair, str):  # "ab" would unpack into the labels a and b
-                raise TypeError
-            tail, head = pair
-        except (TypeError, ValueError):
-            raise InputError(f"{where}: arc {pair!r} is not a pair") from None
-        arcs.add((node(tail), node(head)))
+    arcs = {arc_from_json(pair, base.label_index, where) for pair in pairs}
     extra = sorted(arcs - base.arcs)
     if extra:
         labelled = [[base.label(t), base.label(h)] for t, h in extra]

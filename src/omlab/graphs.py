@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .budget import InputError
 
@@ -239,6 +239,21 @@ def digraph_to_json_dict(g: Digraph) -> dict:
     }
 
 
+def arc_from_json(pair, index: Mapping[str, int], where: str) -> Arc:
+    """The arc of a JSON ``[tail, head]`` pair, each label read as a string
+    through ``index``; ``where`` opens the message of the error raised."""
+    try:
+        if isinstance(pair, str):  # "ab" would unpack into the labels a and b
+            raise TypeError
+        tail, head = pair
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: arc {pair!r} is not a pair") from None
+    try:
+        return index[str(tail)], index[str(head)]
+    except KeyError as exc:
+        raise InputError(f"{where}: unknown node label {exc.args[0]!r}") from None
+
+
 def digraph_from_json_dict(data: dict) -> Digraph:
     try:
         nodes = list(data["nodes"])
@@ -248,15 +263,5 @@ def digraph_from_json_dict(data: dict) -> Digraph:
     index = {str(name): i for i, name in enumerate(nodes)}
     if len(index) != len(nodes):
         raise InputError("duplicate node names in digraph JSON")
-    arcs = set()
-    for pair in raw_arcs:
-        try:
-            if isinstance(pair, str):  # "ab" would unpack into the labels a and b
-                raise TypeError
-            tail, head = pair
-        except (TypeError, ValueError):
-            raise InputError(f"malformed digraph JSON: arc {pair!r} is not a pair") from None
-        if str(tail) not in index or str(head) not in index:
-            raise InputError(f"arc {pair!r} references unknown node")
-        arcs.add((index[str(tail)], index[str(head)]))
+    arcs = {arc_from_json(pair, index, "malformed digraph JSON") for pair in raw_arcs}
     return Digraph(len(nodes), frozenset(arcs), tuple(str(n) for n in nodes))

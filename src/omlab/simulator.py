@@ -14,11 +14,13 @@ A sweep checks a sequence of words against every input; each word
 resumes from the runs of the longest prefix it shares with the word
 before it, so words in lexicographic order simulate each prefix once.
 It keeps one run record per input and prefix, ``[states, decisions,
-payloads]``: the payloads are the messages the states send, computed
-when the record is first stepped and kept for every later letter, and a
-stepped run shares its parent's decisions list until one of them
-changes.  ``run`` steps one run at a time and is the reference the sweep
-is tested against.
+payloads]``, which holds live state only: the payloads are the messages
+the states send, computed when the record is first stepped and kept for
+every later letter, and a stepped run shares its parent's decisions
+list until one of them changes.  ``run`` steps one run at a time and is
+the reference the sweep is tested against: a ``ProtocolError`` stops
+the sweep at the word it occurs in, and ``run`` on that word names the
+error.
 
 Decisions are sticky: once a node's decision extractor reports a value,
 reporting a different value (or none) later is a protocol error.
@@ -362,9 +364,12 @@ def _sweep(
     ``levels[d]`` holds the run records of every input after the first d
     letters of the previous word; each word keeps the levels of the prefix
     it shares with that word and steps the rest, a whole level per loop.
-    A run that raises ``ProtocolError`` stops, and keeps the error until a
-    word ends on it: errors surface in word-major, input-minor order, so
-    the one raised is the one a run per word and input would raise first.
+    The depth-0 level is built when the first word needs it, so a sweep of
+    no words raises nothing.  A record holds live state only: a word whose
+    steps raise ``ProtocolError`` ends the sweep.  Every earlier word ended
+    without one, so the first failing run in word-major, input-minor order
+    is one of this word's, and ``run`` on each input in turn raises the
+    error that one run per word and input would raise first.
     """
     n = family.base.node_count
     runs = count << n
@@ -374,13 +379,7 @@ def _sweep(
     uniform = [init[0] if len(set(init)) == 1 else None for init in inits]
     senders = [tuple(map(mask_nodes, event.in_masks)) for event in family.events]
     message, transition, decision = protocol.message, protocol.transition, protocol.decision
-    level = []
-    for init in inits:
-        try:
-            level.append([*_start(protocol, init), None])
-        except ProtocolError as exc:
-            level.append([exc, None, None])
-    levels = [level]
+    levels: list[list[list]] = []
     previous: tuple[int, ...] = ()
     violations: list[Violation] = []
     for word in words:
@@ -390,28 +389,21 @@ def _sweep(
         )
         _check_letters(family, word, shared)
         del levels[shared + 1:]
-        for round_no in range(shared + 1, len(word) + 1):
-            if protocol.halting_round is not None and round_no > protocol.halting_round:
-                # A halted protocol keeps its states and decides nothing more.
-                levels.append(levels[-1])
-                continue
-            heard_from = senders[word[round_no - 1]]
-            stepped = []
-            for record in levels[-1]:
-                states, decisions, payloads = record
-                if isinstance(states, ProtocolError):
-                    stepped.append(record)
+        try:
+            if not levels:
+                levels.append([[*_start(protocol, init), None] for init in inits])
+            for round_no in range(shared + 1, len(word) + 1):
+                if protocol.halting_round is not None and round_no > protocol.halting_round:
+                    # A halted protocol keeps its states and decides nothing more.
+                    levels.append(levels[-1])
                     continue
-                if payloads is None:
-                    try:
+                heard_from = senders[word[round_no - 1]]
+                stepped = []
+                for record in levels[-1]:
+                    states, decisions, payloads = record
+                    if payloads is None:
                         payloads = [message(u, state) for u, state in enumerate(states)]
-                    except ProtocolError as exc:
-                        payloads = exc
-                    record[2] = payloads
-                if isinstance(payloads, ProtocolError):
-                    stepped.append([payloads, decisions, None])
-                    continue
-                try:
+                        record[2] = payloads
                     states = [
                         transition(v, state, {
                             u: payloads[u] for u in heard_from[v] if payloads[u] is not None
@@ -429,13 +421,13 @@ def _sweep(
                                 decisions[v] = (value, round_no)
                         elif value != old[0]:
                             raise _changed_decision(v, old[0], value, round_no)
-                except ProtocolError as exc:
-                    states = exc
-                stepped.append([states, decisions, None])
-            levels.append(stepped)
-        for init, value, (states, decisions, _payloads) in zip(inits, uniform, levels[-1]):
-            if isinstance(states, ProtocolError):
-                raise states
+                    stepped.append([states, decisions, None])
+                levels.append(stepped)
+        except ProtocolError:
+            for init in inits:
+                run(protocol, family, word, init)
+            raise
+        for init, value, (_states, decisions, _payloads) in zip(inits, uniform, levels[-1]):
             first = decisions[0] if n else None
             # Every node decided the same value at the same round, and it is valid.
             if first is not None and decisions.count(first) == n and value in (None, first[0]):

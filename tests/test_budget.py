@@ -72,6 +72,28 @@ def test_check_names_cap_amount_and_limit():
     assert str(info.value) == "max_executions: 1,234,567 > 1,000"
 
 
+@pytest.mark.parametrize(
+    "raw, entry",
+    [
+        ("max_executions=5,max_executions=7", "max_executions=7"),
+        ("max_game_nodes=3, max_executions=9,max_game_nodes =3", "max_game_nodes =3"),
+    ],
+    ids=["different-values", "same-value-spaced-key"],
+)
+def test_repeated_entry_is_refused(raw, entry):
+    with pytest.raises(InputError) as info:
+        Budget.from_env(raw)
+    assert str(info.value) == f"repeated entry: {entry!r}"
+
+
+def test_cli_refuses_a_repeated_cap(monkeypatch, capsys):
+    monkeypatch.setenv("OMLAB_BUDGET", "max_executions=5,max_executions=7")
+    assert cli.main(["check", "--bundled", "fig12"]) == 64
+    assert capsys.readouterr().err == (
+        "omlab: error: OMLAB_BUDGET: repeated entry: 'max_executions=7'\n"
+    )
+
+
 def test_cli_names_the_variable_once(monkeypatch, capsys):
     monkeypatch.setenv("OMLAB_BUDGET", "max_executions=abc")
     assert cli.main(["check", "--bundled", "fig12"]) == 64

@@ -78,6 +78,7 @@ INPUT_FILES = {
                          "events": [{"arcs": [["a", "b"]]}]},
     "ARC_STRING": {"graph": {"nodes": ["a", "b"], "arcs": [["a", "b"], ["b", "a"]]},
                    "events": [{"arcs": ["ab"]}]},
+    "GRAPH_ARC_UNKNOWN_LABEL": {"nodes": ["a", "b"], "arcs": [["a", "b"], ["a", "z"]]},
     "NOT_TEXT": b"\xff\xfe{}",
     # json.loads raises a plain ValueError, not a JSONDecodeError, past the
     # interpreter's limit on the digits of an integer (4,300 by default).
@@ -213,6 +214,8 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
         (["check", "--family", "GRAPH_ARC_STRING"],
          "malformed digraph JSON: arc 'ab' is not a pair"),
         (["check", "--family", "ARC_STRING"], "malformed event entry 0: arc 'ab' is not a pair"),
+        (["gen", "--graph", "GRAPH_ARC_UNKNOWN_LABEL", "--bounded", "1"],
+         "malformed digraph JSON: unknown node label 'z'"),
     ],
     ids=["beta-with-text", "beta-with-dot", "scenario-superscript-digit",
          "scenario-arabic-indic-digit", "init-repeated-node", "family-not-json",
@@ -221,7 +224,7 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
          "simulate-without-mode", "equal-rounds-not-convex", "graph-duplicate-nodes",
          "graph-without-arcs", "output-in-missing-directory", "family-arc-of-one",
          "family-arc-of-three", "family-arc-not-a-list", "family-graph-arc-string",
-         "family-arc-string"],
+         "family-arc-string", "graph-arc-unknown-label"],
 )
 def test_misplaced_and_malformed_inputs_exit_64_naming_the_fault(
     argv, message, capsys, tmp_path, monkeypatch

@@ -669,6 +669,24 @@ def refuses_input_one() -> ProtocolSpec:
     )
 
 
+def refuses_second_message() -> ProtocolSpec:
+    """Sends its input every round and decides it at round 0, except that
+    node 1 on input 1 raises at its second message."""
+
+    def message(v, state):
+        if v == 1 and state == (1, 1):
+            raise ProtocolError("node 1 refuses a second message on input 1")
+        return state[1]
+
+    return ProtocolSpec(
+        name="refuses-second-message",
+        init=lambda v, value: (0, value),
+        message=message,
+        transition=lambda v, state, got: (state[0] + 1, state[1]),
+        decision=lambda v, state: state[1],
+    )
+
+
 def o1_words() -> list[tuple[int, ...]]:
     return list(product(range(3), repeat=2))
 
@@ -689,8 +707,10 @@ def o1_words() -> list[tuple[int, ...]]:
 )
 @pytest.mark.parametrize(
     "protocol",
-    [h_one_round(), flooding(0, 1), flip_flop(None), flip_flop(0), refuses_input_one()],
-    ids=["h-one-round", "flooding", "flip-flop", "halted-flip-flop", "fails-at-round-0"],
+    [h_one_round(), flooding(0, 1), flip_flop(None), flip_flop(0), refuses_input_one(),
+     refuses_second_message()],
+    ids=["h-one-round", "flooding", "flip-flop", "halted-flip-flop", "fails-at-round-0",
+         "fails-at-second-message"],
 )
 def test_sweep_matches_reference_in_any_word_order(protocol, words):
     assert_sweeps_match_reference(protocol, load_family("O1-2node"), 2, words)
