@@ -304,7 +304,7 @@ def _trace_json(trace: SimulationTrace, protocol: ProtocolSpec, family: EventFam
     g = family.base
     return {
         "protocol": protocol.name,
-        "scenario": [family.name(i) for i in trace.word],
+        "scenario": family.names_of(trace.word),
         "init": {g.label(u): v for u, v in enumerate(trace.init)},
         "rounds": [
             {
@@ -343,7 +343,7 @@ def _report_text(report: CheckReport, family: EventFamily) -> str:
         f"{'PASS' if report.passed else 'FAIL'} ({report.runs} runs)"
     ]
     for v in report.violations[:20]:
-        scenario = ",".join(family.name(i) for i in v.word)
+        scenario = ",".join(family.names_of(v.word))
         lines.append(f"  {v.kind}: scenario [{scenario}] init {list(v.init)}: {v.detail}")
     if len(report.violations) > 20:
         lines.append(f"  ... and {len(report.violations) - 20} more violations")

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .budget import InputError
 from .events import Event, EventFamily
@@ -66,9 +67,8 @@ def alpha_related(left: Event, right: Event, k: Event) -> bool:
     return left.arc_mask & head_filter == right.arc_mask & head_filter
 
 
-@dataclass(frozen=True)
-class AlphaWitness:
-    """Indices into a family: ``left`` and ``right`` related through ``witness``."""
+class AlphaWitness(NamedTuple):
+    """Indices into a family: ``left`` and ``right`` related through ``witness``, as a tuple."""
 
     left: int
     right: int
@@ -76,7 +76,7 @@ class AlphaWitness:
 
     def holds(self, family: EventFamily) -> bool:
         base, masks = family.base, family.masks
-        left, right, k = (Event(base, masks[i]) for i in (self.left, self.right, self.witness))
+        left, right, k = (Event(base, masks[i]) for i in self)
         return alpha_related(left, right, k)
 
 
@@ -111,7 +111,10 @@ class _UnionFind:
         return apart
 
     def union(self, a: int, b: int) -> bool:
-        return bool(self.join([a, b]))
+        """Join the sets of ``a`` and ``b``; return whether they were apart."""
+        a, b = self.find(a), self.find(b)
+        self.parent[b] = a
+        return a != b
 
 
 def _connect(
@@ -191,7 +194,9 @@ class BetaPartition:
 
         One union-find serves every class: the classes are checked to be
         disjoint and to cover every event, there must be one edge tuple
-        per class, and each edge must lie inside its class.  Each
+        per class, and each edge must lie inside its class.  A class is
+        connected exactly when its edges make ``len(members) - 1`` unions
+        that merge, so a class that lists an event twice never is.  Each
         witness's head filter is built once, from the
         ``Event.sources_mask`` of an event built for it alone, so the
         replay shares nothing with the family's ``source_masks``; every
@@ -209,37 +214,36 @@ class BetaPartition:
             if seen & member_set:
                 return False
             seen |= member_set
-            for edge in edges:
-                if not {edge.left, edge.right, edge.witness} <= member_set:
+            merges = 0
+            for left, right, k in edges:
+                if not (left in member_set and right in member_set and k in member_set):
                     return False
-                head_filter = head_filters.get(edge.witness)
+                head_filter = head_filters.get(k)
                 if head_filter is None:
-                    k = Event(base, masks[edge.witness])
-                    head_filter = head_filters[edge.witness] = _head_filter(base, k.sources_mask)
-                if (masks[edge.left] ^ masks[edge.right]) & head_filter:
+                    sources = Event(base, masks[k]).sources_mask
+                    head_filter = head_filters[k] = _head_filter(base, sources)
+                if (masks[left] ^ masks[right]) & head_filter:
                     return False
-                uf.union(edge.left, edge.right)
-            if len({uf.find(i) for i in members}) > 1:
+                merges += uf.union(left, right)
+            if merges != len(members) - 1:
                 return False
         return seen == set(range(len(masks)))
 
     def to_json_dict(self) -> dict:
         fam = self.family
+        # Every event is in one class, so every name is written: read them all once.
+        names = fam.names or fam.names_of(range(len(fam)))
         return {
             "iterations": self.iterations,
             "classes": [
                 {
-                    "events": [fam.name(i) for i in members],
+                    "events": [names[i] for i in members],
                     "witness_edges": [
-                        {
-                            "left": fam.name(e.left),
-                            "right": fam.name(e.right),
-                            "witness": fam.name(e.witness),
-                        }
-                        for e in self.class_edges[ci]
+                        {"left": names[left], "right": names[right], "witness": names[k]}
+                        for left, right, k in edges
                     ],
                 }
-                for ci, members in enumerate(self.classes)
+                for members, edges in zip(self.classes, self.class_edges)
             ],
         }
 

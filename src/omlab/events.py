@@ -155,6 +155,12 @@ class EventFamily:
             return self.names[index]
         return f"E{index}"
 
+    def names_of(self, indices: Iterable[int]) -> list[str]:
+        """``[self.name(i) for i in indices]``, with one check for ``names``."""
+        if self.names is None:
+            return [f"E{i}" for i in indices]
+        return list(map(self.names.__getitem__, indices))
+
     @cached_property
     def name_index(self) -> dict[str, int]:
         return {self.name(i): i for i in range(len(self.masks))}
@@ -384,15 +390,16 @@ def family_from_json_dict(data: dict) -> EventFamily:
     """The family that ``family_to_json_dict`` wrote, or an InputError naming the fault.
 
     Each event entry is parsed through one table per family, built from
-    ``base.sorted_arcs``, that maps a ``(tail label, head label)`` pair to
-    its arc bit: the entry's mask is the OR of its arcs' bits, and an arc
-    listed twice sets its bit once.  An entry the table cannot read, for
-    a ``KeyError``, ``TypeError`` or ``ValueError``, is parsed again arc by
-    arc; that path also reads labels that are not strings, such as JSON
-    integers, and raises the error that names what is wrong.  The table
-    would read the string ``"ab"`` as the arc ``(a, b)``, so when some
-    node label is one character long, an entry holding a string takes
-    that path too; otherwise no string can match the table.
+    ``base.sorted_arcs``: ``heads[tail label][head label]`` is that arc's
+    bit, so an arc costs two dict lookups and no key tuple.  The entry's
+    mask is the OR of its arcs' bits, and an arc listed twice sets its
+    bit once.  An entry the tables cannot read, for a ``KeyError``,
+    ``TypeError`` or ``ValueError``, is parsed again arc by arc; that path
+    also reads labels that are not strings, such as JSON integers, and
+    raises the error that names what is wrong.  The tables would read the
+    string ``"ab"`` as the arc ``(a, b)``, so when some node label is one
+    character long, an entry holding a string takes that path too;
+    otherwise no string can match them.
     """
     from .graphs import digraph_from_json_dict
 
@@ -401,8 +408,9 @@ def family_from_json_dict(data: dict) -> EventFamily:
         raw_events = list(data["events"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed family JSON: {exc}") from exc
-    label = base.label
-    arc_bits = {(label(t), label(h)): 1 << i for i, (t, h) in enumerate(base.sorted_arcs)}
+    heads: dict[str, dict[str, int]] = {}
+    for i, (t, h) in enumerate(base.sorted_arcs):
+        heads.setdefault(base.label(t), {})[base.label(h)] = 1 << i
     strings_unpack = 1 in map(len, base.labels)
     masks = []
     names = []
@@ -413,7 +421,7 @@ def family_from_json_dict(data: dict) -> EventFamily:
             if strings_unpack and str in map(type, arcs):
                 raise TypeError
             for t, h in arcs:
-                mask |= arc_bits[t, h]
+                mask |= heads[t][h]
         except (KeyError, TypeError, ValueError):
             mask = _entry_mask_arc_by_arc(base, i, entry)
         masks.append(mask)

@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import itemgetter, or_
+from operator import or_
 from typing import Any
 
 from .budget import Budget, InputError, effective_budget
@@ -158,27 +158,29 @@ def full_information_protocol(
 
 def _decision_table(views: _Views, needs: list[int]) -> dict[str, int]:
     """``repr`` of every final view to its decision.  Each structure is
-    rendered once, from the strings of the depth before, with a ``%s``
-    where each heard input goes; ``slots`` lists those inputs' nodes."""
-    texts = [f"({v}, %s)" for v in views.tables[0]]
-    slots = [(v,) for v in views.tables[0]]
+    rendered once, from the strings of the depth before, with the letter
+    ``chr(65 + v)``, which no rendered view holds, where node v's input
+    goes; one ``str.translate`` table per input fills every letter."""
+    owners = list(views.tables[0])
+    letters = "".join(chr(65 + v) for v in owners)
+    texts = [f"({v}, {letter})" for v, letter in zip(owners, letters)]
     for table in views.tables[1:]:
         # What a structure adds to those that hear it: (owner, structure).
-        # Its first slot, where its owner's input goes, names the owner.
-        heard = [f"({fill[0]}, {text})" for fill, text in zip(slots, texts)]
+        heard = [f"({v}, {text})" for v, text in zip(owners, texts)]
         texts = [
             # A one-item tuple prints a trailing comma.
             f"({texts[own]}, ({', '.join(heard[u] for u in senders)}"
             f"{',' if len(senders) == 1 else ''}))"
             for own, *senders in table
         ]
-        slots = [tuple(v for i in key for v in slots[i]) for key in table]
-    inputs = list(enumerate(product((0, 1), repeat=len(views.tables[0]))))
+        owners = [owners[key[0]] for key in table]
+    inputs = enumerate(product("01", repeat=len(letters)))
+    fills = [(i, str.maketrans(letters, "".join(x))) for i, x in inputs]
     return {
-        text % itemgetter(*fill)(x): int(i & need == need)
-        for text, fill, heard_mask, need in zip(texts, slots, views.heard, needs)
+        text.translate(fill): int(i & need == need)
+        for text, heard_mask, need in zip(texts, views.heard, needs)
         # Each input the structure can hear: 0 on the nodes it did not.
-        for i, x in inputs if i | heard_mask == heard_mask
+        for i, fill in fills if i | heard_mask == heard_mask
     }
 
 
@@ -209,13 +211,14 @@ def verify_chain(chain: IndistinguishabilityChain, family: EventFamily) -> bool:
             return False
     if set(execs[0].init) != {0} or set(execs[-1].init) != {1}:
         return False
-    for i, node in enumerate(chain.shared_nodes):
+    left = execution_views(family, execs[0].word, execs[0].init)
+    for node, ex in zip(chain.shared_nodes, execs[1:]):
         if not 0 <= node < n:
             return False
-        left = execution_views(family, execs[i].word, execs[i].init)
-        right = execution_views(family, execs[i + 1].word, execs[i + 1].init)
+        right = execution_views(family, ex.word, ex.init)
         if left[node] != right[node]:
             return False
+        left = right
     return True
 
 
@@ -262,7 +265,7 @@ class OracleResult:
                 "executions": [
                     {
                         "init": list(ex.init),
-                        "scenario": [family.name(i) for i in ex.word],
+                        "scenario": family.names_of(ex.word),
                     }
                     for ex in self.witness.executions
                 ],

@@ -316,7 +316,7 @@ class CheckReport:
             "violations": [
                 {
                     "kind": v.kind,
-                    "scenario": [family.name(i) for i in v.word],
+                    "scenario": family.names_of(v.word),
                     "init": list(v.init),
                     "detail": v.detail,
                 }

@@ -402,7 +402,7 @@ def witness_to_json_dict(witness: Witness | None, family: EventFamily) -> dict |
     if isinstance(witness, IncompatibilityWitness):
         return {
             "kind": "source-incompatible",
-            "events": [family.name(i) for i in witness.events],
+            "events": family.names_of(witness.events),
             "source_sets": [
                 [g.label(u) for u in mask_nodes(m)] for m in witness.source_masks
             ],
@@ -410,7 +410,7 @@ def witness_to_json_dict(witness: Witness | None, family: EventFamily) -> dict |
     if isinstance(witness, BetaClassWitness):
         return {
             "kind": "class-unbroadcastable",
-            "class": [family.name(i) for i in witness.class_events],
+            "class": family.names_of(witness.class_events),
             "incompatibility": witness_to_json_dict(witness.incompatibility, family),
         }
     raise TypeError(f"unknown witness type {type(witness)!r}")

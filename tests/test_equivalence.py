@@ -156,14 +156,24 @@ def test_beta_verify_catches_a_missing_event(h_scheme):
         ("h_scheme", ((0,), (1,)), ()),
         # Every class holds, but an edge tuple is left over with no class.
         ("h_scheme", ((0,), (1,)), ((), (), ())),
+        # The edges span the class, but the class lists event 2 twice.
+        ("o1", ((0, 1, 2, 2),), ((AlphaWitness(0, 2, 1), AlphaWitness(0, 1, 2)),)),
     ],
     ids=["cached-witness-edge-fails", "witness-outside-class", "classes-overlap",
-         "edges-do-not-span", "edge-tuples-missing", "edge-tuple-left-over"],
+         "edges-do-not-span", "edge-tuples-missing", "edge-tuple-left-over",
+         "class-lists-an-event-twice"],
 )
 def test_beta_verify_refutes_forged_partitions(request, fixture, classes, class_edges):
     bp = beta_partition(request.getfixturevalue(fixture))
     assert bp.verify()
     assert not replace(bp, classes=classes, class_edges=class_edges).verify()
+
+
+def test_alpha_witness_is_a_named_tuple():
+    edge = AlphaWitness(1, 2, 3)
+    assert edge == (1, 2, 3)
+    assert (edge.left, edge.right, edge.witness) == (1, 2, 3)
+    assert repr(edge) == "AlphaWitness(left=1, right=2, witness=3)"
 
 
 def test_alpha_witness_holds(o1):

@@ -40,8 +40,9 @@ from omlab import (
     symmetric_digraph,
     verdict_to_json_dict,
 )
+from omlab import events
 from omlab.bundled import NAMES, load_family
-from omlab.events import _count_bounded
+from omlab.events import _count_bounded, _entry_mask_arc_by_arc
 from omlab.simulator import _check_run
 
 from conftest import BLACK, WHITE, random_connected_symmetric
@@ -438,3 +439,80 @@ def test_family_json_integer_labels_read_as_strings():
     family = family_from_json_dict(as_ints)
     assert family == family_from_json_dict(as_strs)
     assert family.masks == (1, 0)
+
+
+# ---- family JSON: the per-tail tables against the arc-by-arc reader ------------------
+
+ONE_CHAR_GRAPH = {"nodes": ["a", "b", "c"], "arcs": [["a", "b"], ["b", "a"], ["b", "c"]]}
+INT_GRAPH = {"nodes": [0, 1], "arcs": [[0, 1], [1, 0]]}
+
+
+def _arc_by_arc(base, i, entry):
+    """Entry i's mask as ``_entry_mask_arc_by_arc`` reads it, or its InputError message."""
+    try:
+        return _entry_mask_arc_by_arc(base, i, entry)
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "graph, entry, handed_over",
+    [
+        (ONE_CHAR_GRAPH, {"arcs": [["a", "b"], ["b", "c"]]}, False),
+        (ONE_CHAR_GRAPH, {"arcs": [["b", "a"], ["b", "a"]]}, False),
+        (TWO_NODE_GRAPH, {"arcs": [["black", "white"], ["white", "black"]]}, False),
+        (TWO_NODE_GRAPH, {"name": None, "arcs": [["white", "black"]]}, False),
+        (INT_GRAPH, {"arcs": [[0, 1]]}, True),
+        (INT_GRAPH, {"arcs": [["0", 1]]}, True),
+        (ONE_CHAR_GRAPH, {"arcs": [["z", "b"]]}, True),
+        (ONE_CHAR_GRAPH, {"arcs": [["a", "z"]]}, True),
+        (ONE_CHAR_GRAPH, {"arcs": [["c", "a"]]}, True),
+        (ONE_CHAR_GRAPH, {"arcs": [["a"]]}, True),
+        (ONE_CHAR_GRAPH, {"arcs": [["a", "b", "c"]]}, True),
+        (ONE_CHAR_GRAPH, {"arcs": [[["a"], "b"]]}, True),
+        (ONE_CHAR_GRAPH, {"arcs": [["a", ["b"]]]}, True),
+        (ONE_CHAR_GRAPH, {"arcs": ["ab"]}, True),
+        (ONE_CHAR_GRAPH, {"arcs": [["a", "b"], "ba"]}, True),
+        (TWO_NODE_GRAPH, {"arcs": ["ab"]}, True),
+    ],
+    ids=["valid", "arc-listed-twice", "valid-long-labels", "name-null", "integer-labels",
+         "integer-head", "unknown-tail", "unknown-head", "tail-without-that-arc",
+         "one-element-arc", "three-element-arc", "unhashable-tail", "unhashable-head",
+         "two-character-string-arc", "string-arc-after-a-pair", "string-arc-long-labels"],
+)
+def test_family_json_fast_parse_matches_arc_by_arc(graph, entry, handed_over, monkeypatch):
+    data = {"graph": graph, "events": [entry]}
+    base = family_from_json_dict({"graph": graph, "events": [{"arcs": []}]}).base
+    expected = _arc_by_arc(base, 0, entry)
+    calls = []
+
+    def spy(base, i, entry):
+        calls.append(i)
+        return _entry_mask_arc_by_arc(base, i, entry)
+
+    monkeypatch.setattr(events, "_entry_mask_arc_by_arc", spy)
+    try:
+        family = family_from_json_dict(data)
+    except InputError as exc:
+        assert str(exc) == expected
+    else:
+        assert family.masks == (expected,)
+        assert family.names == (str(entry.get("name", "E0")),)
+    assert calls == ([0] if handed_over else [])
+
+
+def test_family_json_fast_parse_matches_arc_by_arc_on_a_q3_subset(monkeypatch):
+    q3 = generate_bounded_omissions(hypercube_digraph(3), 4)
+    picked = random.Random(3).sample(range(len(q3)), 2000)
+    data = family_to_json_dict(EventFamily(q3.base, [q3.masks[i] for i in picked]))
+    expected = tuple(_arc_by_arc(q3.base, i, entry) for i, entry in enumerate(data["events"]))
+    # Every entry is valid, so none is handed over to the arc-by-arc reader.
+    monkeypatch.setattr(events, "_entry_mask_arc_by_arc", None)
+    assert family_from_json_dict(data).masks == expected
+
+
+def test_family_names_of_reads_names_in_order(o1):
+    assert o1.names_of([2, 0, 2]) == [o1.name(2), o1.name(0), o1.name(2)]
+    unnamed = EventFamily(o1.base, o1.masks)
+    assert unnamed.names_of(range(3)) == ["E0", "E1", "E2"]
+    assert unnamed.names is None

@@ -78,6 +78,21 @@ def _with_execution(chain, i, **fields):
 
 # O1's chain at horizon 1 runs (0,0) ok, (0,0) omit-white, (1,0) omit-white, ...,
 # (1,1) omit-black; each step's shared node is the only node whose views agree.
+def test_verify_chain_builds_each_executions_views_once(monkeypatch):
+    family = load_family("O1-2node")
+    chain = min_consensus_rounds(family, 2).witness
+    built = []
+
+    def counted(family, word, init):
+        built.append((word, init))
+        return views(family, word, init)
+
+    views = oracle.execution_views
+    monkeypatch.setattr(oracle, "execution_views", counted)
+    assert verify_chain(chain, family)
+    assert built == [(ex.word, ex.init) for ex in chain.executions]
+
+
 @pytest.mark.parametrize(
     "forge",
     [
