@@ -111,9 +111,13 @@ class _UnionFind:
         return apart
 
     def union(self, a: int, b: int) -> bool:
-        """Join the sets of ``a`` and ``b``; return whether they were apart."""
-        a, b = self.find(a), self.find(b)
-        self.parent[b] = a
+        """Hang ``b``'s root under ``a``'s, walking both here; return whether they differed."""
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[b] = a
         return a != b
 
 
@@ -128,9 +132,12 @@ def _connect(
     the members are grouped by the arcs they deliver into that source
     set, and each group's first member is joined with the rest.  A
     witness whose groups are all single members joins nothing and is
-    skipped.  Every join that merges two components becomes a witness
-    edge, in order, so the edges form a spanning forest.  The scan stops
-    as soon as the members are connected.
+    skipped.  A witness whose head filter contains the filter of one
+    already grouped is not grouped at all: each of its groups would lie
+    inside one earlier group, already joined.  Every join that merges
+    two components becomes a witness edge, in order, so the edges form a
+    spanning forest.  The scan stops as soon as the members are
+    connected.
 
     Returns the connected components (member indices in member order),
     the witness edges inside each component, and, when the members split,
@@ -146,6 +153,7 @@ def _connect(
     components = size
     joins: list[tuple[int, int, int]] = []  # (group's first position, joined one, witness)
     witnesses: dict[int, int] = {}  # source mask -> position of its witness
+    scanned: list[int] = []  # head filters grouped so far
     for w, k in enumerate(members):
         if components == 1:
             break
@@ -154,6 +162,9 @@ def _connect(
             continue
         witnesses[b] = w
         head_filter = _head_filter(base, b)
+        if any(head_filter & seen == seen for seen in scanned):
+            continue
+        scanned.append(head_filter)
         groups: dict[int, list[int]] = {}
         for pos, arcs in enumerate(arc_masks):
             groups.setdefault(arcs & head_filter, []).append(pos)
@@ -162,11 +173,14 @@ def _connect(
         for group in groups.values():
             if len(group) > 1:
                 apart = uf.join(group)
-                components -= len(apart)
-                first = group[0]
-                joins.extend((first, pos, k) for pos in apart)
+                if apart:
+                    components -= len(apart)
+                    first = group[0]
+                    joins.extend((first, pos, k) for pos in apart)
+    # Each edge is built by ``tuple.__new__``, without the named tuple's Python-level ``__new__``.
+    new = tuple.__new__
     if components == 1:
-        edges = [AlphaWitness(members[a], members[b], k) for a, b, k in joins]
+        edges = [new(AlphaWitness, (members[a], members[b], k)) for a, b, k in joins]
         return [list(members)], [edges], None
     root = [uf.find(pos) for pos in range(size)]
     pieces: dict[int, list[int]] = {}
@@ -174,7 +188,7 @@ def _connect(
         pieces.setdefault(root[pos], []).append(i)
     piece_edges: dict[int, list[AlphaWitness]] = {r: [] for r in pieces}
     for a, b, k in joins:
-        piece_edges[root[a]].append(AlphaWitness(members[a], members[b], k))
+        piece_edges[root[a]].append(new(AlphaWitness, (members[a], members[b], k)))
     keepers = {root[w] for w in witnesses.values()}
     keeper = list(pieces).index(keepers.pop()) if len(keepers) == 1 else None
     return list(pieces.values()), list(piece_edges.values()), keeper

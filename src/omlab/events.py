@@ -425,7 +425,7 @@ def family_from_json_dict(data: dict) -> EventFamily:
         except (KeyError, TypeError, ValueError):
             mask = _entry_mask_arc_by_arc(base, i, entry)
         masks.append(mask)
-        names.append(str(entry.get("name", f"E{i}")))
+        names.append(str(entry["name"]) if "name" in entry else f"E{i}")
     return EventFamily(base, masks, names)
 
 

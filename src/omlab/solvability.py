@@ -37,7 +37,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable, Union
 
-from .budget import Budget, effective_budget
+from .budget import Budget, InputError, effective_budget
 from .equivalence import BetaPartition, beta_partition
 from .events import Event, EventFamily, generate_bounded_omissions, is_convex
 from .graphs import Digraph, arc_connectivity, mask_nodes
@@ -126,12 +126,11 @@ class Verdict:
 def check_broadcastable(family: EventFamily) -> Verdict:
     """Solvable iff some node is a source for every member event."""
     source_masks = family.source_masks
-    for idx, mask in enumerate(source_masks):
-        if mask == 0:
-            return Verdict(
-                "broadcast", Answer.UNSOLVABLE, "no-source-event",
-                NoSourceEventWitness(idx),
-            )
+    if 0 in source_masks:
+        return Verdict(
+            "broadcast", Answer.UNSOLVABLE, "no-source-event",
+            NoSourceEventWitness(source_masks.index(0)),
+        )
     common = family.common_sources_mask()
     if common:
         return Verdict(
@@ -207,28 +206,34 @@ def check_consensus(
 ) -> Verdict:
     """Decide consensus solvability, or report the inconclusive middle ground.
 
-    ``partition`` may be supplied to reuse a previously computed class
-    partition; it is only consulted on the non-convex path.
+    The rules are tried in the module's order: an event without sources,
+    convexity, a common source, the classes.  Only the first two build
+    the broadcast verdict, so only a convex family searches all of its
+    events for an incompatible subset; otherwise only the reported class
+    is searched.  ``partition`` may be supplied to reuse the class
+    partition of ``family``; it is only consulted on the non-convex path.
     """
-    broadcast = check_broadcastable(family)
-    if broadcast.rule == "no-source-event":
-        return replace(broadcast, problem="consensus")
+    if partition is not None and partition.family is not family and partition.family != family:
+        raise InputError("the class partition is of another family")
+    source_masks = family.source_masks
+    if 0 in source_masks:
+        return replace(check_broadcastable(family), problem="consensus")
     if is_convex(family):
-        return Verdict(
-            "consensus", broadcast.answer, "convex-broadcast-equivalence",
-            broadcast.witness,
+        return replace(
+            check_broadcastable(family), problem="consensus", rule="convex-broadcast-equivalence"
         )
-    if broadcast.answer is Answer.SOLVABLE:
+    common = family.common_sources_mask()
+    if common:
         # Flooding the common source's value and deciding it solves
         # consensus whenever broadcast is solvable, convex or not.
         return Verdict(
-            "consensus", Answer.SOLVABLE, "broadcast-reduction", broadcast.witness,
+            "consensus", Answer.SOLVABLE, "broadcast-reduction", CommonSourceWitness(common)
         )
     bp = partition if partition is not None else beta_partition(family)
     for members in bp.classes:
         inter = family.base.full_mask
         for i in members:
-            inter &= family.source_masks[i]
+            inter &= source_masks[i]
         if inter == 0:
             return Verdict(
                 "consensus", Answer.UNSOLVABLE,

@@ -158,10 +158,12 @@ def test_beta_verify_catches_a_missing_event(h_scheme):
         ("h_scheme", ((0,), (1,)), ((), (), ())),
         # The edges span the class, but the class lists event 2 twice.
         ("o1", ((0, 1, 2, 2),), ((AlphaWitness(0, 2, 1), AlphaWitness(0, 1, 2)),)),
+        # Both edges hold and there are two, but the second closes a cycle: one merge.
+        ("o1", ((0, 1, 2),), ((AlphaWitness(0, 1, 2), AlphaWitness(1, 0, 2)),)),
     ],
     ids=["cached-witness-edge-fails", "witness-outside-class", "classes-overlap",
          "edges-do-not-span", "edge-tuples-missing", "edge-tuple-left-over",
-         "class-lists-an-event-twice"],
+         "class-lists-an-event-twice", "edges-close-a-cycle"],
 )
 def test_beta_verify_refutes_forged_partitions(request, fixture, classes, class_edges):
     bp = beta_partition(request.getfixturevalue(fixture))

@@ -18,8 +18,10 @@ from omlab import (
     CommonSourceWitness,
     EventFamily,
     IncompatibilityWitness,
+    InputError,
     NoSourceEventWitness,
     arc_connectivity,
+    beta_partition,
     broadcast_consensus,
     check_broadcastable,
     check_consensus,
@@ -198,6 +200,43 @@ def test_consensus_unsolvable_via_class_witness():
     assert isinstance(witness, BetaClassWitness)
     assert witness.class_events == (0, 1, 2)
     assert witness.incompatibility.holds(family)
+
+
+def test_consensus_searches_only_the_class_for_an_incompatible_subset(monkeypatch):
+    """A non-convex family runs one subset search, for the class it reports."""
+    k3 = generate_bounded_omissions(complete_digraph(3), 2, "global")
+    family = EventFamily(k3.base, k3.masks[::2])
+    assert len(family) == 11 and not is_convex(family)
+    search = solvability._minimal_incompatible_subset
+    searched = []
+
+    def spy(family, members):
+        members = tuple(members)
+        searched.append(members)
+        return search(family, members)
+
+    monkeypatch.setattr(solvability, "_minimal_incompatible_subset", spy)
+    verdict = check_consensus(family)
+    assert verdict.rule == "indistinguishable-class-unbroadcastable"
+    assert verdict.witness.class_events == tuple(range(11))
+    assert searched == [tuple(range(11))]
+
+
+def test_consensus_refuses_a_partition_of_another_family(o1, h_scheme):
+    # A class of three events on a family of two: the class loop would index past it.
+    with pytest.raises(InputError, match="another family"):
+        check_consensus(h_scheme, beta_partition(o1))
+    # As many events, but singleton classes: each would read as broadcastable.
+    family = _deaf_node_family(3)
+    others = generate_bounded_omissions(complete_digraph(3), 2, "global").masks[:3]
+    other = EventFamily(family.base, others)
+    assert beta_partition(other).classes == ((0,), (1,), (2,))
+    with pytest.raises(InputError, match="another family"):
+        check_consensus(family, beta_partition(other))
+    # A partition of an equal family is the family's own.
+    twin = EventFamily(family.base, family.masks)
+    verdict = check_consensus(family, beta_partition(twin))
+    assert verdict.rule == "indistinguishable-class-unbroadcastable"
 
 
 def test_consensus_never_solvable_for_nonconvex_unbroadcastable():
