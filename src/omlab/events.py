@@ -17,31 +17,38 @@ that reads every event asks for it; a reader of one event builds just
 that ``Event``.  An ``Event``'s arc tuples and per-node neighbour masks
 are in turn cached views of its mask.  Only generated families are
 ordered: ``generate_bounded_omissions`` builds them in the order of their
-events' arc tuples, as lists of omitted-arc patterns that it carries
-along each group of arcs and, on entering the next group, takes whole
-or filters by the omissions that group has left.  Any other family
-keeps the order it was built in.
+events' arc tuples, as lists of event masks that it carries down from
+the full mask along each group of arcs, clearing one arc's bit to omit
+it, and, on entering the next group, takes whole or filters by the
+omissions that group has left.  Any other family keeps the order it was
+built in.
 
-A family also has the transposed view: ``EventFamily.carriers`` holds, for
-each base arc, the bitset over event indices of the events that deliver
-it.  ``EventFamily.source_masks`` runs on that view, one closure per node
-over all events at once, so its cost grows with the node and arc counts
+A family also has the transposed views: ``EventFamily.carriers`` holds,
+for each base arc, the bitset over event indices of the events that
+deliver it, and ``EventFamily.source_columns`` holds, for each node, the
+bitset of the events of which it is a source.  The columns come from
+closures over all events at once, each run only over the events whose
+answer is still open, so their cost grows with the node and arc counts
 and only in big-integer width with the number of events.  Both
-transposes (masks to carriers, and the closure's columns back to one
-source mask per event) run on whole byte strings, never per event.
+transposes (masks to carriers, and the columns back to one source mask
+per event in ``EventFamily.source_masks``) run on whole byte strings;
+only carrier rows over 8 bytes are packed one mask at a time.
 ``Event.sources_mask`` stays the per-event computation for single events
 and for checks that must not share the family kernel.
 """
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
 from math import comb
+from operator import and_, or_
 from typing import Iterable, Literal, Sequence
 
 from .budget import Budget, InputError, effective_budget
-from .graphs import Arc, Digraph, arc_from_json, mask_nodes, sources_of_arcs
+from .graphs import Arc, Digraph, arc_from_json, mask_nodes, node_mask, sources_of_arcs
 
 OmissionMetric = Literal["global", "send", "recv"]
 
@@ -173,65 +180,105 @@ class EventFamily:
     def carriers(self) -> tuple[int, ...]:
         """Per base arc, the bitset over event indices of the events delivering it.
 
-        One transpose of the family: every arc mask is written as a whole
-        number of bytes, last event first, the bytes are joined and read
-        as one integer, and that integer is printed in binary once.  Each
-        arc's column is then one strided slice of that string, which
-        reads event 0 as its lowest bit.
+        One transpose of the family.  The masks are packed as little-endian
+        rows of one width, event 0 first: by one ``array`` call with the
+        narrowest unsigned item that holds a row, or, for rows over 8
+        bytes, by ``int.to_bytes`` into the same layout.  The bytes are
+        read as one integer and printed in binary once.  Each arc's column
+        is then one strided slice of that string, which reads event 0 as
+        its lowest bit.
         """
-        row = -(-len(self.base.arcs) // 8)
-        data = b"".join([x.to_bytes(row, "big") for x in reversed(self.masks)])
-        grid = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+        arcs = len(self.base.arcs)
+        row = -(-arcs // 8)
+        code = next((code for size, code in _ITEMS if size >= row), None)
+        if code is None:
+            data = b"".join(map(int.to_bytes, self.masks, repeat(row), repeat("little")))
+        else:
+            packed = array(code, self.masks)
+            if sys.byteorder == "big":
+                packed.byteswap()
+            data, row = packed.tobytes(), packed.itemsize
+        grid = format(int.from_bytes(data, "little"), f"0{8 * len(data)}b")
         step = 8 * row
         # A row prints bit 0 last, so arc ``b`` is the row's character step-1-b.
-        return tuple(int(grid[step - 1 - b::step], 2) for b in range(len(self.base.arcs)))
+        return tuple(int(grid[step - 1 - b::step], 2) for b in range(arcs))
+
+    @cached_property
+    def source_columns(self) -> tuple[int, ...]:
+        """Per node, the bitset over event indices of the events of which it is a source.
+
+        Computed for all events at once from ``carriers``, one root at a
+        time.  ``known[v]`` holds the events in which v's bit is already
+        known, and root r's forward closure runs over its other events
+        only: ``reach[x]`` is the events in which r reaches x, and the AND
+        of all ``reach`` is the events r spans.  In a spanned event the
+        sources are the nodes that reach r, so one backward closure from r
+        over those events gives every node's bit there; for the last root
+        every other bit is known, and the spanned events are its column.
+        In r's other events, no node that r reaches is a source: it would
+        make r one.  Either way, a node's bit is known in every event r
+        reaches it in.
+        """
+        base = self.base
+        n = base.node_count
+        everything = (1 << len(self.masks)) - 1
+        arcs_out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        arcs_in: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (tail, head), events in zip(base.sorted_arcs, self.carriers):
+            arcs_out[tail].append((head, events))
+            arcs_in[head].append((tail, events))
+        columns = [0] * n
+        known = [0] * n
+        for root in range(n):
+            events = everything ^ known[root]
+            if not events:
+                continue
+            reach = _closure(arcs_out, root, events)
+            spans = reduce(and_, reach, events)
+            if spans and root < n - 1:
+                columns = list(map(or_, columns, _closure(arcs_in, root, spans)))
+            else:
+                columns[root] |= spans
+            known = list(map(or_, known, reach))
+        return tuple(columns)
 
     @cached_property
     def source_masks(self) -> tuple[int, ...]:
-        """Per event, the bitmask of nodes from which every node is reachable.
-
-        Computed for all events at once from ``carriers``.  For each root v,
-        ``reach[x]`` is the bitset of events in which v reaches x: it starts
-        as every event at v and nothing elsewhere, and grows along each arc
-        t -> h by ``reach[t] & carriers[t -> h]`` until nothing changes;
-        each breadth-first level pushes only the events a node gained in
-        the level before.  The AND of all ``reach`` is the column of events
-        of which v is a source, and ``_rows`` transposes the n columns back
-        into one mask per event.
-        """
-        base = self.base
-        n, count = base.node_count, len(self.masks)
-        everything = (1 << count) - 1
-        arcs_out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (tail, head), events in zip(base.sorted_arcs, self.carriers):
-            arcs_out[tail].append((head, events))
-        columns = []
-        for root in range(n):
-            reach = [0] * n
-            reach[root] = everything
-            frontier = {root: everything}
-            while frontier:
-                grown: dict[int, int] = {}
-                for tail, fresh in frontier.items():
-                    for head, events in arcs_out[tail]:
-                        new = fresh & events & ~reach[head]
-                        if new:
-                            reach[head] |= new
-                            grown[head] = grown.get(head, 0) | new
-                frontier = grown
-            column = everything
-            for events in reach:
-                column &= events
-            columns.append(column)
-        return _rows(columns, count)
+        """Per event, the bitmask of nodes from which every node is reachable:
+        ``source_columns`` transposed by ``_rows``."""
+        return _rows(self.source_columns, len(self.masks))
 
     def common_sources_mask(self) -> int:
-        mask = self.base.full_mask
-        for b in self.source_masks:
-            mask &= b
-        return mask
+        """The nodes that are a source of every event."""
+        everything = (1 << len(self.masks)) - 1
+        return node_mask(v for v, column in enumerate(self.source_columns) if column == everything)
 
 
+def _closure(adjacency: Sequence[list[tuple[int, int]]], root: int, events: int) -> list[int]:
+    """Per node x, the events among ``events`` in which ``root`` reaches x along ``adjacency``.
+
+    ``adjacency[x]`` lists ``(y, carriers)`` pairs: x passes to y in the
+    events of ``carriers``.  ``reach[x]`` starts as ``events`` at the root
+    and nothing elsewhere, and each breadth-first level pushes only the
+    events a node gained in the level before.
+    """
+    reach = [0] * len(adjacency)
+    reach[root] = events
+    frontier = {root: events}
+    while frontier:
+        grown: dict[int, int] = {}
+        for node, fresh in frontier.items():
+            for other, carriers in adjacency[node]:
+                new = fresh & carriers & ~reach[other]
+                if new:
+                    reach[other] |= new
+                    grown[other] = grown.get(other, 0) | new
+        frontier = grown
+    return reach
+
+
+# Unsigned array items by size, narrowest first.
+_ITEMS = sorted((array(code).itemsize, code) for code in "BHIQ")
 # Binary digits as bytes: b"0" -> 0, b"1" -> 1.
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 # Where byte j of a native 8-byte word lives in memory.
@@ -310,22 +357,22 @@ def generate_bounded_omissions(
     total number of missing arcs, ``send`` bounds each node's missing
     out-arcs (``base.out_arc_bits``), ``recv`` each node's missing in-arcs
     (``base.in_arc_bits``).  The family is counted first, then built as
-    the sets ``o`` of arcs its events omit; each ``o`` becomes the event
-    ``full ^ o`` only at the end.
+    event masks carried down from the full mask: omitting arc j clears
+    its bit, and every arc not yet decided stays set.
 
     The walk decides the arcs highest first.  With the arcs above j
-    decided, it keeps the valid patterns in arc-tuple order as lists:
+    decided, it keeps the valid masks in arc-tuple order as lists:
     list b holds those with at least b omissions left in arc j's group.
     Arc j turns list b into list b (j delivered) followed by list b + 1
     with j omitted, except that "omit every arc from j on", whose tuple
-    is empty, goes to the front; it can only be the first pattern of
+    is empty, goes to the front; it can only be the first mask of
     list b + 1.  Only the lists that the group's unbroken run of arcs
     from j down can still use are built.  Entering a group, the walk
     takes a list as the whole list, at no cost, when the group's decided
     arcs cannot use up its omissions.  That always holds for a group with
     no decided arc, that is the global group and each sender's block of
     out-arcs, entered at its top arc; so those families cost about one
-    step per pattern.  Otherwise, as under ``recv``, the list is filtered
+    step per mask.  Otherwise, as under ``recv``, the list is filtered
     by ``bit_count``, and a run of one arc builds only lists 0 and 1.
     The result is convex by construction.  Raises BudgetExceededError
     when the family would exceed the budget's family cap.
@@ -339,7 +386,7 @@ def generate_bounded_omissions(
         raise InputError(f"unknown omission metric {metric!r}")
     count = _count_bounded([g.bit_count() for g in groups], f)
     effective_budget(budget).check("max_family_events", count)
-    lists = [[0]]
+    lists = [[full]]
     for j in reversed(range(m)):
         bit = 1 << j
         group = next(g for g in groups if g & bit)
@@ -354,18 +401,18 @@ def generate_bounded_omissions(
                 limit = f - b  # decided omissions of the group that leave b
                 lists.append(
                     whole if used <= limit
-                    else [o for o in whole if (decided & o).bit_count() <= limit]
+                    else [e for e in whole if (decided & ~e).bit_count() <= limit]
                 )
         lists.append([])
         # Omitting every decided arc is the empty tuple, first wherever it is valid.
-        empty = [full >> j + 1 << j + 1]
+        empty = [(1 << j + 1) - 1]
         grown = []
         for kept, omit in zip(lists, lists[1:min(f + 1, run) + 1]):
-            tail = [o | bit for o in omit]
+            tail = [e ^ bit for e in omit]
             moved = omit[:1] == empty
             grown.append(tail[:moved] + kept + tail[moved:])
         lists = grown
-    return EventFamily(base, [full ^ o for o in lists[0]])
+    return EventFamily(base, lists[0])
 
 
 # ---- JSON ----------------------------------------------------------------------

@@ -243,7 +243,8 @@ def arc_from_json(pair, index: Mapping[str, int], where: str) -> Arc:
     """The arc of a JSON ``[tail, head]`` pair, each label read as a string
     through ``index``; ``where`` opens the message of the error raised."""
     try:
-        if isinstance(pair, str):  # "ab" would unpack into the labels a and b
+        # "ab" would unpack into the labels a and b, {"a": 1, "b": 2} into its keys.
+        if isinstance(pair, (str, dict)):
             raise TypeError
         tail, head = pair
     except (TypeError, ValueError):

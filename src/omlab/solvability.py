@@ -25,9 +25,10 @@ is searched with its value capped at the best count so far
 (``BroadcastGame.value(state, cap)``), so a search stops as soon as it
 shows that source cannot do better.
 Both the source sets and the game read ``EventFamily.carriers``, the
-bitset of events delivering each base arc: source sets as one closure per
-node over all events at once, the game to find all successors of an
-informed set by splitting the events by the nodes they starve.
+bitset of events delivering each base arc: source sets as closures over
+all events at once (``EventFamily.source_columns``), the game to find
+all successors of an informed set by splitting the events by the nodes
+they starve.
 """
 from __future__ import annotations
 

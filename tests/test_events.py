@@ -405,6 +405,13 @@ TWO_NODE_GRAPH = {"nodes": ["white", "black"], "arcs": [["white", "black"], ["bl
         ({"graph": {"nodes": ["white", "black"], "arcs": [["white", "black"]]},
           "events": [{"arcs": [["black", "white"]]}]},
          "malformed event entry 0: arcs not in base graph: [['black', 'white']]"),
+        ({"graph": {"nodes": ["white", "black"], "arcs": [{"white": 1, "black": 2}]},
+          "events": [{"arcs": [{"white": 1, "black": 2}]}]},
+         "malformed digraph JSON: arc {'white': 1, 'black': 2} is not a pair"),
+        # The per-tail tables have no arc black -> white, so the entry is read arc by arc.
+        ({"graph": {"nodes": ["white", "black"], "arcs": [["white", "black"]]},
+          "events": [{"arcs": [{"black": 1, "white": 2}]}]},
+         "malformed event entry 0: arc {'black': 1, 'white': 2} is not a pair"),
         ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": []}, {"arcs": []}]},
          "duplicate events in family"),
         ({"graph": TWO_NODE_GRAPH,
@@ -412,7 +419,8 @@ TWO_NODE_GRAPH = {"nodes": ["white", "black"], "arcs": [["white", "black"], ["bl
          "event names must be unique"),
     ],
     ids=["no-graph", "events-not-a-list", "entry-without-arcs", "entry-not-an-object",
-         "unknown-label", "arc-not-in-base", "duplicate-events", "duplicate-names"],
+         "unknown-label", "arc-not-in-base", "graph-arc-object", "arc-object-read-arc-by-arc",
+         "duplicate-events", "duplicate-names"],
 )
 def test_family_json_errors_name_the_fault(data, message, tmp_path, capsys):
     with pytest.raises(ValueError) as caught:

@@ -137,6 +137,10 @@ def test_family_source_masks_match_one_closure_per_node(family):
     n = family.base.node_count
     expected = tuple(reference_sources(n, ev.out_masks) for ev in family.events)
     assert family.source_masks == expected
+    common = family.base.full_mask
+    for mask in expected:
+        common &= mask
+    assert family.common_sources_mask() == common
 
 
 def test_family_source_masks_match_on_bounded_families():
@@ -185,9 +189,10 @@ def first_arcs_of_k9(width: int) -> Digraph:
     return Digraph(9, frozenset(complete_digraph(9).sorted_arcs[:width]))
 
 
-@pytest.mark.parametrize("width", [7, 8, 9, 63, 64, 65])
+@pytest.mark.parametrize("width", [7, 8, 9, 15, 16, 17, 24, 25, 32, 33, 63, 64, 65])
 def test_transposes_match_per_event_at_arc_widths_past_a_byte_and_a_word(width):
-    # Arc counts around the byte edges of the carriers' rows.
+    # Arc counts at the edges of the carriers' rows: each array item size
+    # (1, 2, 4 and 8 bytes, a 3-byte row in a 4-byte item) and rows past 8 bytes.
     base = first_arcs_of_k9(width)
     rng = random.Random(width)
     full = (1 << width) - 1
