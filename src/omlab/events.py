@@ -35,6 +35,11 @@ per event in ``EventFamily.source_masks``) run on whole byte strings;
 only carrier rows over 8 bytes are packed one mask at a time.
 ``Event.sources_mask`` stays the per-event computation for single events
 and for checks that must not share the family kernel.
+
+Whether a family is convex is one cached answer, ``EventFamily.convex``,
+which ``is_convex`` reads.  A generated family is convex by construction
+and carries the answer ``True`` from ``generate_bounded_omissions``;
+every other family scans its members once, the first time it is asked.
 """
 from __future__ import annotations
 
@@ -253,6 +258,31 @@ class EventFamily:
         everything = (1 << len(self.masks)) - 1
         return node_mask(v for v, column in enumerate(self.source_columns) if column == everything)
 
+    @cached_property
+    def convex(self) -> bool:
+        """Whether the family is closed under adding one arc of another member.
+
+        A family is convex when for every pair of member events H, H' and
+        every arc a of H', the event H + a is also a member.  Only arcs in
+        the union of the family matter, so the scan makes one membership
+        test per event and union arc the event lacks, in family order, and
+        stops at the first miss; the answer does not depend on the order.
+        A family from ``generate_bounded_omissions`` carries ``True`` and
+        is never scanned; any other family is scanned once.
+        """
+        members = self.mask_index
+        union = 0
+        for mask in self.masks:
+            union |= mask
+        for mask in self.masks:
+            missing = union & ~mask
+            while missing:
+                low = missing & -missing
+                if mask | low not in members:
+                    return False
+                missing ^= low
+        return True
+
 
 def _closure(adjacency: Sequence[list[tuple[int, int]]], root: int, events: int) -> list[int]:
     """Per node x, the events among ``events`` in which ``root`` reaches x along ``adjacency``.
@@ -314,26 +344,8 @@ def _rows(columns: Sequence[int], count: int) -> tuple[int, ...]:
 # ---- convexity ---------------------------------------------------------------
 
 def is_convex(family: EventFamily) -> bool:
-    """Whether the family is closed under adding one arc of another member.
-
-    A family is convex when for every pair of member events H, H' and
-    every arc a of H', the event H + a is also a member.  Only arcs in
-    the union of the family matter, so the scan makes one membership
-    test per event and union arc the event lacks, in family order, and
-    stops at the first miss; the answer does not depend on the order.
-    """
-    members = family.mask_index
-    union = 0
-    for mask in family.masks:
-        union |= mask
-    for mask in family.masks:
-        missing = union & ~mask
-        while missing:
-            low = missing & -missing
-            if mask | low not in members:
-                return False
-            missing ^= low
-    return True
+    """Whether the family is convex: ``family.convex``, scanned at most once per family."""
+    return family.convex
 
 
 # ---- generators ----------------------------------------------------------------
@@ -374,8 +386,12 @@ def generate_bounded_omissions(
     out-arcs, entered at its top arc; so those families cost about one
     step per mask.  Otherwise, as under ``recv``, the list is filtered
     by ``bit_count``, and a run of one arc builds only lists 0 and 1.
-    The result is convex by construction.  Raises BudgetExceededError
-    when the family would exceed the budget's family cap.
+
+    The result is convex, and its ``convex`` is preset to ``True`` so
+    that no caller scans it: adding an arc to a member removes an
+    omission and adds none, so no group's count rises above ``f``.
+    Raises BudgetExceededError when the family would exceed the budget's
+    family cap.
     """
     if f < 0:
         raise InputError("omission bound must be non-negative")
@@ -412,7 +428,10 @@ def generate_bounded_omissions(
             moved = omit[:1] == empty
             grown.append(tail[:moved] + kept + tail[moved:])
         lists = grown
-    return EventFamily(base, lists[0])
+    family = EventFamily(base, lists[0])
+    # Convex: a member plus an arc has no group omission count above the member's.
+    object.__setattr__(family, "convex", True)
+    return family
 
 
 # ---- JSON ----------------------------------------------------------------------

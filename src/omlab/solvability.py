@@ -28,14 +28,22 @@ Both the source sets and the game read ``EventFamily.carriers``, the
 bitset of events delivering each base arc: source sets as closures over
 all events at once (``EventFamily.source_columns``), the game to find
 all successors of an informed set by splitting the events by the nodes
-they starve.
+they starve.  The verdicts read the columns too: the events with no
+source are those outside the OR of every column, and a common source
+is a column that holds every event.  Only the incompatible-subset search
+and the class rule read the per-event ``EventFamily.source_masks``.
+Rule 2 asks ``is_convex``, which reads the family's cached answer; a
+family from ``generate_bounded_omissions`` carries ``True`` and is never
+scanned.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Union
 
 from .budget import Budget, InputError, effective_budget
@@ -126,11 +134,10 @@ class Verdict:
 
 def check_broadcastable(family: EventFamily) -> Verdict:
     """Solvable iff some node is a source for every member event."""
-    source_masks = family.source_masks
-    if 0 in source_masks:
+    unsourced = _first_unsourced_event(family)
+    if unsourced is not None:
         return Verdict(
-            "broadcast", Answer.UNSOLVABLE, "no-source-event",
-            NoSourceEventWitness(source_masks.index(0)),
+            "broadcast", Answer.UNSOLVABLE, "no-source-event", NoSourceEventWitness(unsourced),
         )
     common = family.common_sources_mask()
     if common:
@@ -142,6 +149,12 @@ def check_broadcastable(family: EventFamily) -> Verdict:
     return Verdict(
         "broadcast", Answer.UNSOLVABLE, "source-incompatible", witness,
     )
+
+
+def _first_unsourced_event(family: EventFamily) -> int | None:
+    """The lowest index of an event with no source, from an OR of the source columns."""
+    unsourced = (1 << len(family)) - 1 & ~reduce(or_, family.source_columns, 0)
+    return (unsourced & -unsourced).bit_length() - 1 if unsourced else None
 
 
 # Subsets examined before the incompatible-subset search settles for a greedy one.
@@ -216,8 +229,7 @@ def check_consensus(
     """
     if partition is not None and partition.family is not family and partition.family != family:
         raise InputError("the class partition is of another family")
-    source_masks = family.source_masks
-    if 0 in source_masks:
+    if _first_unsourced_event(family) is not None:
         return replace(check_broadcastable(family), problem="consensus")
     if is_convex(family):
         return replace(
@@ -231,6 +243,7 @@ def check_consensus(
             "consensus", Answer.SOLVABLE, "broadcast-reduction", CommonSourceWitness(common)
         )
     bp = partition if partition is not None else beta_partition(family)
+    source_masks = family.source_masks
     for members in bp.classes:
         inter = family.base.full_mask
         for i in members:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from math import comb
 
 import pytest
@@ -251,14 +251,47 @@ def test_recv_metric_matches_send_on_symmetric_two_node(two_node):
     assert set(send.masks) == set(recv.masks)
 
 
+CONVEXITY_GRAPHS = (
+    [complete_digraph(n) for n in range(3, 7)]
+    + [cycle_digraph(n) for n in range(4, 9)]
+    + [hypercube_digraph(3)]
+)
+
+
 @pytest.mark.parametrize("metric", ["global", "send", "recv"])
 def test_bounded_families_are_convex(metric):
-    rng = random.Random(29)
-    for _ in range(12):
-        g = random_connected_symmetric(rng, rng.randint(2, 5))
-        f = rng.randint(0, 2)
-        family = generate_bounded_omissions(g, f, metric, budget=Budget(max_family_events=1 << 16))
-        assert is_convex(family)
+    """The generator's families pass the scan, not just the answer they carry."""
+    cap = Budget(max_family_events=70_000)
+    scanned = 0
+    for g in CONVEXITY_GRAPHS:
+        for f in range(4):
+            try:
+                family = generate_bounded_omissions(g, f, metric, budget=cap)
+            except BudgetExceededError:
+                continue  # K5, K6 and Q3 past f = 1 under send and recv
+            assert EventFamily(family.base, family.masks).convex, (g.node_count, f)
+            scanned += 1
+    assert scanned == {"global": 40, "send": 34, "recv": 34}[metric]
+
+
+def test_generated_family_carries_its_convexity():
+    family = generate_bounded_omissions(complete_digraph(4), 2)
+    assert vars(family)["convex"] is True
+    full = (1 << len(family.base.arcs)) - 1
+    rest = [mask for mask in family.masks if mask != full]
+    assert EventFamily(family.base, rest).convex is False
+    assert replace(family, masks=rest).convex is False
+    assert "convex" not in vars(replace(family))
+    # The answer is read, not scanned: the members' index is not rebuilt.
+    del vars(family)["mask_index"]
+    assert is_convex(family)
+    assert "mask_index" not in vars(family)
+
+
+def test_nonconvex_family_scans_once(h_scheme):
+    assert "convex" not in vars(h_scheme)
+    assert not is_convex(h_scheme)
+    assert vars(h_scheme)["convex"] is False
 
 
 def test_family_cap_names_its_cap():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -85,6 +86,30 @@ def test_no_source_event_wins(two_node, omit_white):
     assert verdict.rule == "no-source-event"
     assert isinstance(verdict.witness, NoSourceEventWitness)
     assert verdict.witness.event == 1
+
+
+def test_no_source_witness_is_the_first_event_without_sources():
+    rng = random.Random(43)
+    firsts = Counter()
+    for _ in range(200):
+        g = random_connected_symmetric(rng, rng.randint(2, 5))
+        masks = sorted({random_event(rng, g).arc_mask for _ in range(rng.randint(1, 6))})
+        rng.shuffle(masks)
+        family = EventFamily(g, masks)
+        own = [ev.sources_mask for ev in family.events]
+        first = own.index(0) if 0 in own else None
+        for verdict in (check_broadcastable(family), check_consensus(family)):
+            assert (verdict.rule == "no-source-event") == (first is not None)
+            if first is not None:
+                assert verdict.witness == NoSourceEventWitness(first)
+        firsts[first] += 1
+    assert firsts[None] > 50 and firsts[0] > 20 and 200 - firsts[None] - firsts[0] > 20
+
+
+def test_convex_consensus_reads_no_per_event_source_masks():
+    family = generate_bounded_omissions(complete_digraph(5), 2)
+    assert check_consensus(family).rule == "convex-broadcast-equivalence"
+    assert "source_masks" not in vars(family)
 
 
 def test_incompatibility_witness_is_minimal_for_k4_f3():
