@@ -241,12 +241,8 @@ def _build_protocol(args: argparse.Namespace, family: EventFamily) -> ProtocolSp
     if name in ("flooding", "broadcast-consensus"):
         if args.origin is None or args.rounds is None:
             raise InputError(f"{name} needs --origin NODE and --rounds R")
-        try:
-            origin = family.base.node(args.origin)
-        except KeyError as exc:
-            raise InputError(exc.args[0])
         factory = flooding if name == "flooding" else broadcast_consensus
-        return factory(origin, args.rounds)
+        return factory(family.base.node(args.origin), args.rounds)
     if not args.decide_map:
         raise InputError('event-detection needs --decide-map "H1=c,H2=d"')
     mapping = {}
@@ -290,10 +286,7 @@ def _parse_init(spec: str, family: EventFamily) -> tuple[int, ...]:
             raise InputError(f"repeated node in --init: {label}")
         mapping[label] = int(value)
     g = family.base
-    try:
-        values = {g.node(label): value for label, value in mapping.items()}
-    except KeyError as exc:
-        raise InputError(exc.args[0])
+    values = {g.node(label): value for label, value in mapping.items()}
     missing = [g.label(u) for u in range(g.node_count) if u not in values]
     if missing:
         raise InputError(f"initial value missing for nodes: {missing}")

@@ -36,10 +36,14 @@ only carrier rows over 8 bytes are packed one mask at a time.
 ``Event.sources_mask`` stays the per-event computation for single events
 and for checks that must not share the family kernel.
 
-Whether a family is convex is one cached answer, ``EventFamily.convex``,
-which ``is_convex`` reads.  A generated family is convex by construction
-and carries the answer ``True`` from ``generate_bounded_omissions``;
-every other family scans its members once, the first time it is asked.
+A family is a set of events, and it asks two set-membership questions
+of its members: whether one repeats, checked once on construction, and
+whether a member plus an arc is a member, for convexity.  Both are asked
+of a plain ``set`` of the masks.  Whether a family is convex is one
+cached answer, ``EventFamily.convex``, which ``is_convex`` reads.  A
+generated family is convex by construction and carries the answer
+``True`` from ``generate_bounded_omissions``; every other family scans
+its members once, the first time it is asked.
 """
 from __future__ import annotations
 
@@ -126,11 +130,13 @@ class EventFamily:
     ``EventFamily(base, masks, names=None)`` is the one constructor: event
     i is ``Event(base, masks[i])``.  It checks, once per family, that there
     is at least one event, that every mask fits the base (the first bad
-    mask gets the message ``Event`` gives it), that no event repeats and
-    that ``names``, when given, names every event once.  Equality and
-    hashing read ``base``, ``masks`` and ``names``.  ``events`` is a view
-    of the masks as ``Event`` objects, built the first time it is read;
-    code that needs one event builds ``Event(family.base, family.masks[i])``.
+    mask gets the message ``Event`` gives it), that no event repeats, by
+    one ``set`` of the masks, and that ``names``, when given, names every
+    event once.  A family keeps no index from mask to position.  Equality
+    and hashing read ``base``, ``masks`` and ``names``.  ``events`` is a
+    view of the masks as ``Event`` objects, built the first time it is
+    read; code that needs one event builds ``Event(family.base,
+    family.masks[i])``.
     """
 
     base: Digraph
@@ -146,7 +152,7 @@ class EventFamily:
         if min(masks) < 0 or max(masks) >= limit:
             # The first bad mask, with the message ``Event`` gives it.
             Event(self.base, next(x for x in masks if not 0 <= x < limit))
-        if len(self.mask_index) != len(masks):
+        if len(set(masks)) != len(masks):
             raise InputError("duplicate events in family")
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
@@ -176,10 +182,6 @@ class EventFamily:
     @cached_property
     def name_index(self) -> dict[str, int]:
         return {self.name(i): i for i in range(len(self.masks))}
-
-    @cached_property
-    def mask_index(self) -> dict[int, int]:
-        return dict(zip(self.masks, range(len(self.masks))))
 
     @cached_property
     def carriers(self) -> tuple[int, ...]:
@@ -264,13 +266,14 @@ class EventFamily:
 
         A family is convex when for every pair of member events H, H' and
         every arc a of H', the event H + a is also a member.  Only arcs in
-        the union of the family matter, so the scan makes one membership
-        test per event and union arc the event lacks, in family order, and
-        stops at the first miss; the answer does not depend on the order.
-        A family from ``generate_bounded_omissions`` carries ``True`` and
-        is never scanned; any other family is scanned once.
+        the union of the family matter, so the scan makes one test against
+        the set of member masks per event and union arc the event lacks,
+        in family order, and stops at the first miss; the answer does not
+        depend on the order.  A family from ``generate_bounded_omissions``
+        carries ``True`` and is never scanned; any other family is scanned
+        once.
         """
-        members = self.mask_index
+        members = set(self.masks)
         union = 0
         for mask in self.masks:
             union |= mask

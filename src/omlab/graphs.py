@@ -118,7 +118,7 @@ class Digraph:
         try:
             return self.label_index[label]
         except KeyError:
-            raise KeyError(f"unknown node label {label!r}") from None
+            raise InputError(f"unknown node label {label!r}") from None
 
 
 # ---- reachability and sources ----------------------------------------------

@@ -108,12 +108,11 @@ def execution_views(
 
 # ---- full-information protocol ----------------------------------------------
 
-def full_information_protocol(
-    views: _Views, needs: list[int], name: str = "oracle-protocol"
-) -> ProtocolSpec:
+def full_information_protocol(views: _Views, needs: list[int]) -> ProtocolSpec:
     """Exchange structure ids as deep as ``views`` goes, with the heard
     inputs that are 1 (node v at bit n - 1 - v), then decide 1 iff those
-    cover ``needs[id]``.
+    cover ``needs[id]``.  The protocol is named ``oracle-protocol[r=R]``
+    for its R rounds.
 
     A structure the tables lack gets id -1, which no key holds, so every
     structure built on it is missing too, as the nested view would be.
@@ -147,7 +146,7 @@ def full_information_protocol(
         return int(ones & need == need)
 
     return ProtocolSpec(
-        name=name,
+        name=f"oracle-protocol[r={rounds}]",
         init=init,
         message=lambda v, state: state[1:],
         transition=transition,
@@ -297,7 +296,7 @@ def min_consensus_rounds(
         search = _Search(family, r, views)
         if search.solvable:
             needs = search.needs()
-            protocol = full_information_protocol(views, needs, f"oracle-protocol[r={r}]")
+            protocol = full_information_protocol(views, needs)
             return OracleResult(max_horizon, r, protocol, _decision_table(views, needs), None)
     assert search is not None
     return OracleResult(max_horizon, None, None, None, search.mixing_chain())

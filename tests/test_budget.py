@@ -10,15 +10,19 @@ from omlab import (
     Digraph,
     InputError,
     arc_connectivity,
+    broadcast_consensus,
     cli,
     complete_digraph,
     digraph_from_json_dict,
     equal_rounds_audit,
     event_detection_consensus,
+    exhaustive_check,
     family_from_json_dict,
+    flooding,
+    min_consensus_rounds,
 )
 from omlab.budget import DEFAULT_MAX_GAME_NODES
-from omlab.bundled import crash_scheme_prefixes, load_family
+from omlab.bundled import crash_scheme_prefixes, h_one_round, load_family
 
 
 def test_unset_or_empty_gives_the_defaults(monkeypatch):
@@ -122,9 +126,21 @@ TWO_NODES = {"nodes": ["a", "b"], "arcs": [["a", "b"], ["b", "a"]]}
          "the equal-rounds audit applies to convex families only"),
         (lambda: event_detection_consensus(load_family("fig12"), {0: 2}),
          "decision map must cover exactly the family's events"),
+        (lambda: complete_digraph(2).node("zz"), "unknown node label 'zz'"),
+        (lambda: flooding(0, -1), "round count must be non-negative"),
+        (lambda: broadcast_consensus(0, -1), "round count must be non-negative"),
+        (lambda: exhaustive_check(h_one_round(), load_family("H-2node"), -1),
+         "horizon must be non-negative"),
+        (lambda: min_consensus_rounds(load_family("fig12"), -1), "horizon must be non-negative"),
+        (lambda: crash_scheme_prefixes(complete_digraph(2), -1), "horizon must be non-negative"),
+        (lambda: Digraph(-1, frozenset()), "node_count must be non-negative"),
+        (lambda: Digraph(2, frozenset(), labels=("a",)), "labels must cover every node"),
     ],
     ids=["graph-json", "family-json", "unknown-bundled", "budget-env", "crash-on-k3",
-         "asymmetric-connectivity", "equal-rounds-not-convex", "incomplete-decide-map"],
+         "asymmetric-connectivity", "equal-rounds-not-convex", "incomplete-decide-map",
+         "unknown-node-label", "flooding-negative-rounds", "broadcast-consensus-negative-rounds",
+         "exhaustive-negative-horizon", "oracle-negative-horizon", "crash-negative-horizon",
+         "negative-node-count", "labels-short"],
 )
 def test_library_input_checks_raise_input_error(call, message):
     with pytest.raises(InputError) as info:

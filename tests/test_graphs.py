@@ -8,6 +8,7 @@ import pytest
 
 from omlab import (
     Digraph,
+    InputError,
     arc_connectivity,
     complete_digraph,
     cycle_digraph,
@@ -49,7 +50,7 @@ def test_label_lookup():
     g = symmetric_digraph(2, [(0, 1)], labels=("white", "black"))
     assert g.node("black") == 1
     assert g.label(0) == "white"
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="unknown node label 'gray'"):
         g.node("gray")
 
 

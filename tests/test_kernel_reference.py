@@ -402,7 +402,7 @@ def reference_violation(family: EventFamily) -> tuple[int, int, int] | None:
     The definition: every ordered pair of members and every arc of the
     second that the first lacks.
     """
-    members = set(family.mask_index)
+    members = set(family.masks)
     for left, ev in enumerate(family.events):
         for right, other in enumerate(family.events):
             for bit in mask_nodes(other.arc_mask & ~ev.arc_mask):
