@@ -38,15 +38,17 @@ labels the word components.
 
 The protocol, the decision table and the chain read structures too.  On
 success the decision labelling *is* a protocol: a node starts from its
-depth-0 id and its input, each round sends its id and the heard inputs
-that are 1, looks (its own id, the delivered ids in sender order) up in
-the next depth's table, ORs in the delivered inputs, and after r rounds
-decides 1 iff they cover B(C) of its final id's component.  The decision
-table renders each final structure once, with a slot for each heard
-input, and fills it with every input the structure can hear.  The
+depth-0 structure and its input, and each round sends that structure
+with the heard inputs that are 1.  A structure holds a trie of the next
+depth's keys that start with its id; the node walks it one delivered
+sender id at a time, in sender order, ORs in the delivered inputs, and
+takes the structure at the end.  After r rounds it decides 1 iff those
+inputs cover B(C) of its final id's component.  The decision table
+renders each final structure once, as ASCII bytes with a slot for each
+heard input, and fills it with every input the structure can hear.  The
 certificate stays independent of the search: ``exhaustive_check`` runs
 the protocol in the generic engine on every word and input, and since
-the tables are read-only, a node's state is a function of its own input
+the tries are read-only, a node's state is a function of its own input
 and the messages it received, not of which execution the search saw.
 On failure at the horizon, a breadth-first pass over executions sharing
 a view, from the all-0 input at the least word w* whose component has
@@ -109,32 +111,47 @@ def execution_views(
 # ---- full-information protocol ----------------------------------------------
 
 def full_information_protocol(views: _Views, needs: list[int]) -> ProtocolSpec:
-    """Exchange structure ids as deep as ``views`` goes, with the heard
-    inputs that are 1 (node v at bit n - 1 - v), then decide 1 iff those
-    cover ``needs[id]``.  The protocol is named ``oracle-protocol[r=R]``
-    for its R rounds.
+    """Exchange structures as deep as ``views`` goes, with the heard inputs
+    that are 1 (node v at bit n - 1 - v), then decide 1 iff those cover
+    ``needs[id]``; the protocol is named ``oracle-protocol[r=R]``.
 
-    A structure the tables lack gets id -1, which no key holds, so every
-    structure built on it is missing too, as the nested view would be.
+    A state, which is also the message, is (structure, ones).  A structure
+    of depth d is (id, d, trie, need): the trie holds the depth d + 1 keys
+    that start with id, as dicts nested by sender id with the key's
+    structure under ``None``, and ``need`` is B(C) at depth R.  A
+    structure the tables lack is lost, id -1 with an empty trie, so every
+    structure built on it is lost too, as the nested view would be.
     """
     tables = views.tables
     rounds = len(tables) - 1
     n = len(tables[0])
+    levels = [[(i, d, {}, 0) for i in range(len(table))] for d, table in enumerate(tables)]
+    levels[rounds] = [(i, rounds, {}, need) for i, need in enumerate(needs)]
+    for below, level, table in zip(levels, levels[1:], tables[1:]):
+        for key, structure in zip(table, level):
+            node = below[key[0]][2]
+            for sender in key[1:]:
+                node = node.setdefault(sender, {})
+            node[None] = structure
+    lost = [(-1, d, {}, 0) for d in range(rounds + 1)]
 
     def init(v: int, value: int):
-        return (0, v, value << n - 1 - v) if v in tables[0] else (0, -1, 0)
+        return (levels[0][v], value << n - 1 - v) if v < n else (lost[0], 0)
 
     def transition(v: int, state, delivered):
-        depth, own, ones = state
-        key = [own]
-        # The engine delivers in sender order, the order the keys list senders in.
-        for sid, bits in delivered.values():
-            key.append(sid)
-            ones |= bits
-        return (depth + 1, tables[depth + 1].get(tuple(key), -1), ones)
+        structure, ones = state
+        node = structure[2]
+        try:
+            # The engine delivers in sender order, the order the keys list senders in.
+            for (sender, _depth, _trie, _need), bits in delivered.values():
+                node = node[sender]
+                ones |= bits
+            return node[None], ones
+        except KeyError:
+            return lost[structure[1] + 1], ones
 
     def decision(v: int, state):
-        depth, own, ones = state
+        (own, depth, _trie, need), ones = state
         if depth < rounds:
             return None
         if own < 0:
@@ -142,13 +159,12 @@ def full_information_protocol(views: _Views, needs: list[int]) -> ProtocolSpec:
                 f"node {v} reached a view outside the decision table; "
                 "was the protocol run against the family it was built for?"
             )
-        need = needs[own]
         return int(ones & need == need)
 
     return ProtocolSpec(
         name=f"oracle-protocol[r={rounds}]",
         init=init,
-        message=lambda v, state: state[1:],
+        message=lambda v, state: state,
         transition=transition,
         decision=decision,
         halting_round=rounds,
@@ -157,26 +173,28 @@ def full_information_protocol(views: _Views, needs: list[int]) -> ProtocolSpec:
 
 def _decision_table(views: _Views, needs: list[int]) -> dict[str, int]:
     """``repr`` of every final view to its decision.  Each structure is
-    rendered once, from the strings of the depth before, with the letter
-    ``chr(65 + v)``, which no rendered view holds, where node v's input
-    goes; one ``str.translate`` table per input fills every letter."""
+    rendered once, as ASCII bytes from the texts of the depth before, with
+    the letter ``65 + v``, which no rendered view holds, where node v's
+    input goes; it must fit in a byte, so v <= 190, far past what the
+    execution cap allows.  One ``bytes.maketrans`` table per input fills
+    every letter, and each entry is decoded as it is made."""
     owners = list(views.tables[0])
-    letters = "".join(chr(65 + v) for v in owners)
-    texts = [f"({v}, {letter})" for v, letter in zip(owners, letters)]
+    letters = bytes(65 + v for v in owners)
+    texts = [b"(%d, %c)" % (v, letter) for v, letter in zip(owners, letters)]
     for table in views.tables[1:]:
         # What a structure adds to those that hear it: (owner, structure).
-        heard = [f"({v}, {text})" for v, text in zip(owners, texts)]
+        heard = [b"(%d, %s)" % pair for pair in zip(owners, texts)]
         texts = [
             # A one-item tuple prints a trailing comma.
-            f"({texts[own]}, ({', '.join(heard[u] for u in senders)}"
-            f"{',' if len(senders) == 1 else ''}))"
-            for own, *senders in table
+            b"(%s, (%s%s))"
+            % (texts[key[0]], b", ".join([heard[u] for u in key[1:]]), b"," * (len(key) == 2))
+            for key in table
         ]
         owners = [owners[key[0]] for key in table]
-    inputs = enumerate(product("01", repeat=len(letters)))
-    fills = [(i, str.maketrans(letters, "".join(x))) for i, x in inputs]
+    inputs = enumerate(product(b"01", repeat=len(letters)))
+    fills = [(i, bytes.maketrans(letters, bytes(x))) for i, x in inputs]
     return {
-        text.translate(fill): int(i & need == need)
+        text.translate(fill).decode(): int(i & need == need)
         for text, heard_mask, need in zip(texts, views.heard, needs)
         # Each input the structure can hear: 0 on the nodes it did not.
         for i, fill in fills if i | heard_mask == heard_mask

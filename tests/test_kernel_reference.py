@@ -36,6 +36,7 @@ from omlab import (
     mask_nodes,
     optimal_broadcast_rounds,
     path_digraph,
+    symmetric_digraph,
 )
 from omlab import oracle
 from omlab.bundled import NAMES, crash_scheme_prefixes, h_one_round, load_family
@@ -548,6 +549,15 @@ def test_oracle_matches_nested_tuple_search_on_bounded_families(base, horizon, m
     assert_oracle_matches_reference(generate_bounded_omissions(base, 1), horizon, monkeypatch)
 
 
+def test_oracle_renders_node_numbers_of_two_digits(monkeypatch):
+    # The star K1,10 without omissions: views print (10, ...) and fill letters past J.
+    star = symmetric_digraph(11, [(0, v) for v in range(1, 11)])
+    family = generate_bounded_omissions(star, 0)
+    assert_oracle_matches_reference(family, 1, monkeypatch)
+    table = oracle.min_consensus_rounds(family, 1).decision_table
+    assert any("(10, " in view for view in table)
+
+
 @pytest.mark.parametrize(
     "built, foreign",
     [("reliable-2node", "O1-2node"), ("reliable-2node", "crash-C1"), ("fig12", "O1-2node"),
@@ -570,6 +580,19 @@ def test_oracle_protocol_rejects_a_family_it_was_not_built_for(built, foreign):
         ProtocolError, match=f"node {first} reached a view outside the decision table"
     ):
         exhaustive_check(result.protocol, family, result.rounds)
+
+
+def test_oracle_protocol_raises_for_a_view_lost_below_the_last_depth():
+    result = oracle.min_consensus_rounds(generate_bounded_omissions(complete_digraph(3), 1), 2)
+    protocol = result.protocol
+    assert result.rounds == 2
+    # Every event of K3 f=1 delivers to every node, so a round with no deliveries loses every view.
+    states = [protocol.init(v, 0) for v in range(3)]
+    states = [protocol.transition(v, state, {}) for v, state in enumerate(states)]
+    assert [protocol.decision(v, state) for v, state in enumerate(states)] == [None] * 3
+    states = [protocol.transition(v, state, {}) for v, state in enumerate(states)]
+    with pytest.raises(ProtocolError, match="node 0 reached a view outside the decision table"):
+        protocol.decision(0, states[0])
 
 
 # ---- the prefix-sharing sweep --------------------------------------------------------
