@@ -1,12 +1,15 @@
 """Resource caps for the exhaustive parts of the toolkit.
 
 Several operations enumerate exponentially sized spaces (event families,
-informed-set game states, execution trees).  A ``Budget`` makes the caps
-explicit so oversized instances fail fast with a dedicated error instead
-of hanging.  The ``OMLAB_BUDGET`` environment variable overrides the
-defaults, either as a bare integer, which sets both the execution cap and
-the family-size cap, or as a comma list of ``key=value`` pairs that
-names each cap at most once, e.g. ``OMLAB_BUDGET=max_executions=2000000``.
+sets of nodes, execution trees).  A ``Budget`` makes the caps explicit so
+oversized instances fail fast with a dedicated error instead of hanging.
+``max_game_nodes`` bounds both searches over sets of nodes: the flooding
+game refuses more nodes up front, and the incompatible-subset search stops
+once it holds more than 2^``max_game_nodes`` intersections.  The
+``OMLAB_BUDGET`` environment variable overrides the defaults, either as a
+bare integer, which sets both the execution cap and the family-size cap,
+or as a comma list of ``key=value`` pairs that names each cap at most
+once, e.g. ``OMLAB_BUDGET=max_executions=2000000``.
 
 The CLI maps the two error types defined here to exit codes:
 ``BudgetExceededError``, which a capped enumeration raises, to 65, and
@@ -54,7 +57,7 @@ class Budget:
     def from_env(cls, env: str | None = None) -> "Budget":
         raw = os.environ.get(ENV_VAR) if env is None else env
         if not raw:
-            return cls()
+            return _DEFAULT  # shared: a Budget is frozen, and building one costs microseconds
         raw = raw.strip()
         if raw.isdecimal():
             return cls(max_executions=int(raw), max_family_events=int(raw))
@@ -69,6 +72,9 @@ class Budget:
                 raise InputError(f"repeated entry: {part!r}")
             caps[key] = int(value)
         return cls(**caps)
+
+
+_DEFAULT = Budget()
 
 
 def effective_budget(budget: Budget | None) -> Budget:

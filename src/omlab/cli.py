@@ -204,9 +204,9 @@ def cmd_check(args: argparse.Namespace, budget: Budget) -> int:
     family = _resolve_family(args, budget)
     partition = beta_partition(family) if args.beta else None
     if args.problem == "broadcast":
-        verdict = check_broadcastable(family)
+        verdict = check_broadcastable(family, budget)
     else:
-        verdict = check_consensus(family, partition)
+        verdict = check_consensus(family, partition, budget)
     if isinstance(verdict.witness, BetaClassWitness):
         partition = verdict.witness.partition
 

@@ -75,6 +75,8 @@ class AlphaWitness(NamedTuple):
     witness: int
 
     def holds(self, family: EventFamily) -> bool:
+        if not all(0 <= i < len(family) for i in self):
+            return False
         base, masks = family.base, family.masks
         left, right, k = (Event(base, masks[i]) for i in self)
         return alpha_related(left, right, k)

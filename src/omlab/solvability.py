@@ -2,7 +2,7 @@
 
 Broadcast over a mobile scheme is solvable exactly when one node is a
 source of every member event, so the check is an intersection of source
-sets; the negative witness is a no-source event or a minimal subset of
+sets; the negative witness is a no-source event or a minimum subset of
 events whose source sets do not intersect.
 
 For consensus the decision procedure is:
@@ -42,11 +42,10 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import reduce
-from itertools import combinations
 from operator import or_
 from typing import Iterable, Union
 
-from .budget import Budget, InputError, effective_budget
+from .budget import Budget, BudgetExceededError, InputError, effective_budget
 from .equivalence import BetaPartition, beta_partition
 from .events import Event, EventFamily, generate_bounded_omissions, is_convex
 from .graphs import Digraph, arc_connectivity, mask_nodes
@@ -91,7 +90,13 @@ class IncompatibilityWitness:
     source_masks: tuple[int, ...]
 
     def holds(self, family: EventFamily) -> bool:
-        """Replay against each event's own source set, not the family kernel."""
+        """Replay against each event's own source set, not the family kernel.
+
+        Masks that do not pair off with the events, or an index outside the family, refute it.
+        """
+        inside = range(len(family))
+        if len(self.events) != len(self.source_masks) or not all(i in inside for i in self.events):
+            return False
         inter = family.base.full_mask
         for idx, mask in zip(self.events, self.source_masks):
             if Event(family.base, family.masks[idx]).sources_mask != mask or mask == 0:
@@ -132,8 +137,11 @@ class Verdict:
 
 # ---- broadcastability --------------------------------------------------------
 
-def check_broadcastable(family: EventFamily) -> Verdict:
-    """Solvable iff some node is a source for every member event."""
+def check_broadcastable(family: EventFamily, budget: Budget | None = None) -> Verdict:
+    """Solvable iff some node is a source for every member event.
+
+    ``budget`` caps the incompatible-subset search and is resolved only if it runs.
+    """
     unsourced = _first_unsourced_event(family)
     if unsourced is not None:
         return Verdict(
@@ -141,14 +149,9 @@ def check_broadcastable(family: EventFamily) -> Verdict:
         )
     common = family.common_sources_mask()
     if common:
-        return Verdict(
-            "broadcast", Answer.SOLVABLE, "common-source",
-            CommonSourceWitness(common),
-        )
-    witness = _minimal_incompatible_subset(family, range(len(family)))
-    return Verdict(
-        "broadcast", Answer.UNSOLVABLE, "source-incompatible", witness,
-    )
+        return Verdict("broadcast", Answer.SOLVABLE, "common-source", CommonSourceWitness(common))
+    witness = _minimum_incompatible_subset(family, range(len(family)), budget)
+    return Verdict("broadcast", Answer.UNSOLVABLE, "source-incompatible", witness)
 
 
 def _first_unsourced_event(family: EventFamily) -> int | None:
@@ -157,66 +160,52 @@ def _first_unsourced_event(family: EventFamily) -> int | None:
     return (unsourced & -unsourced).bit_length() - 1 if unsourced else None
 
 
-# Subsets examined before the incompatible-subset search settles for a greedy one.
-MAX_COMBINATIONS = 200_000
-
-
-def _minimal_incompatible_subset(
-    family: EventFamily, members: Iterable[int]
+def _minimum_incompatible_subset(
+    family: EventFamily, members: Iterable[int], budget: Budget | None = None
 ) -> IncompatibilityWitness:
     """Smallest subset of ``members`` with nonempty sources and empty intersection.
 
-    The search runs over distinct inclusion-minimal source sets (if one
-    source set contains another, the smaller one is at least as useful),
-    by increasing subset size.  If the combination count explodes, a
-    greedy irredundant subset is returned instead; it is still a valid
-    witness, just not guaranteed minimum-cardinality.
+    The search is breadth-first over intersections of the distinct
+    inclusion-minimal source sets, sorted (a source set that contains
+    another is never needed).  Level 1 maps each set to its index tuple
+    ``(j,)``; level k extends each tuple of level k - 1, in stored order,
+    only with sets of a higher index, and keeps the first tuple for each
+    intersection no earlier level reached.  So the first empty intersection
+    is on the lowest level, a minimum subset, and it is the lexicographically
+    first combination of that size: that combination's prefix is the
+    lex-first combination for its own intersection, kept one level down.
+    The intersections are distinct node sets, so the search raises
+    ``BudgetExceededError`` naming ``max_game_nodes`` once it holds more
+    than 2^``max_game_nodes`` of them.
     """
     representative: dict[int, int] = {}
     for idx in members:
         representative.setdefault(family.source_masks[idx], idx)
     masks = sorted(representative)
-    minimal = [
-        m for m in masks
-        if not any(other != m and other & m == other for other in masks)
-    ]
-
-    def witness_of(chosen: tuple[int, ...]) -> IncompatibilityWitness:
-        events = tuple(sorted(representative[m] for m in chosen))
-        return IncompatibilityWitness(
-            events, tuple(family.source_masks[i] for i in events)
-        )
-
-    examined = 0
-    for size in range(2, len(minimal) + 1):
-        for chosen in combinations(minimal, size):
-            examined += 1
-            if examined > MAX_COMBINATIONS:
-                return witness_of(tuple(_greedy_irredundant(minimal)))
-            inter = chosen[0]
-            for m in chosen[1:]:
-                inter &= m
-            if inter == 0:
-                return witness_of(chosen)
-    raise AssertionError("no incompatible subset despite empty intersection")
-
-
-def _greedy_irredundant(masks: list[int]) -> list[int]:
-    kept = list(masks)
-    for m in list(kept):
-        rest = [x for x in kept if x != m]
-        inter = -1
-        for x in rest:
-            inter &= x
-        if rest and inter == 0:
-            kept = rest
-    return kept
+    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    limit = 1 << effective_budget(budget).max_game_nodes
+    level = {m: (j,) for j, m in enumerate(minimal)}
+    reached = set(level)
+    while level and 0 not in level:
+        below, level = level, {}
+        for inter, chosen in below.items():
+            if len(reached) > limit:
+                raise BudgetExceededError(f"max_game_nodes: over {limit:,} intersections held")
+            for j in range(chosen[-1] + 1, len(minimal)):
+                meet = inter & minimal[j]
+                if meet not in reached:
+                    reached.add(meet)
+                    level[meet] = chosen + (j,)
+            if 0 in level:
+                break
+    events = tuple(sorted(representative[minimal[j]] for j in level[0]))
+    return IncompatibilityWitness(events, tuple(family.source_masks[i] for i in events))
 
 
 # ---- consensus -----------------------------------------------------------------
 
 def check_consensus(
-    family: EventFamily, partition: BetaPartition | None = None
+    family: EventFamily, partition: BetaPartition | None = None, budget: Budget | None = None
 ) -> Verdict:
     """Decide consensus solvability, or report the inconclusive middle ground.
 
@@ -232,9 +221,8 @@ def check_consensus(
     if _first_unsourced_event(family) is not None:
         return replace(check_broadcastable(family), problem="consensus")
     if is_convex(family):
-        return replace(
-            check_broadcastable(family), problem="consensus", rule="convex-broadcast-equivalence"
-        )
+        verdict = check_broadcastable(family, budget)
+        return replace(verdict, problem="consensus", rule="convex-broadcast-equivalence")
     common = family.common_sources_mask()
     if common:
         # Flooding the common source's value and deciding it solves
@@ -249,10 +237,11 @@ def check_consensus(
         for i in members:
             inter &= source_masks[i]
         if inter == 0:
+            witness = _minimum_incompatible_subset(family, members, budget)
             return Verdict(
                 "consensus", Answer.UNSOLVABLE,
                 "indistinguishable-class-unbroadcastable",
-                BetaClassWitness(members, _minimal_incompatible_subset(family, members), bp),
+                BetaClassWitness(members, witness, bp),
             )
     return Verdict(
         "consensus", Answer.NECESSARY_CONDITION_HOLDS, "necessary-condition-only",
@@ -394,7 +383,7 @@ def connectivity_threshold_check(
     rows = []
     for f in range(f_max + 1):
         family = generate_bounded_omissions(g, f, "global", budget)
-        verdict = check_consensus(family)
+        verdict = check_consensus(family, budget=budget)
         expected = f < connectivity
         rows.append(
             ThresholdRow(

@@ -291,3 +291,19 @@ def test_random_sweep_checks_the_budget_before_drawing_words(monkeypatch, capsys
                      "--random-scenarios", "1000000", "--length", "20"])
     assert code == 65
     assert "max_executions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--cycle", "21", "--bounded", "2", "--problem", "broadcast"],
+        ["check", "--cycle", "21", "--bounded", "2"],
+        ["audit", "connectivity", "--cycle", "21", "--f-max", "2"],
+    ],
+    ids=["check-broadcast", "check-consensus", "audit-connectivity"],
+)
+def test_incompatible_subset_search_reads_the_command_budget(argv, monkeypatch, capsys):
+    assert cli.main(argv) in (0, 2)
+    monkeypatch.setenv("OMLAB_BUDGET", "max_game_nodes=2")
+    assert cli.main(argv) == 65
+    assert capsys.readouterr().err.startswith("omlab: budget exceeded: max_game_nodes")

@@ -184,6 +184,14 @@ def test_alpha_witness_holds(o1):
     assert not AlphaWitness(left=1, right=2, witness=0).holds(o1)
 
 
+def test_alpha_witness_refuses_indices_outside_the_family(o1):
+    # (-3, -2, -1) would name the events of the edge above that holds.
+    assert AlphaWitness(0, 1, 2).holds(o1)
+    assert not AlphaWitness(-3, -2, -1).holds(o1)
+    for edge in ((0, 1, 3), (3, 1, 2), (0, -1, 2)):
+        assert not AlphaWitness(*edge).holds(o1)
+
+
 def test_beta_tolerates_no_source_events(two_node, omit_white, omit_black):
     family = EventFamily(two_node, (omit_white.arc_mask, omit_black.arc_mask, 0))
     bp = beta_partition(family)

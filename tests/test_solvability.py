@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -144,35 +146,121 @@ def test_incompatibility_witness_replays_without_the_family_kernel(o1):
     assert not replace(witness, source_masks=(masks[first], masks[second])).holds(forged)
 
 
+def _sources_family(n: int, source_sets) -> EventFamily:
+    """K_n with one event per source set S, holding every arc out of S.
+
+    On a complete graph a node of S reaches everyone in one hop and a node
+    outside S sends nothing, so the event's sources are exactly S.
+    """
+    g = complete_digraph(n)
+    return EventFamily(
+        g, [event_from_arcs(g, (a for a in g.arcs if a[0] in s)).arc_mask for s in source_sets]
+    )
+
+
+# Each event misses the listed nodes as sources.  A greedy irredundant pass
+# keeps 8 events; the smallest incompatible subset has 6.
+K14_MISSING = [
+    [5, 10, 13], [1, 9, 13], [2, 8, 13], [4, 7, 13], [6, 13], [0, 5, 13], [1, 4, 13],
+    [11, 12], [5, 7, 12], [4, 5, 12], [6, 10, 11], [2, 10, 11], [7, 11], [0, 4, 11],
+    [1, 11], [7, 9, 10], [6, 8, 10], [4, 7, 10], [4, 5, 10], [1, 5, 10], [5, 8, 9],
+    [2, 8, 9], [6, 7, 9], [5, 7, 8], [0, 5, 8], [5, 6], [4, 6], [2, 5], [3],
+]
+
+
+def _k14_family() -> EventFamily:
+    return _sources_family(14, [set(range(14)) - set(m) for m in K14_MISSING])
+
+
+def _random_sources_families():
+    rng = random.Random(47)
+    families = []
+    while len(families) < 120:
+        n = rng.randint(3, 7)
+        sets = {frozenset(rng.sample(range(n), rng.randint(n // 2, n - 1)))
+                for _ in range(rng.randint(2, 14))}
+        if not frozenset.intersection(*sets):
+            families.append(_sources_family(n, rng.sample(sorted(sets, key=sorted), len(sets))))
+    return families
+
+
+def _reference_witness(family: EventFamily) -> tuple[int, ...]:
+    """The first smallest combination of inclusion-minimal source sets, by brute force."""
+    representative = {}
+    for idx, mask in enumerate(family.source_masks):
+        representative.setdefault(mask, idx)
+    masks = sorted(representative)
+    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    for size in range(2, len(minimal) + 1):
+        for chosen in combinations(minimal, size):
+            if reduce(and_, chosen) == 0:
+                return tuple(sorted(representative[m] for m in chosen))
+    raise AssertionError("broadcastable family")
+
+
+def _brute_force_minimum(family: EventFamily) -> int:
+    """The fewest events, over all subsets of the family, whose source sets share no node."""
+    distinct = sorted(set(family.source_masks))
+    return next(
+        size for size in range(2, len(distinct) + 1)
+        if any(reduce(and_, chosen) == 0 for chosen in combinations(distinct, size))
+    )
+
+
 @pytest.mark.parametrize(
     "family",
     [
         load_family("O1-2node"),
         generate_bounded_omissions(cycle_digraph(5), 2, "global"),
         generate_bounded_omissions(complete_digraph(4), 3, "global"),
+        _k14_family(),
+        *_random_sources_families(),
     ],
-    ids=["O1-2node", "C5-f2", "K4-f3"],
+    ids=lambda family: f"n{family.base.node_count}-e{len(family)}",
 )
-def test_greedy_witness_is_incompatible_and_irredundant(family, monkeypatch):
-    # With no combination allowed, the search settles for its greedy subset at once.
-    monkeypatch.setattr(solvability, "MAX_COMBINATIONS", 0)
-    greedy = solvability._greedy_irredundant
-    calls = []
-
-    def spy(masks):
-        calls.append(masks)
-        return greedy(masks)
-
-    monkeypatch.setattr(solvability, "_greedy_irredundant", spy)
+def test_incompatible_subset_is_the_first_minimum_combination(family):
     witness = check_broadcastable(family).witness
-    assert calls
     assert isinstance(witness, IncompatibilityWitness) and witness.holds(family)
+    assert len(witness.events) == _brute_force_minimum(family)
     for dropped in range(len(witness.source_masks)):
         inter = family.base.full_mask
         for pos, mask in enumerate(witness.source_masks):
             if pos != dropped:
                 inter &= mask
         assert inter != 0
+    assert witness.events == _reference_witness(family)
+
+
+def test_incompatible_subset_search_is_capped_by_max_game_nodes():
+    family = _k14_family()
+    with pytest.raises(BudgetExceededError, match="^max_game_nodes"):
+        check_broadcastable(family, Budget(max_game_nodes=3))
+    # Both consensus paths that search pass the budget on: a convex family and a class.
+    convex = generate_bounded_omissions(cycle_digraph(21), 2, "global")
+    deaf = _deaf_node_family(5)
+    assert check_consensus(deaf).rule == "indistinguishable-class-unbroadcastable"
+    for family in (convex, deaf):
+        with pytest.raises(BudgetExceededError, match="^max_game_nodes"):
+            check_consensus(family, budget=Budget(max_game_nodes=2))
+    with pytest.raises(BudgetExceededError, match="^max_game_nodes"):
+        connectivity_threshold_check(cycle_digraph(21), 2, Budget(max_game_nodes=2))
+    # Past 20 nodes the search holds few intersections, so the default budget answers.
+    for n in (21, 24):
+        family = generate_bounded_omissions(cycle_digraph(n), 2, "global")
+        broadcast = check_broadcastable(family, Budget())
+        consensus = check_consensus(family, budget=Budget())
+        assert broadcast.rule == "source-incompatible"
+        assert consensus.rule == "convex-broadcast-equivalence"
+        assert consensus.witness == broadcast.witness
+
+
+def test_incompatibility_witness_refuses_forged_indices(o1):
+    witness = check_broadcastable(o1).witness
+    assert witness.events == (1, 2) and witness.holds(o1)
+    assert not replace(witness, events=(-2, -1)).holds(o1)
+    extra = replace(witness, source_masks=witness.source_masks + (o1.source_masks[0],))
+    assert not extra.holds(o1)
+    assert not replace(witness, events=(1, len(o1))).holds(o1)
 
 # ---- consensus -----------------------------------------------------------------------
 
@@ -232,15 +320,15 @@ def test_consensus_searches_only_the_class_for_an_incompatible_subset(monkeypatc
     k3 = generate_bounded_omissions(complete_digraph(3), 2, "global")
     family = EventFamily(k3.base, k3.masks[::2])
     assert len(family) == 11 and not is_convex(family)
-    search = solvability._minimal_incompatible_subset
+    search = solvability._minimum_incompatible_subset
     searched = []
 
-    def spy(family, members):
+    def spy(family, members, budget):
         members = tuple(members)
         searched.append(members)
-        return search(family, members)
+        return search(family, members, budget)
 
-    monkeypatch.setattr(solvability, "_minimal_incompatible_subset", spy)
+    monkeypatch.setattr(solvability, "_minimum_incompatible_subset", spy)
     verdict = check_consensus(family)
     assert verdict.rule == "indistinguishable-class-unbroadcastable"
     assert verdict.witness.class_events == tuple(range(11))
