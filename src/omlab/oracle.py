@@ -271,10 +271,10 @@ class OracleResult:
             ],
             "rounds": self.rounds,
         }
-        if self.decision_table is not None:
+        table = self.decision_table
+        if table is not None:
             data["decision_table"] = [
-                {"view": view, "decision": value}
-                for view, value in sorted(self.decision_table.items())
+                {"view": view, "decision": table[view]} for view in sorted(table)
             ]
         if self.witness is not None:
             data["witness"] = {

@@ -14,13 +14,16 @@ A sweep checks a sequence of words against every input; each word
 resumes from the runs of the longest prefix it shares with the word
 before it, so words in lexicographic order simulate each prefix once.
 It keeps one run record per input and prefix, ``[states, decisions,
-payloads]``, which holds live state only: the payloads are the messages
-the states send, computed when the record is first stepped and kept for
-every later letter, and a stepped run shares its parent's decisions
-list until one of them changes.  ``run`` steps one run at a time and is
-the reference the sweep is tested against: a ``ProtocolError`` stops
-the sweep at the word it occurs in, and ``run`` on that word names the
-error.
+payloads, inboxes]``, which holds live state only: the payloads are the
+messages the states send, computed when the record is first stepped and
+kept for every later letter; the inboxes are the delivered mappings, one
+per distinct in-neighbour mask of the family, each built by the first
+letter that needs it and passed as is to every later one; and a stepped
+run shares its parent's decisions list until one of them changes.  A
+step calls each node's transition and then its decision in one pass
+over the nodes.  ``run`` steps one run at a time and is the reference
+the sweep is tested against: a ``ProtocolError`` stops the sweep at the
+word it occurs in, and ``run`` on that word names the error.
 
 Decisions are sticky: once a node's decision extractor reports a value,
 reporting a different value (or none) later is a protocol error.
@@ -47,7 +50,8 @@ class ProtocolSpec:
     ``init(node, value)`` builds the initial state; ``message(node,
     state)`` returns the payload the node sends to every out-neighbour
     (None sends nothing); ``transition(node, state, delivered)`` consumes the
-    mapping of in-neighbour to payload for delivered messages only;
+    mapping of in-neighbour to payload for delivered messages only, and
+    must not change it: a sweep may pass one mapping to several calls;
     ``decision(node, state)`` reports 0/1 once decided, else None.
     After ``halting_round`` rounds the node stops sending and its state
     freezes.
@@ -365,11 +369,15 @@ def _sweep(
     letters of the previous word; each word keeps the levels of the prefix
     it shares with that word and steps the rest, a whole level per loop.
     The depth-0 level is built when the first word needs it, so a sweep of
-    no words raises nothing.  A record holds live state only: a word whose
-    steps raise ``ProtocolError`` ends the sweep.  Every earlier word ended
-    without one, so the first failing run in word-major, input-minor order
-    is one of this word's, and ``run`` on each input in turn raises the
-    error that one run per word and input would raise first.
+    no words raises nothing.  The letters that step a record share its
+    inbox of each in-neighbour mask.  A node's decision follows its own
+    transition, so a ``ProtocolError`` may fire before a later node's
+    transition in the round would raise.  A record holds live state only:
+    a word whose steps raise ``ProtocolError`` ends the sweep.  Every
+    earlier word ended without one, so the first failing run in
+    word-major, input-minor order is one of this word's, and ``run`` on
+    each input in turn raises the error that one run per word and input
+    would raise first.
     """
     n = family.base.node_count
     runs = count << n
@@ -377,7 +385,11 @@ def _sweep(
     inits = list(product((0, 1), repeat=n))
     # The common value of each uniform input, else None.
     uniform = [init[0] if len(set(init)) == 1 else None for init in inits]
-    senders = [tuple(map(mask_nodes, event.in_masks)) for event in family.events]
+    # Each node of each letter, with the number of its in-neighbour mask.
+    inbox_of: dict[int, int] = {}
+    heard = [[(v, inbox_of.setdefault(m, len(inbox_of))) for v, m in enumerate(e.in_masks)]
+             for e in family.events]
+    inbox_senders = [mask_nodes(mask) for mask in inbox_of]
     message, transition, decision = protocol.message, protocol.transition, protocol.decision
     levels: list[list[list]] = []
     previous: tuple[int, ...] = ()
@@ -391,27 +403,30 @@ def _sweep(
         del levels[shared + 1:]
         try:
             if not levels:
-                levels.append([[*_start(protocol, init), None] for init in inits])
+                levels.append([[*_start(protocol, init), None, None] for init in inits])
             for round_no in range(shared + 1, len(word) + 1):
                 if protocol.halting_round is not None and round_no > protocol.halting_round:
                     # A halted protocol keeps its states and decides nothing more.
                     levels.append(levels[-1])
                     continue
-                heard_from = senders[word[round_no - 1]]
+                heard_from = heard[word[round_no - 1]]
                 stepped = []
                 for record in levels[-1]:
-                    states, decisions, payloads = record
+                    states, decisions, payloads, inboxes = record
                     if payloads is None:
                         payloads = [message(u, state) for u, state in enumerate(states)]
-                        record[2] = payloads
-                    states = [
-                        transition(v, state, {
-                            u: payloads[u] for u in heard_from[v] if payloads[u] is not None
-                        })
-                        for v, state in enumerate(states)
-                    ]
+                        inboxes = [None] * len(inbox_senders)
+                        record[2:] = payloads, inboxes
                     inherited = decisions
-                    for v, state in enumerate(states):
+                    new_states = []
+                    for (v, i), state in zip(heard_from, states):
+                        inbox = inboxes[i]
+                        if inbox is None:
+                            inbox = inboxes[i] = {
+                                u: payloads[u] for u in inbox_senders[i] if payloads[u] is not None
+                            }
+                        state = transition(v, state, inbox)
+                        new_states.append(state)
                         value = decision(v, state)
                         old = decisions[v]
                         if old is None:
@@ -421,13 +436,13 @@ def _sweep(
                                 decisions[v] = (value, round_no)
                         elif value != old[0]:
                             raise _changed_decision(v, old[0], value, round_no)
-                    stepped.append([states, decisions, None])
+                    stepped.append([new_states, decisions, None, None])
                 levels.append(stepped)
         except ProtocolError:
             for init in inits:
                 run(protocol, family, word, init)
             raise
-        for init, value, (_states, decisions, _payloads) in zip(inits, uniform, levels[-1]):
+        for init, value, (_, decisions, _payloads, _inboxes) in zip(inits, uniform, levels[-1]):
             first = decisions[0] if n else None
             # Every node decided the same value at the same round, and it is valid.
             if first is not None and decisions.count(first) == n and value in (None, first[0]):

@@ -79,6 +79,10 @@ CASES.update({
     "simulate-crash-c1-h-one-round": (
         ["simulate", "--bundled", "crash-C1", "--protocol", "h-one-round",
          "--crash-horizon", "2"], None, 2),
+    # A sweep of 4 nodes past round 1: flooding from v0 needs 3 rounds on C4 f=1.
+    "simulate-c4-broadcast-consensus-all": (
+        ["simulate", "--cycle", "4", "--bounded", "1", "--protocol", "broadcast-consensus",
+         "--origin", "v0", "--rounds", "2", "--all-scenarios", "3"], None, 2),
     "simulate-fig12-event-detection-all": (
         ["simulate", "--bundled", "fig12", "--protocol", "event-detection",
          "--decide-map", "H1=c,H2=d", "--all-scenarios", "1"], None, 0),

@@ -805,6 +805,76 @@ def test_sweep_computes_each_runs_messages_once(horizon, two_node):
     assert len(messages) == n * 2**n * len(stepped)
 
 
+def spy(calls: list) -> ProtocolSpec:
+    """Never halts; a state is the node's input and what it heard each round,
+    and is also the message, except that odd nodes send None until they hear
+    something.  Appends ``(node, state, delivered items)`` to ``calls`` at
+    every transition."""
+
+    def transition(v, state, delivered):
+        heard = tuple(delivered.items())
+        calls.append((v, state, heard))
+        return (*state, heard)
+
+    return ProtocolSpec(
+        name="spy",
+        init=lambda v, value: (value,),
+        message=lambda v, state: None if v % 2 and not any(state[1:]) else state,
+        transition=transition,
+        decision=lambda v, state: 0,
+    )
+
+
+@pytest.mark.parametrize(
+    "family, horizon",
+    [
+        (load_family("fig12"), 3),
+        (generate_bounded_omissions(complete_digraph(3), 1), 2),
+        (generate_bounded_omissions(cycle_digraph(4), 1), 2),
+    ],
+    ids=["fig12", "K3-f1", "C4-f1"],
+)
+def test_sweep_delivers_what_run_delivers(family, horizon):
+    n, k = family.base.node_count, len(family)
+    words = list(product(range(k), repeat=horizon))
+    expected = []
+    for word in words:
+        for init in product((0, 1), repeat=n):
+            simulator.run(spy(expected), family, word, init)
+    calls = []
+    exhaustive_check(spy(calls), family, horizon)
+    assert len(calls) == n * 2**n * sum(k**d for d in range(1, horizon + 1))
+    assert set(calls) == set(expected)
+    shuffled = words[:]
+    random.Random(horizon).shuffle(shuffled)
+    calls.clear()
+    check_scenarios(spy(calls), family, shuffled, horizon)
+    assert set(calls) == set(expected)
+
+
+def decides_then_fails() -> ProtocolSpec:
+    """In round 1, node 0 changes the decision it took at round 0, and node 1's
+    transition raises ``ValueError``."""
+
+    def transition(v, state, delivered):
+        if v == 1:
+            raise ValueError("node 1 cannot step")
+        return state + 1
+
+    return ProtocolSpec(
+        name="decides-then-fails",
+        init=lambda v, value: 0,
+        message=lambda v, state: state,
+        transition=transition,
+        decision=lambda v, state: state,
+    )
+
+
+def test_exhaustive_check_raises_the_reference_error_of_a_round():
+    got = assert_sweeps_match_reference(decides_then_fails(), load_family("fig12"), 1)
+    assert got == (ValueError, "node 1 cannot step")
+
+
 def test_sweeps_check_the_execution_budget():
     family = load_family("O1-2node")
     with pytest.raises(BudgetExceededError, match="max_executions: 36 > 35"):
