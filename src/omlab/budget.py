@@ -5,11 +5,13 @@ sets of nodes, execution trees).  A ``Budget`` makes the caps explicit so
 oversized instances fail fast with a dedicated error instead of hanging.
 ``max_game_nodes`` bounds both searches over sets of nodes: the flooding
 game refuses more nodes up front, and the incompatible-subset search stops
-once it holds more than 2^``max_game_nodes`` intersections.  The
-``OMLAB_BUDGET`` environment variable overrides the defaults, either as a
-bare integer, which sets both the execution cap and the family-size cap,
-or as a comma list of ``key=value`` pairs that names each cap at most
-once, e.g. ``OMLAB_BUDGET=max_executions=2000000``.
+once it holds more than 2^``max_game_nodes`` intersections.  A library
+call takes a plain ``Budget``, by default ``DEFAULT_BUDGET``, and reads
+no environment.  Only the CLI reads ``OMLAB_BUDGET``, once per command,
+through ``Budget.from_env``: a bare integer sets both the execution cap
+and the family-size cap, and a comma list of ``key=value`` pairs names
+each cap at most once, e.g. ``OMLAB_BUDGET=max_executions=2000000``.
+``effective_budget`` is kept only because the benchmark's tracer imports it.
 
 The CLI maps the two error types defined here to exit codes:
 ``BudgetExceededError``, which a capped enumeration raises, to 65, and
@@ -57,7 +59,7 @@ class Budget:
     def from_env(cls, env: str | None = None) -> "Budget":
         raw = os.environ.get(ENV_VAR) if env is None else env
         if not raw:
-            return _DEFAULT  # shared: a Budget is frozen, and building one costs microseconds
+            return cls()
         raw = raw.strip()
         if raw.isdecimal():
             return cls(max_executions=int(raw), max_family_events=int(raw))
@@ -74,9 +76,9 @@ class Budget:
         return cls(**caps)
 
 
-_DEFAULT = Budget()
+DEFAULT_BUDGET = Budget()
 
 
 def effective_budget(budget: Budget | None) -> Budget:
-    """Resolve an optional budget argument against the environment."""
-    return budget if budget is not None else Budget.from_env()
+    """``budget``, or ``DEFAULT_BUDGET`` for None; only the benchmark's tracer calls it."""
+    return budget if budget is not None else DEFAULT_BUDGET

@@ -56,8 +56,10 @@ from math import comb
 from operator import and_, or_
 from typing import Iterable, Literal, Sequence
 
-from .budget import Budget, InputError, effective_budget
-from .graphs import Arc, Digraph, arc_from_json, mask_nodes, node_mask, sources_of_arcs
+from .budget import DEFAULT_BUDGET, Budget, InputError
+from .graphs import (
+    Arc, Digraph, arc_from_json, array_from_json, mask_nodes, node_mask, sources_of_arcs,
+)
 
 OmissionMetric = Literal["global", "send", "recv"]
 
@@ -364,7 +366,7 @@ def generate_bounded_omissions(
     base: Digraph,
     f: int,
     metric: OmissionMetric = "global",
-    budget: Budget | None = None,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> EventFamily:
     """All events of ``base`` with at most ``f`` omitted arcs, in arc-tuple order.
 
@@ -404,7 +406,7 @@ def generate_bounded_omissions(
     if groups is None:
         raise InputError(f"unknown omission metric {metric!r}")
     count = _count_bounded([g.bit_count() for g in groups], f)
-    effective_budget(budget).check("max_family_events", count)
+    budget.check("max_family_events", count)
     lists = [[full]]
     for j in reversed(range(m)):
         bit = 1 << j
@@ -474,9 +476,9 @@ def family_from_json_dict(data: dict) -> EventFamily:
 
     try:
         base = digraph_from_json_dict(data["graph"])
-        raw_events = list(data["events"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed family JSON: {exc}") from exc
+    raw_events = array_from_json(data, "events", "malformed family JSON")
     heads: dict[str, dict[str, int]] = {}
     for i, (t, h) in enumerate(base.sorted_arcs):
         heads.setdefault(base.label(t), {})[base.label(h)] = 1 << i

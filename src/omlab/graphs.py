@@ -255,12 +255,20 @@ def arc_from_json(pair, index: Mapping[str, int], where: str) -> Arc:
         raise InputError(f"{where}: unknown node label {exc.args[0]!r}") from None
 
 
-def digraph_from_json_dict(data: dict) -> Digraph:
+def array_from_json(data: dict, key: str, where: str) -> list:
+    """``data[key]`` as a list; a string or an object is not a JSON array."""
     try:
-        nodes = list(data["nodes"])
-        raw_arcs = list(data["arcs"])
+        items = data[key]
+        if isinstance(items, (str, dict)):
+            raise TypeError(f"{key!r} is not an array")
+        return list(items)
     except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed digraph JSON: {exc}") from exc
+        raise InputError(f"{where}: {exc}") from exc
+
+
+def digraph_from_json_dict(data: dict) -> Digraph:
+    nodes = array_from_json(data, "nodes", "malformed digraph JSON")
+    raw_arcs = array_from_json(data, "arcs", "malformed digraph JSON")
     index = {str(name): i for i, name in enumerate(nodes)}
     if len(index) != len(nodes):
         raise InputError("duplicate node names in digraph JSON")

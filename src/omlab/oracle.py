@@ -71,7 +71,7 @@ from itertools import product
 from operator import or_
 from typing import Any
 
-from .budget import Budget, InputError, effective_budget
+from .budget import DEFAULT_BUDGET, Budget, InputError
 from .events import EventFamily, is_convex
 from .graphs import mask_nodes
 from .simulator import ProtocolSpec, ProtocolError
@@ -294,7 +294,7 @@ class OracleResult:
 
 
 def min_consensus_rounds(
-    family: EventFamily, max_horizon: int, budget: Budget | None = None
+    family: EventFamily, max_horizon: int, budget: Budget = DEFAULT_BUDGET
 ) -> OracleResult:
     """Least r <= max_horizon with an r-round consensus protocol, with proof.
 
@@ -304,7 +304,6 @@ def min_consensus_rounds(
     """
     if max_horizon < 0:
         raise InputError("horizon must be non-negative")
-    budget = effective_budget(budget)
     views = _Views(family)
     search: _Search | None = None
     for r in range(max_horizon + 1):
@@ -505,7 +504,7 @@ class EqualRoundsReport:
 
 
 def equal_rounds_audit(
-    family: EventFamily, budget: Budget | None = None
+    family: EventFamily, budget: Budget = DEFAULT_BUDGET
 ) -> EqualRoundsReport:
     """Compare optimal broadcast rounds with the oracle's consensus rounds.
 
@@ -521,7 +520,6 @@ def equal_rounds_audit(
     """
     if not is_convex(family):
         raise InputError("the equal-rounds audit applies to convex families only")
-    budget = effective_budget(budget)
     best = optimal_broadcast_rounds(family, budget)
     if best is None:
         n, k = family.base.node_count, len(family)

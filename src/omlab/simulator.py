@@ -22,8 +22,8 @@ letter that needs it and passed as is to every later one; and a stepped
 run shares its parent's decisions list until one of them changes.  A
 step calls each node's transition and then its decision in one pass
 over the nodes.  ``run`` steps one run at a time and is the reference
-the sweep is tested against: a ``ProtocolError`` stops the sweep at the
-word it occurs in, and ``run`` on that word names the error.
+the sweep is tested against: any exception stops the sweep at the word
+it occurs in, and ``run`` on that word raises the error.
 
 Decisions are sticky: once a node's decision extractor reports a value,
 reporting a different value (or none) later is a protocol error.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .budget import Budget, InputError, effective_budget
+from .budget import DEFAULT_BUDGET, Budget, InputError
 from .events import EventFamily
 from .graphs import Arc, mask_nodes, node_mask
 
@@ -334,7 +334,7 @@ def check_scenarios(
     family: EventFamily,
     words: Iterable[tuple[int, ...]],
     horizon: int,
-    budget: Budget | None = None,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> CheckReport:
     """Run all words against all binary inputs and check the three
     consensus requirements: every node decides, uniform inputs force the
@@ -348,7 +348,7 @@ def exhaustive_check(
     protocol: ProtocolSpec,
     family: EventFamily,
     horizon: int,
-    budget: Budget | None = None,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> CheckReport:
     """``check_scenarios`` over every length-``horizon`` word of the family,
     in lexicographic order, so each prefix is simulated once."""
@@ -361,7 +361,7 @@ def exhaustive_check(
 
 def _sweep(
     protocol: ProtocolSpec, family: EventFamily, words: Iterable[tuple[int, ...]],
-    count: int, horizon: int, budget: Budget | None,
+    count: int, horizon: int, budget: Budget,
 ) -> CheckReport:
     """Check ``count`` words, in the given order, against every input.
 
@@ -373,15 +373,14 @@ def _sweep(
     inbox of each in-neighbour mask.  A node's decision follows its own
     transition, so a ``ProtocolError`` may fire before a later node's
     transition in the round would raise.  A record holds live state only:
-    a word whose steps raise ``ProtocolError`` ends the sweep.  Every
-    earlier word ended without one, so the first failing run in
-    word-major, input-minor order is one of this word's, and ``run`` on
-    each input in turn raises the error that one run per word and input
-    would raise first.
+    a word whose steps raise any exception ends the sweep.  Every earlier
+    word ended without one, so the first failing run in word-major,
+    input-minor order is one of this word's, and ``run`` on each input in
+    turn raises what one run per word and input would raise first.
     """
     n = family.base.node_count
     runs = count << n
-    effective_budget(budget).check("max_executions", runs)
+    budget.check("max_executions", runs)
     inits = list(product((0, 1), repeat=n))
     # The common value of each uniform input, else None.
     uniform = [init[0] if len(set(init)) == 1 else None for init in inits]
@@ -438,7 +437,7 @@ def _sweep(
                             raise _changed_decision(v, old[0], value, round_no)
                     stepped.append([new_states, decisions, None, None])
                 levels.append(stepped)
-        except ProtocolError:
+        except Exception:
             for init in inits:
                 run(protocol, family, word, init)
             raise

@@ -45,7 +45,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Union
 
-from .budget import Budget, BudgetExceededError, InputError, effective_budget
+from .budget import DEFAULT_BUDGET, Budget, BudgetExceededError, InputError
 from .equivalence import BetaPartition, beta_partition
 from .events import Event, EventFamily, generate_bounded_omissions, is_convex
 from .graphs import Digraph, arc_connectivity, mask_nodes
@@ -137,10 +137,10 @@ class Verdict:
 
 # ---- broadcastability --------------------------------------------------------
 
-def check_broadcastable(family: EventFamily, budget: Budget | None = None) -> Verdict:
+def check_broadcastable(family: EventFamily, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Solvable iff some node is a source for every member event.
 
-    ``budget`` caps the incompatible-subset search and is resolved only if it runs.
+    ``budget`` caps the incompatible-subset search.
     """
     unsourced = _first_unsourced_event(family)
     if unsourced is not None:
@@ -161,7 +161,7 @@ def _first_unsourced_event(family: EventFamily) -> int | None:
 
 
 def _minimum_incompatible_subset(
-    family: EventFamily, members: Iterable[int], budget: Budget | None = None
+    family: EventFamily, members: Iterable[int], budget: Budget
 ) -> IncompatibilityWitness:
     """Smallest subset of ``members`` with nonempty sources and empty intersection.
 
@@ -176,14 +176,14 @@ def _minimum_incompatible_subset(
     lex-first combination for its own intersection, kept one level down.
     The intersections are distinct node sets, so the search raises
     ``BudgetExceededError`` naming ``max_game_nodes`` once it holds more
-    than 2^``max_game_nodes`` of them.
+    than 2^``budget.max_game_nodes`` of them; the caller passes ``budget``.
     """
     representative: dict[int, int] = {}
     for idx in members:
         representative.setdefault(family.source_masks[idx], idx)
     masks = sorted(representative)
     minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
-    limit = 1 << effective_budget(budget).max_game_nodes
+    limit = 1 << budget.max_game_nodes
     level = {m: (j,) for j, m in enumerate(minimal)}
     reached = set(level)
     while level and 0 not in level:
@@ -205,7 +205,7 @@ def _minimum_incompatible_subset(
 # ---- consensus -----------------------------------------------------------------
 
 def check_consensus(
-    family: EventFamily, partition: BetaPartition | None = None, budget: Budget | None = None
+    family: EventFamily, partition: BetaPartition | None = None, budget: Budget = DEFAULT_BUDGET
 ) -> Verdict:
     """Decide consensus solvability, or report the inconclusive middle ground.
 
@@ -273,8 +273,8 @@ class BroadcastGame:
     cap, which answers every query capped at or below it.
     """
 
-    def __init__(self, family: EventFamily, budget: Budget | None = None) -> None:
-        effective_budget(budget).check("max_game_nodes", family.base.node_count)
+    def __init__(self, family: EventFamily, budget: Budget = DEFAULT_BUDGET) -> None:
+        budget.check("max_game_nodes", family.base.node_count)
         self.family = family
         self._all = (1 << len(family)) - 1
         self._full = family.base.full_mask
@@ -335,7 +335,7 @@ class BroadcastGame:
 
 
 def optimal_broadcast_rounds(
-    family: EventFamily, budget: Budget | None = None
+    family: EventFamily, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[int, int] | None:
     """Best originator and its worst-case round count; None if unsolvable.
 
@@ -367,7 +367,7 @@ class ThresholdRow:
 
 
 def connectivity_threshold_check(
-    g: Digraph, f_max: int, budget: Budget | None = None
+    g: Digraph, f_max: int, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[ThresholdRow, ...]:
     """Consensus verdicts for omission bounds 0..f_max vs the connectivity cut.
 
@@ -378,7 +378,6 @@ def connectivity_threshold_check(
     consensus holds exactly when some node stays a source after any f
     arc omissions, that is, when f arcs cannot cut the graph.
     """
-    budget = effective_budget(budget)
     connectivity = arc_connectivity(g)
     rows = []
     for f in range(f_max + 1):

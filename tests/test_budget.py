@@ -1,5 +1,5 @@
-"""``Budget.from_env``: how ``OMLAB_BUDGET`` is read, the cap message, and the
-one error type that the library's input checks raise."""
+"""``Budget.from_env``: how ``OMLAB_BUDGET`` is read, that only the CLI reads it,
+the cap message, and the one error type that the library's input checks raise."""
 from __future__ import annotations
 
 import pytest
@@ -9,16 +9,21 @@ from omlab import (
     BudgetExceededError,
     Digraph,
     InputError,
+    IncompatibilityWitness,
     arc_connectivity,
     broadcast_consensus,
+    check_broadcastable,
+    check_consensus,
     cli,
     complete_digraph,
+    cycle_digraph,
     digraph_from_json_dict,
     equal_rounds_audit,
     event_detection_consensus,
     exhaustive_check,
     family_from_json_dict,
     flooding,
+    generate_bounded_omissions,
     min_consensus_rounds,
 )
 from omlab.budget import DEFAULT_MAX_GAME_NODES
@@ -40,6 +45,19 @@ def test_bare_integer_sets_the_execution_and_family_caps():
 def test_key_value_list_sets_each_named_cap(monkeypatch):
     monkeypatch.setenv("OMLAB_BUDGET", "max_executions=2000000, max_game_nodes = 12")
     assert Budget.from_env() == Budget(max_executions=2_000_000, max_game_nodes=12)
+
+
+def test_library_calls_ignore_the_environment(monkeypatch):
+    # The CLI exits 65 under these settings (test_cli.py); a library call
+    # that passes no budget gets DEFAULT_BUDGET instead.
+    monkeypatch.setenv("OMLAB_BUDGET", "max_game_nodes=2")
+    family = generate_bounded_omissions(cycle_digraph(21), 2, "global")
+    for verdict in (check_broadcastable(family), check_consensus(family)):
+        assert isinstance(verdict.witness, IncompatibilityWitness)
+        assert verdict.witness.holds(family)
+    monkeypatch.setenv("OMLAB_BUDGET", "max_executions=50")
+    result = min_consensus_rounds(load_family("O1-2node"), 3)
+    assert result.rounds is None and result.witness is not None
 
 
 @pytest.mark.parametrize(
@@ -135,12 +153,26 @@ TWO_NODES = {"nodes": ["a", "b"], "arcs": [["a", "b"], ["b", "a"]]}
         (lambda: crash_scheme_prefixes(complete_digraph(2), -1), "horizon must be non-negative"),
         (lambda: Digraph(-1, frozenset()), "node_count must be non-negative"),
         (lambda: Digraph(2, frozenset(), labels=("a",)), "labels must cover every node"),
+        (lambda: digraph_from_json_dict({"nodes": "ab", "arcs": []}),
+         "malformed digraph JSON: 'nodes' is not an array"),
+        (lambda: digraph_from_json_dict({"nodes": {"a": 0, "b": 1}, "arcs": []}),
+         "malformed digraph JSON: 'nodes' is not an array"),
+        (lambda: digraph_from_json_dict({"nodes": ["a", "b"], "arcs": "ab"}),
+         "malformed digraph JSON: 'arcs' is not an array"),
+        (lambda: digraph_from_json_dict({"nodes": ["a", "b"], "arcs": {"ab": 1}}),
+         "malformed digraph JSON: 'arcs' is not an array"),
+        (lambda: family_from_json_dict({"graph": TWO_NODES, "events": {"x": 1}}),
+         "malformed family JSON: 'events' is not an array"),
+        (lambda: family_from_json_dict({"graph": TWO_NODES, "events": "ab"}),
+         "malformed family JSON: 'events' is not an array"),
     ],
     ids=["graph-json", "family-json", "unknown-bundled", "budget-env", "crash-on-k3",
          "asymmetric-connectivity", "equal-rounds-not-convex", "incomplete-decide-map",
          "unknown-node-label", "flooding-negative-rounds", "broadcast-consensus-negative-rounds",
          "exhaustive-negative-horizon", "oracle-negative-horizon", "crash-negative-horizon",
-         "negative-node-count", "labels-short"],
+         "negative-node-count", "labels-short", "graph-nodes-string", "graph-nodes-object",
+         "graph-arcs-string", "graph-arcs-object", "family-events-object",
+         "family-events-string"],
 )
 def test_library_input_checks_raise_input_error(call, message):
     with pytest.raises(InputError) as info:

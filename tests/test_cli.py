@@ -79,6 +79,11 @@ INPUT_FILES = {
     "ARC_STRING": {"graph": {"nodes": ["a", "b"], "arcs": [["a", "b"], ["b", "a"]]},
                    "events": [{"arcs": ["ab"]}]},
     "GRAPH_ARC_UNKNOWN_LABEL": {"nodes": ["a", "b"], "arcs": [["a", "b"], ["a", "z"]]},
+    # A string would read as its characters, an object as its keys.
+    "NODES_STRING": {"graph": {"nodes": "ab", "arcs": [["a", "b"], ["b", "a"]]},
+                     "events": [{"arcs": [["a", "b"]]}]},
+    "EVENTS_OBJECT": {"graph": {"nodes": ["a", "b"], "arcs": [["a", "b"]]},
+                      "events": {"x": 1}},
     "NOT_TEXT": b"\xff\xfe{}",
     # json.loads raises a plain ValueError, not a JSONDecodeError, past the
     # interpreter's limit on the digits of an integer (4,300 by default).
@@ -216,6 +221,8 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
         (["check", "--family", "ARC_STRING"], "malformed event entry 0: arc 'ab' is not a pair"),
         (["gen", "--graph", "GRAPH_ARC_UNKNOWN_LABEL", "--bounded", "1"],
          "malformed digraph JSON: unknown node label 'z'"),
+        (["check", "--family", "NODES_STRING"], "malformed digraph JSON: 'nodes' is not an array"),
+        (["check", "--family", "EVENTS_OBJECT"], "malformed family JSON: 'events' is not an array"),
     ],
     ids=["beta-with-text", "beta-with-dot", "scenario-superscript-digit",
          "scenario-arabic-indic-digit", "init-repeated-node", "family-not-json",
@@ -224,7 +231,8 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
          "simulate-without-mode", "equal-rounds-not-convex", "graph-duplicate-nodes",
          "graph-without-arcs", "output-in-missing-directory", "family-arc-of-one",
          "family-arc-of-three", "family-arc-not-a-list", "family-graph-arc-string",
-         "family-arc-string", "graph-arc-unknown-label"],
+         "family-arc-string", "graph-arc-unknown-label", "family-nodes-string",
+         "family-events-object"],
 )
 def test_misplaced_and_malformed_inputs_exit_64_naming_the_fault(
     argv, message, capsys, tmp_path, monkeypatch

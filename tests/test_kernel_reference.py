@@ -680,6 +680,32 @@ def test_exhaustive_check_freezes_a_halted_protocol():
     assert assert_sweeps_match_reference(flip_flop(1), family, 3)[0] is ProtocolError
 
 
+def raises_value_error() -> ProtocolSpec:
+    """Decides its own input at round 0; a transition raises ``ValueError``
+    for input 1 at round 1 and for input 0 at round 2."""
+
+    def transition(v, state, got):
+        round_no, value = state[0] + 1, state[1]
+        if (value, round_no) in ((1, 1), (0, 2)):
+            raise ValueError(f"input {value} at round {round_no} (node {v})")
+        return round_no, value
+
+    return ProtocolSpec(
+        name="raises-value-error",
+        init=lambda v, value: (0, value),
+        message=lambda v, state: state[1],
+        transition=transition,
+        decision=lambda v, state: state[1],
+    )
+
+
+def test_exhaustive_check_raises_the_first_error_of_any_type():
+    # The sweep steps input (0, 1) through round 1 before input (0, 0)
+    # reaches round 2, but one run per word and input fails on (0, 0) first.
+    got = assert_sweeps_match_reference(raises_value_error(), load_family("O1-2node"), 2)
+    assert got == (ValueError, "input 0 at round 2 (node 0)")
+
+
 def refuses_input_one() -> ProtocolSpec:
     """Decides its own input at round 0, except that node 1 raises on input 1."""
 
