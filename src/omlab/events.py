@@ -44,6 +44,28 @@ cached answer, ``EventFamily.convex``, which ``is_convex`` reads.  A
 generated family is convex by construction and carries the answer
 ``True`` from ``generate_bounded_omissions``; every other family scans
 its members once, the first time it is asked.
+
+Family JSON has one schema, what ``family_to_json_dict`` writes; the
+graph inside it is what ``graphs.digraph_to_json_dict`` writes.
+``family_from_json_dict`` and ``graphs.digraph_from_json_dict`` read
+exactly this and refuse anything else with an ``InputError`` naming the
+fault:
+
+- the document, its ``graph`` and each entry of ``events`` are JSON
+  objects.  Keys outside the schema are ignored;
+- the graph's ``nodes`` is an array of distinct strings, the node
+  labels.  The graph's ``arcs`` and the document's ``events`` are arrays;
+- an event entry has ``arcs`` and may have ``name``, which must be a
+  string.  An entry without a name is named ``E<i>``, ``i`` its position;
+- an arc is an array of exactly two node labels, ``[tail, head]``.  A
+  graph arc may not be a self-loop, and an event arc must be an arc of
+  the graph.  An arc listed twice is read once.
+
+A Python caller may pass a tuple where the schema has an array, as
+``json.dumps`` would write it.  A label is a string, so the number ``0``
+is not the label ``"0"``.  The
+family built must then be a family: at least one event, no two events
+with the same arcs, and no two events with the same name.
 """
 from __future__ import annotations
 
@@ -58,7 +80,8 @@ from typing import Iterable, Literal, Sequence
 
 from .budget import DEFAULT_BUDGET, Budget, InputError
 from .graphs import (
-    Arc, Digraph, arc_from_json, array_from_json, mask_nodes, node_mask, sources_of_arcs,
+    Arc, Digraph, arc_fault, array_fault, array_from_json, digraph_from_json_dict,
+    digraph_to_json_dict, mask_nodes, node_mask, sources_of_arcs,
 )
 
 OmissionMetric = Literal["global", "send", "recv"]
@@ -132,9 +155,10 @@ class EventFamily:
     ``EventFamily(base, masks, names=None)`` is the one constructor: event
     i is ``Event(base, masks[i])``.  It checks, once per family, that there
     is at least one event, that every mask fits the base (the first bad
-    mask gets the message ``Event`` gives it), that no event repeats, by
-    one ``set`` of the masks, and that ``names``, when given, names every
-    event once.  A family keeps no index from mask to position.  Equality
+    mask gets the message ``Event`` gives it), that ``names``, when given,
+    names every event once, and that no event repeats, by one ``set`` of
+    the masks.  Only a failed check looks for the first repeat, to name
+    it.  A family keeps no index from mask to position.  Equality
     and hashing read ``base``, ``masks`` and ``names``.  ``events`` is a
     view of the masks as ``Event`` objects, built the first time it is
     read; code that needs one event builds ``Event(family.base,
@@ -154,14 +178,16 @@ class EventFamily:
         if min(masks) < 0 or max(masks) >= limit:
             # The first bad mask, with the message ``Event`` gives it.
             Event(self.base, next(x for x in masks if not 0 <= x < limit))
-        if len(set(masks)) != len(masks):
-            raise InputError("duplicate events in family")
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
             if len(self.names) != len(masks):
                 raise InputError("names must cover every event")
             if len(set(self.names)) != len(self.names):
-                raise InputError("event names must be unique")
+                first, _ = _first_repeat(self.names)
+                raise InputError(f"event names must be unique: {self.names[first]!r} repeated")
+        if len(set(masks)) != len(masks):
+            first, again = map(self.name, _first_repeat(masks))
+            raise InputError(f"duplicate events in family: {first} and {again}")
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
@@ -287,6 +313,12 @@ class EventFamily:
                     return False
                 missing ^= low
         return True
+
+
+def _first_repeat(items: Sequence) -> tuple[int, int]:
+    """Indices ``i < j`` of the first item ``j`` equal to an earlier item ``i``."""
+    seen: dict = {}
+    return next((seen[x], j) for j, x in enumerate(items) if seen.setdefault(x, j) != j)
 
 
 def _closure(adjacency: Sequence[list[tuple[int, int]]], root: int, events: int) -> list[int]:
@@ -442,8 +474,6 @@ def generate_bounded_omissions(
 # ---- JSON ----------------------------------------------------------------------
 
 def family_to_json_dict(family: EventFamily) -> dict:
-    from .graphs import digraph_to_json_dict
-
     g = family.base
     return {
         "graph": digraph_to_json_dict(g),
@@ -458,59 +488,40 @@ def family_to_json_dict(family: EventFamily) -> dict:
 
 
 def family_from_json_dict(data: dict) -> EventFamily:
-    """The family that ``family_to_json_dict`` wrote, or an InputError naming the fault.
+    """The family ``family_to_json_dict`` wrote, read in one pass by the schema above.
 
-    Each event entry is parsed through one table per family, built from
-    ``base.sorted_arcs``: ``heads[tail label][head label]`` is that arc's
-    bit, so an arc costs two dict lookups and no key tuple.  The entry's
-    mask is the OR of its arcs' bits, and an arc listed twice sets its
-    bit once.  An entry the tables cannot read, for a ``KeyError``,
-    ``TypeError`` or ``ValueError``, is parsed again arc by arc; that path
-    also reads labels that are not strings, such as JSON integers, and
-    raises the error that names what is wrong.  The tables would read the
-    string ``"ab"`` as the arc ``(a, b)``, so when some node label is one
-    character long, an entry holding a string takes that path too;
-    otherwise no string can match them.
+    ``heads[tail label][head label]`` is an arc's bit in ``base.sorted_arcs``,
+    and an entry's mask is the OR of its arcs' bits, so an arc listed twice
+    sets its bit once.  One sequence pattern reads each arc, and no string
+    or object matches it; ``arc_fault`` names the first arc that fails.
     """
-    from .graphs import digraph_from_json_dict
-
-    try:
-        base = digraph_from_json_dict(data["graph"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed family JSON: {exc}") from exc
-    raw_events = array_from_json(data, "events", "malformed family JSON")
+    where = "malformed family JSON"
+    entries = array_from_json(data, "events", where)
+    if "graph" not in data:
+        raise InputError(f"{where}: 'graph'")
+    base = digraph_from_json_dict(data["graph"])
     heads: dict[str, dict[str, int]] = {}
     for i, (t, h) in enumerate(base.sorted_arcs):
         heads.setdefault(base.label(t), {})[base.label(h)] = 1 << i
-    strings_unpack = 1 in map(len, base.labels)
     masks = []
     names = []
-    for i, entry in enumerate(raw_events):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(arcs := entry.get("arcs"), (list, tuple)):
+            raise array_fault(entry, "arcs", f"malformed event entry {i}")
+        mask = 0
         try:
-            mask = 0
-            arcs = entry["arcs"]
-            if strings_unpack and str in map(type, arcs):
-                raise TypeError
-            for t, h in arcs:
-                mask |= heads[t][h]
-        except (KeyError, TypeError, ValueError):
-            mask = _entry_mask_arc_by_arc(base, i, entry)
+            for arc in arcs:
+                match arc:
+                    case [t, h]:
+                        mask |= heads[t][h]
+                    case _:
+                        raise TypeError
+        except (KeyError, TypeError):
+            raise arc_fault(arc, base.label_index, f"malformed event entry {i}") from None
         masks.append(mask)
-        names.append(str(entry["name"]) if "name" in entry else f"E{i}")
+        if not isinstance(name := entry.get("name"), str):
+            if "name" in entry:
+                raise InputError(f"malformed event entry {i}: name {name!r} is not a string")
+            name = f"E{i}"
+        names.append(name)
     return EventFamily(base, masks, names)
-
-
-def _entry_mask_arc_by_arc(base: Digraph, i: int, entry) -> int:
-    """Arc mask of event entry ``i``, with labels compared as strings."""
-    where = f"malformed event entry {i}"
-    try:
-        pairs = list(entry["arcs"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-    arcs = {arc_from_json(pair, base.label_index, where) for pair in pairs}
-    extra = sorted(arcs - base.arcs)
-    if extra:
-        labelled = [[base.label(t), base.label(h)] for t, h in extra]
-        raise InputError(f"{where}: arcs not in base graph: {labelled}")
-    bit = base.arc_bit
-    return sum(1 << bit[a] for a in arcs)

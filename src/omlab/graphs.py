@@ -239,38 +239,55 @@ def digraph_to_json_dict(g: Digraph) -> dict:
     }
 
 
-def arc_from_json(pair, index: Mapping[str, int], where: str) -> Arc:
-    """The arc of a JSON ``[tail, head]`` pair, each label read as a string
-    through ``index``; ``where`` opens the message of the error raised."""
-    try:
-        # "ab" would unpack into the labels a and b, {"a": 1, "b": 2} into its keys.
-        if isinstance(pair, (str, dict)):
-            raise TypeError
-        tail, head = pair
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: arc {pair!r} is not a pair") from None
-    try:
-        return index[str(tail)], index[str(head)]
-    except KeyError as exc:
-        raise InputError(f"{where}: unknown node label {exc.args[0]!r}") from None
+def arc_fault(arc, index: Mapping[str, int], where: str) -> InputError:
+    """The error naming the first fault of an arc that failed to read: not a pair,
+    a label not a string or not in ``index``, a self-loop, else not in the base graph."""
+    match arc:
+        case [tail, head]:
+            for label in arc:
+                if not isinstance(label, str):
+                    return InputError(f"{where}: node label {label!r} is not a string")
+                if label not in index:
+                    return InputError(f"{where}: unknown node label {label!r}")
+            fault = "is a self-loop" if tail == head else "is not in the base graph"
+            return InputError(f"{where}: arc {arc!r} {fault}")
+    return InputError(f"{where}: arc {arc!r} is not a pair")
 
 
-def array_from_json(data: dict, key: str, where: str) -> list:
-    """``data[key]`` as a list; a string or an object is not a JSON array."""
-    try:
-        items = data[key]
-        if isinstance(items, (str, dict)):
-            raise TypeError(f"{key!r} is not an array")
-        return list(items)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
+def array_fault(data, key: str, where: str) -> InputError:
+    """The error naming why ``data[key]`` is not an array in a JSON object."""
+    if not isinstance(data, dict):
+        return InputError(f"{where}: not an object")
+    return InputError(f"{where}: {key!r}" + (" is not an array" if key in data else ""))
+
+
+def array_from_json(data, key: str, where: str) -> list | tuple:
+    """``data[key]``, where ``data`` must be a JSON object and ``data[key]`` an
+    array; a tuple from a Python caller is the array ``json.dumps`` writes."""
+    if isinstance(data, dict) and isinstance(items := data.get(key), (list, tuple)):
+        return items
+    raise array_fault(data, key, where)
 
 
 def digraph_from_json_dict(data: dict) -> Digraph:
-    nodes = array_from_json(data, "nodes", "malformed digraph JSON")
-    raw_arcs = array_from_json(data, "arcs", "malformed digraph JSON")
-    index = {str(name): i for i, name in enumerate(nodes)}
+    """The digraph ``digraph_to_json_dict`` wrote, read by the schema in ``events``."""
+    where = "malformed digraph JSON"
+    nodes = array_from_json(data, "nodes", where)
+    raw_arcs = array_from_json(data, "arcs", where)
+    for label in nodes:
+        if not isinstance(label, str):
+            raise InputError(f"{where}: node label {label!r} is not a string")
+    index = {label: u for u, label in enumerate(nodes)}
     if len(index) != len(nodes):
         raise InputError("duplicate node names in digraph JSON")
-    arcs = {arc_from_json(pair, index, "malformed digraph JSON") for pair in raw_arcs}
-    return Digraph(len(nodes), frozenset(arcs), tuple(str(n) for n in nodes))
+    arcs = set()
+    try:
+        for arc in raw_arcs:
+            match arc:
+                case [tail, head] if tail != head:
+                    arcs.add((index[tail], index[head]))
+                case _:
+                    raise TypeError
+    except (KeyError, TypeError):
+        raise arc_fault(arc, index, where) from None
+    return Digraph(len(nodes), frozenset(arcs), tuple(nodes))

@@ -218,8 +218,11 @@ def check_consensus(
     """
     if partition is not None and partition.family is not family and partition.family != family:
         raise InputError("the class partition is of another family")
-    if _first_unsourced_event(family) is not None:
-        return replace(check_broadcastable(family), problem="consensus")
+    unsourced = _first_unsourced_event(family)
+    if unsourced is not None:
+        return Verdict(
+            "consensus", Answer.UNSOLVABLE, "no-source-event", NoSourceEventWitness(unsourced),
+        )
     if is_convex(family):
         verdict = check_broadcastable(family, budget)
         return replace(verdict, problem="consensus", rule="convex-broadcast-equivalence")

@@ -79,6 +79,7 @@ INPUT_FILES = {
     "ARC_STRING": {"graph": {"nodes": ["a", "b"], "arcs": [["a", "b"], ["b", "a"]]},
                    "events": [{"arcs": ["ab"]}]},
     "GRAPH_ARC_UNKNOWN_LABEL": {"nodes": ["a", "b"], "arcs": [["a", "b"], ["a", "z"]]},
+    "GRAPH_SELF_LOOP": {"nodes": ["a", "b"], "arcs": [["a", "a"]]},
     # A string would read as its characters, an object as its keys.
     "NODES_STRING": {"graph": {"nodes": "ab", "arcs": [["a", "b"], ["b", "a"]]},
                      "events": [{"arcs": [["a", "b"]]}]},
@@ -221,6 +222,8 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
         (["check", "--family", "ARC_STRING"], "malformed event entry 0: arc 'ab' is not a pair"),
         (["gen", "--graph", "GRAPH_ARC_UNKNOWN_LABEL", "--bounded", "1"],
          "malformed digraph JSON: unknown node label 'z'"),
+        (["gen", "--graph", "GRAPH_SELF_LOOP", "--bounded", "1"],
+         "malformed digraph JSON: arc ['a', 'a'] is a self-loop"),
         (["check", "--family", "NODES_STRING"], "malformed digraph JSON: 'nodes' is not an array"),
         (["check", "--family", "EVENTS_OBJECT"], "malformed family JSON: 'events' is not an array"),
     ],
@@ -231,7 +234,7 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
          "simulate-without-mode", "equal-rounds-not-convex", "graph-duplicate-nodes",
          "graph-without-arcs", "output-in-missing-directory", "family-arc-of-one",
          "family-arc-of-three", "family-arc-not-a-list", "family-graph-arc-string",
-         "family-arc-string", "graph-arc-unknown-label", "family-nodes-string",
+         "family-arc-string", "graph-arc-unknown-label", "graph-self-loop", "family-nodes-string",
          "family-events-object"],
 )
 def test_misplaced_and_malformed_inputs_exit_64_naming_the_fault(

@@ -40,9 +40,8 @@ from omlab import (
     symmetric_digraph,
     verdict_to_json_dict,
 )
-from omlab import events
 from omlab.bundled import NAMES, load_family
-from omlab.events import _count_bounded, _entry_mask_arc_by_arc
+from omlab.events import _count_bounded
 from omlab.simulator import _check_run
 
 from conftest import BLACK, WHITE, random_connected_symmetric
@@ -123,11 +122,13 @@ def test_family_stores_its_masks_and_builds_the_view_when_read(o1):
         ((), None, "an event family needs at least one event"),
         ((0b11, -1, -2), None, "arc mask -0x1 out of range for 2 base arcs"),
         ((0b100, 0b11, 0b1000), None, "arc mask 0x4 out of range for 2 base arcs"),
-        ((0b11, 0b01, 0b11), None, "duplicate events in family"),
+        ((0b11, 0b01, 0b11), None, "duplicate events in family: E0 and E2"),
+        ((0b11, 0b01, 0b11), ("x", "y", "z"), "duplicate events in family: x and z"),
         ((0b11, 0b01), ("ok",), "names must cover every event"),
-        ((0b11, 0b01), ("ok", "ok"), "event names must be unique"),
+        ((0b11, 0b01, 0b10), ("ok", "no", "ok"), "event names must be unique: 'ok' repeated"),
     ],
-    ids=["empty", "negative", "too-large", "duplicate", "names-short", "names-repeated"],
+    ids=["empty", "negative", "too-large", "duplicate", "duplicate-named", "names-short",
+         "names-repeated"],
 )
 def test_family_from_masks_rejects_what_the_event_path_rejects(two_node, masks, names, message):
     """Each fault's message, pinned; the first mask out of range gets the
@@ -426,32 +427,50 @@ TWO_NODE_GRAPH = {"nodes": ["white", "black"], "arcs": [["white", "black"], ["bl
     "data, message",
     [
         ({"events": []}, "malformed family JSON: 'graph'"),
-        ({"graph": TWO_NODE_GRAPH, "events": 3},
-         "malformed family JSON: 'int' object is not iterable"),
+        ([], "malformed family JSON: not an object"),
+        ({"graph": "x", "events": []}, "malformed digraph JSON: not an object"),
+        ({"graph": TWO_NODE_GRAPH, "events": 3}, "malformed family JSON: 'events' is not an array"),
         ({"graph": TWO_NODE_GRAPH, "events": [{"name": "a"}]}, "malformed event entry 0: 'arcs'"),
         ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": []}, 3]},
-         "malformed event entry 1: 'int' object is not subscriptable"),
+         "malformed event entry 1: not an object"),
+        ({"graph": TWO_NODE_GRAPH, "events": ["ab"]}, "malformed event entry 0: not an object"),
+        ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": {"white": "black"}}]},
+         "malformed event entry 0: 'arcs' is not an array"),
         ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": [["white", "nope"]]}]},
          "malformed event entry 0: unknown node label 'nope'"),
+        ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": [["white", 1]]}]},
+         "malformed event entry 0: node label 1 is not a string"),
         ({"graph": {"nodes": ["white", "black"], "arcs": [["white", "black"]]},
           "events": [{"arcs": [["black", "white"]]}]},
-         "malformed event entry 0: arcs not in base graph: [['black', 'white']]"),
+         "malformed event entry 0: arc ['black', 'white'] is not in the base graph"),
+        ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": [["black", "black"]]}]},
+         "malformed event entry 0: arc ['black', 'black'] is a self-loop"),
         ({"graph": {"nodes": ["white", "black"], "arcs": [{"white": 1, "black": 2}]},
           "events": [{"arcs": [{"white": 1, "black": 2}]}]},
          "malformed digraph JSON: arc {'white': 1, 'black': 2} is not a pair"),
-        # The per-tail tables have no arc black -> white, so the entry is read arc by arc.
-        ({"graph": {"nodes": ["white", "black"], "arcs": [["white", "black"]]},
-          "events": [{"arcs": [{"black": 1, "white": 2}]}]},
-         "malformed event entry 0: arc {'black': 1, 'white': 2} is not a pair"),
+        ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": [{"white": 1, "black": 2}]}]},
+         "malformed event entry 0: arc {'white': 1, 'black': 2} is not a pair"),
+        ({"graph": {"nodes": ["white", "white"], "arcs": []}, "events": [{"arcs": []}]},
+         "duplicate node names in digraph JSON"),
+        ({"graph": {"nodes": [0, 1], "arcs": []}, "events": [{"arcs": []}]},
+         "malformed digraph JSON: node label 0 is not a string"),
+        ({"graph": {"nodes": ["white", "black"], "arcs": [["white", "white"]]},
+          "events": [{"arcs": []}]},
+         "malformed digraph JSON: arc ['white', 'white'] is a self-loop"),
+        ({"graph": TWO_NODE_GRAPH, "events": [{"name": ["x"], "arcs": []}]},
+         "malformed event entry 0: name ['x'] is not a string"),
         ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": []}, {"arcs": []}]},
-         "duplicate events in family"),
+         "duplicate events in family: E0 and E1"),
         ({"graph": TWO_NODE_GRAPH,
           "events": [{"name": "a", "arcs": []}, {"name": "a", "arcs": [["white", "black"]]}]},
-         "event names must be unique"),
+         "event names must be unique: 'a' repeated"),
     ],
-    ids=["no-graph", "events-not-a-list", "entry-without-arcs", "entry-not-an-object",
-         "unknown-label", "arc-not-in-base", "graph-arc-object", "arc-object-read-arc-by-arc",
-         "duplicate-events", "duplicate-names"],
+    ids=["no-graph", "document-an-array", "graph-a-string", "events-not-a-list",
+         "entry-without-arcs", "entry-not-an-object", "entry-a-string", "entry-arcs-an-object",
+         "unknown-label", "label-not-a-string", "arc-not-in-base", "event-self-loop",
+         "graph-arc-object", "event-arc-object", "graph-duplicate-labels",
+         "graph-integer-labels", "graph-self-loop", "name-an-array", "duplicate-events",
+         "duplicate-names"],
 )
 def test_family_json_errors_name_the_fault(data, message, tmp_path, capsys):
     with pytest.raises(ValueError) as caught:
@@ -470,84 +489,16 @@ def test_family_json_arc_listed_twice_sets_it_once():
     assert family_from_json_dict(twice) == family_from_json_dict(once)
 
 
-def test_family_json_integer_labels_read_as_strings():
+def test_family_json_integer_labels_are_refused():
+    """A label is a string: the numbers 0 and 1 are not the labels "0" and "1"."""
     as_ints = {"graph": {"nodes": [0, 1], "arcs": [[0, 1]]},
                "events": [{"arcs": [[0, 1]]}, {"arcs": []}]}
+    with pytest.raises(InputError, match="node label 0 is not a string"):
+        family_from_json_dict(as_ints)
     as_strs = {"graph": {"nodes": ["0", "1"], "arcs": [["0", "1"]]},
-               "events": [{"arcs": [["0", "1"]]}, {"arcs": []}]}
-    family = family_from_json_dict(as_ints)
-    assert family == family_from_json_dict(as_strs)
-    assert family.masks == (1, 0)
-
-
-# ---- family JSON: the per-tail tables against the arc-by-arc reader ------------------
-
-ONE_CHAR_GRAPH = {"nodes": ["a", "b", "c"], "arcs": [["a", "b"], ["b", "a"], ["b", "c"]]}
-INT_GRAPH = {"nodes": [0, 1], "arcs": [[0, 1], [1, 0]]}
-
-
-def _arc_by_arc(base, i, entry):
-    """Entry i's mask as ``_entry_mask_arc_by_arc`` reads it, or its InputError message."""
-    try:
-        return _entry_mask_arc_by_arc(base, i, entry)
-    except InputError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize(
-    "graph, entry, handed_over",
-    [
-        (ONE_CHAR_GRAPH, {"arcs": [["a", "b"], ["b", "c"]]}, False),
-        (ONE_CHAR_GRAPH, {"arcs": [["b", "a"], ["b", "a"]]}, False),
-        (TWO_NODE_GRAPH, {"arcs": [["black", "white"], ["white", "black"]]}, False),
-        (TWO_NODE_GRAPH, {"name": None, "arcs": [["white", "black"]]}, False),
-        (INT_GRAPH, {"arcs": [[0, 1]]}, True),
-        (INT_GRAPH, {"arcs": [["0", 1]]}, True),
-        (ONE_CHAR_GRAPH, {"arcs": [["z", "b"]]}, True),
-        (ONE_CHAR_GRAPH, {"arcs": [["a", "z"]]}, True),
-        (ONE_CHAR_GRAPH, {"arcs": [["c", "a"]]}, True),
-        (ONE_CHAR_GRAPH, {"arcs": [["a"]]}, True),
-        (ONE_CHAR_GRAPH, {"arcs": [["a", "b", "c"]]}, True),
-        (ONE_CHAR_GRAPH, {"arcs": [[["a"], "b"]]}, True),
-        (ONE_CHAR_GRAPH, {"arcs": [["a", ["b"]]]}, True),
-        (ONE_CHAR_GRAPH, {"arcs": ["ab"]}, True),
-        (ONE_CHAR_GRAPH, {"arcs": [["a", "b"], "ba"]}, True),
-        (TWO_NODE_GRAPH, {"arcs": ["ab"]}, True),
-    ],
-    ids=["valid", "arc-listed-twice", "valid-long-labels", "name-null", "integer-labels",
-         "integer-head", "unknown-tail", "unknown-head", "tail-without-that-arc",
-         "one-element-arc", "three-element-arc", "unhashable-tail", "unhashable-head",
-         "two-character-string-arc", "string-arc-after-a-pair", "string-arc-long-labels"],
-)
-def test_family_json_fast_parse_matches_arc_by_arc(graph, entry, handed_over, monkeypatch):
-    data = {"graph": graph, "events": [entry]}
-    base = family_from_json_dict({"graph": graph, "events": [{"arcs": []}]}).base
-    expected = _arc_by_arc(base, 0, entry)
-    calls = []
-
-    def spy(base, i, entry):
-        calls.append(i)
-        return _entry_mask_arc_by_arc(base, i, entry)
-
-    monkeypatch.setattr(events, "_entry_mask_arc_by_arc", spy)
-    try:
-        family = family_from_json_dict(data)
-    except InputError as exc:
-        assert str(exc) == expected
-    else:
-        assert family.masks == (expected,)
-        assert family.names == (str(entry.get("name", "E0")),)
-    assert calls == ([0] if handed_over else [])
-
-
-def test_family_json_fast_parse_matches_arc_by_arc_on_a_q3_subset(monkeypatch):
-    q3 = generate_bounded_omissions(hypercube_digraph(3), 4)
-    picked = random.Random(3).sample(range(len(q3)), 2000)
-    data = family_to_json_dict(EventFamily(q3.base, [q3.masks[i] for i in picked]))
-    expected = tuple(_arc_by_arc(q3.base, i, entry) for i, entry in enumerate(data["events"]))
-    # Every entry is valid, so none is handed over to the arc-by-arc reader.
-    monkeypatch.setattr(events, "_entry_mask_arc_by_arc", None)
-    assert family_from_json_dict(data).masks == expected
+               "events": [{"arcs": [["0", 1]]}, {"arcs": []}]}
+    with pytest.raises(InputError, match="node label 1 is not a string"):
+        family_from_json_dict(as_strs)
 
 
 def test_family_names_of_reads_names_in_order(o1):

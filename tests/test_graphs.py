@@ -233,6 +233,12 @@ def test_json_rejects_unknown_node():
         digraph_from_json_dict({"nodes": ["a"], "arcs": [["a", "b"]]})
 
 
+def test_json_names_a_self_loop_by_its_labels():
+    with pytest.raises(InputError) as caught:
+        digraph_from_json_dict({"nodes": ["a", "b"], "arcs": [["a", "b"], ["a", "a"]]})
+    assert str(caught.value) == "malformed digraph JSON: arc ['a', 'a'] is a self-loop"
+
+
 def test_hypercube_labels():
     q3 = hypercube_digraph(3)
     assert q3.node_count == 8

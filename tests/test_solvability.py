@@ -275,11 +275,18 @@ def test_h_scheme_consensus_condition_only(h_scheme):
     assert verdict.answer is Answer.NECESSARY_CONDITION_HOLDS
 
 
-def test_consensus_no_source_event(two_node, ok_event):
+def test_consensus_no_source_event(two_node, ok_event, monkeypatch):
     silent = event_from_arcs(two_node, frozenset())
-    verdict = check_consensus(_family(two_node, ok_event, silent))
+    family = _family(two_node, ok_event, silent)
+    searches = []
+    first_unsourced = solvability._first_unsourced_event
+    monkeypatch.setattr(solvability, "_first_unsourced_event",
+                        lambda family: searches.append(1) or first_unsourced(family))
+    verdict = check_consensus(family)
+    assert searches == [1]
     assert verdict.answer is Answer.UNSOLVABLE
     assert verdict.rule == "no-source-event"
+    assert verdict == replace(check_broadcastable(family), problem="consensus")
 
 
 def test_fig12_consensus_solvable_by_reduction(fig12):
