@@ -136,10 +136,11 @@ def _connect(
     witness whose groups are all single members joins nothing and is
     skipped.  A witness whose head filter contains the filter of one
     already grouped is not grouped at all: each of its groups would lie
-    inside one earlier group, already joined.  Every join that merges
-    two components becomes a witness edge, in order, so the edges form a
-    spanning forest.  The scan stops as soon as the members are
-    connected.
+    inside one earlier group, already joined.  The all-arcs filter counts
+    as grouped from the start: the members' masks are distinct, so it
+    would group each alone.  Every join that merges two components
+    becomes a witness edge, in order, so the edges form a spanning
+    forest.  The scan stops as soon as the members are connected.
 
     Returns the connected components (member indices in member order),
     the witness edges inside each component, and, when the members split,
@@ -155,7 +156,7 @@ def _connect(
     components = size
     joins: list[tuple[int, int, int]] = []  # (group's first position, joined one, witness)
     witnesses: dict[int, int] = {}  # source mask -> position of its witness
-    scanned: list[int] = []  # head filters grouped so far
+    scanned = [(1 << len(base.arcs)) - 1]  # head filters grouped so far
     for w, k in enumerate(members):
         if components == 1:
             break

@@ -43,7 +43,12 @@ of a plain ``set`` of the masks.  Whether a family is convex is one
 cached answer, ``EventFamily.convex``, which ``is_convex`` reads.  A
 generated family is convex by construction and carries the answer
 ``True`` from ``generate_bounded_omissions``; every other family scans
-its members once, the first time it is asked.
+its members once, the first time it is asked.  A generated family also
+skips the constructor's checks, which its construction proves: its
+masks are strictly increasing in arc-tuple order, so none repeats, and
+each is the full mask with some bits cleared, so each fits the base.
+Every other family, and every ``dataclasses.replace`` of a generated
+one, is built by ``EventFamily(base, masks, names)`` and checked.
 
 Family JSON has one schema, what ``family_to_json_dict`` writes; the
 graph inside it is what ``graphs.digraph_to_json_dict`` writes.
@@ -152,17 +157,19 @@ def event_from_arcs(base: Digraph, arcs: Iterable[Arc]) -> Event:
 class EventFamily:
     """Finite ordered set of distinct events over one base graph.
 
-    ``EventFamily(base, masks, names=None)`` is the one constructor: event
-    i is ``Event(base, masks[i])``.  It checks, once per family, that there
+    ``EventFamily(base, masks, names=None)`` is the one public constructor:
+    event i is ``Event(base, masks[i])``.  It checks, once per family, that there
     is at least one event, that every mask fits the base (the first bad
     mask gets the message ``Event`` gives it), that ``names``, when given,
     names every event once, and that no event repeats, by one ``set`` of
     the masks.  Only a failed check looks for the first repeat, to name
-    it.  A family keeps no index from mask to position.  Equality
-    and hashing read ``base``, ``masks`` and ``names``.  ``events`` is a
-    view of the masks as ``Event`` objects, built the first time it is
-    read; code that needs one event builds ``Event(family.base,
-    family.masks[i])``.
+    it.  ``generate_bounded_omissions`` alone sets the fields itself and
+    skips these checks, which its masks pass by construction (the
+    generator's docstring says why).  A family keeps no index from mask
+    to position.  Equality and hashing read ``base``, ``masks`` and
+    ``names``.  ``events`` is a view of the masks as ``Event`` objects,
+    built the first time it is read; code that needs one event builds
+    ``Event(family.base, family.masks[i])``.
     """
 
     base: Digraph
@@ -426,7 +433,13 @@ def generate_bounded_omissions(
 
     The result is convex, and its ``convex`` is preset to ``True`` so
     that no caller scans it: adding an arc to a member removes an
-    omission and adds none, so no group's count rises above ``f``.
+    omission and adds none, so no group's count rises above ``f``.  It
+    is built without ``EventFamily``'s checks, which it cannot fail.
+    There is at least one mask, the full one.  Every mask is the full
+    mask with bits cleared, so it fits the base.  The lists stay in
+    strictly increasing arc-tuple order, so no mask repeats.  The
+    family's fields are ``base``, the masks as a tuple, ``names=None``
+    and the preset ``convex``, exactly what the constructor would keep.
     Raises BudgetExceededError when the family would exceed the budget's
     family cap.
     """
@@ -465,9 +478,11 @@ def generate_bounded_omissions(
             moved = omit[:1] == empty
             grown.append(tail[:moved] + kept + tail[moved:])
         lists = grown
-    family = EventFamily(base, lists[0])
-    # Convex: a member plus an arc has no group omission count above the member's.
-    object.__setattr__(family, "convex", True)
+    # Built without ``__post_init__``: the masks are distinct and fit the base.
+    family = object.__new__(EventFamily)
+    fields = {"base": base, "masks": tuple(lists[0]), "names": None, "convex": True}
+    for field, value in fields.items():
+        object.__setattr__(family, field, value)
     return family
 
 

@@ -26,7 +26,8 @@ is searched with its value capped at the best count so far
 shows that source cannot do better.
 Both the source sets and the game read ``EventFamily.carriers``, the
 bitset of events delivering each base arc: source sets as closures over
-all events at once (``EventFamily.source_columns``), the game to find
+all events at once (``EventFamily.source_columns``), the game as
+per-node feeds, each arc into a node paired with its tail's bit, to find
 all successors of an informed set by splitting the events by the nodes
 they starve.  The verdicts read the columns too: the events with no
 source are those outside the OR of every column, and a common source
@@ -265,12 +266,15 @@ class BroadcastGame:
     repeat it forever).
 
     Events are bits of an int; ``EventFamily.carriers[b]`` is the set of
-    events that deliver base arc ``b``.  From a state S, an uninformed
-    node v with a base arc from S is starved by
-    ``all & ~OR(carriers of arcs S -> v)``.
+    events that deliver base arc ``b``.  ``_feeds[v]`` holds, for each
+    base arc into v, the pair (its tail's bit, its carriers), built once
+    per game.  From a state S, an uninformed node v is fed by the OR of
+    the carriers of its feeds whose tail is in S; a node fed by no event
+    cannot grow and is skipped.  Any other is starved by
+    ``all & ~fed``.
     Splitting all events by each nonzero starve column leaves groups that
     starve the same nodes; each gives one distinct successor, S plus its
-    border minus the group's starved nodes: O(arcs + columns * groups).
+    fed nodes minus the group's starved nodes: O(arcs + columns * groups).
     ``value`` is the one search: exact values are kept in ``_memo``, and a
     state whose search stopped at a cap is kept in ``_atleast`` with that
     cap, which answers every query capped at or below it.
@@ -283,26 +287,24 @@ class BroadcastGame:
         self._full = family.base.full_mask
         self._memo: dict[int, Rounds] = {self._full: 0}
         self._atleast: dict[int, Rounds] = {}
+        # Per node v, (tail bit, carriers) for each base arc into v.
+        self._feeds: list[list[tuple[int, int]]] = [[] for _ in range(family.base.node_count)]
+        for (tail, head), events in zip(family.base.sorted_arcs, family.carriers):
+            self._feeds[head].append((1 << tail, events))
 
     def _successors(self, state: int) -> list[int]:
         """The distinct successors of ``state``, fewest informed nodes first."""
-        base, carriers, everything = self.family.base, self.family.carriers, self._all
-        out_arc_bits, in_arc_bits = base.out_arc_bits, base.in_arc_bits
-        leaving = 0
-        for u in mask_nodes(state):
-            leaving |= out_arc_bits[u]
+        everything = self._all
         grown = state
         groups = [(everything, 0)] if everything else []  # (events, nodes they starve)
         for v in mask_nodes(self._full & ~state):
-            arcs = leaving & in_arc_bits[v]
-            if not arcs:
+            fed = 0
+            for tail, events in self._feeds[v]:
+                if state & tail:
+                    fed |= events
+            if not fed:
                 continue
             grown |= 1 << v
-            fed = 0
-            while arcs:
-                low = arcs & -arcs
-                fed |= carriers[low.bit_length() - 1]
-                arcs ^= low
             starve = everything & ~fed
             if starve:
                 groups = [

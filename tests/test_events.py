@@ -287,6 +287,32 @@ def test_generated_family_carries_its_convexity():
     assert is_convex(family)
 
 
+def test_generated_families_pass_every_check_the_generator_skips():
+    """The generator builds its family without the constructor's checks:
+    the one constructor, run on the same masks, must build an equal family."""
+    cap = Budget(max_family_events=70_000)
+    c8_2 = symmetric_digraph(8, [(i, (i + k) % 8) for i in range(8) for k in (1, 2)])
+    cases = [(g, f, metric) for g in CONVEXITY_GRAPHS for f in range(4)
+             for metric in ("global", "send", "recv")]
+    cases += [(c8_2, 3, "global"), (cycle_digraph(8), 1, "recv")]
+    built = 0
+    for g, f, metric in cases:
+        try:
+            family = generate_bounded_omissions(g, f, metric, budget=cap)
+        except BudgetExceededError:
+            continue
+        # Every field, and nothing else but the preset answer.
+        assert set(vars(family)) == {"base", "masks", "names", "convex"} == {
+            field.name for field in fields(EventFamily)
+        } | {"convex"}
+        assert type(family.masks) is tuple and family.names is None
+        assert EventFamily(family.base, family.masks) == family, (g.node_count, f, metric)
+        with pytest.raises(InputError, match="duplicate events in family"):
+            replace(family, masks=family.masks + family.masks[-1:])
+        built += 1
+    assert built == 40 + 34 + 34 + 2
+
+
 def test_nonconvex_family_scans_once(h_scheme):
     assert "convex" not in vars(h_scheme)
     assert not is_convex(h_scheme)

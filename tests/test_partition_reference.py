@@ -212,3 +212,18 @@ def test_reference_catches_a_wrongly_settled_piece(mutant, monkeypatch):
     assert all(map(agrees_with_reference, families))
     monkeypatch.setattr(equivalence, "_connect", mutant)
     assert not all(map(agrees_with_reference, families))
+
+
+def test_a_class_led_by_an_event_that_every_node_sources_splits_as_the_reference_does():
+    """A witness every node sources groups every member alone, so the kernel
+    never groups by it; the class still splits as the definition says."""
+    g = complete_digraph(3)
+    everything = (1 << len(g.arcs)) - 1
+    family = EventFamily(g, [everything, 49, 57, 27, 3, 17])
+    assert family.source_masks[0] == g.full_mask
+    pieces, _edges, _keeper = _connect(family, list(range(len(family))))
+    assert pieces[0][0] == 0 and len(pieces) > 1
+    partition = beta_partition(family)
+    assert partition.to_json_dict() == reference_partition(family).to_json_dict()
+    assert partition.classes == ((0,), (1, 5), (2,), (3,), (4,))
+    assert partition.verify()

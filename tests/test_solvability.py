@@ -262,6 +262,23 @@ def test_incompatibility_witness_refuses_forged_indices(o1):
     assert not extra.holds(o1)
     assert not replace(witness, events=(1, len(o1))).holds(o1)
 
+
+def test_incompatibility_witness_refuses_a_claimed_source_set_smaller_than_the_true_one(
+    two_node, ok_event, omit_black
+):
+    # {full, white -> black}: white is a source of both.  Claiming only
+    # {black} for the full event forges a disjoint pair.
+    family = _family(two_node, ok_event, omit_black)
+    assert family.source_masks == (0b11, 0b01)
+    assert not IncompatibilityWitness((0, 1), (0b10, 0b01)).holds(family)
+
+
+def test_incompatibility_witness_refuses_an_event_with_no_source(two_node, ok_event):
+    # An event with no source is a no-source witness, not an incompatible subset.
+    family = _family(two_node, ok_event, event_from_arcs(two_node, frozenset()))
+    assert family.source_masks[1] == 0
+    assert not IncompatibilityWitness((1,), (0,)).holds(family)
+
 # ---- consensus -----------------------------------------------------------------------
 
 def test_o1_consensus_unsolvable_via_convexity(o1):
