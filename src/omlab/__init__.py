@@ -8,8 +8,9 @@ the indistinguishability-class partition behind the consensus condition,
 runs protocols in an exact round simulator, and cross-checks everything
 against a brute-force execution-view oracle on small instances.
 
-Scenario words and input vectors are plain tuples of ints: a word holds
-one event index per round, an input one 0/1 value per node.
+Scenario words and input vectors are plain tuples of ints, and an
+execution is their pair (input, word): a word holds one event index per
+round, an input one 0/1 value per node.
 """
 from .budget import Budget, BudgetExceededError, InputError
 from .equivalence import (
@@ -43,7 +44,6 @@ from .graphs import (
 )
 from .oracle import (
     EqualRoundsReport,
-    Execution,
     IndistinguishabilityChain,
     OracleResult,
     equal_rounds_audit,

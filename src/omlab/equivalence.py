@@ -209,14 +209,14 @@ class BetaPartition:
     def verify(self) -> bool:
         """Replay every stored edge and recheck the closure condition.
 
-        One union-find serves every class: the classes are checked to be
-        disjoint and to cover every event, there must be one edge tuple
-        per class, and each edge must lie inside its class.  A class is
-        connected exactly when its edges make ``len(members) - 1`` unions
-        that merge, so a class that lists an event twice never is.  Each
-        witness's head filter is built once, from the
-        ``Event.sources_mask`` of an event built for it alone, so the
-        replay shares nothing with the family's ``source_masks``; every
+        One union-find serves every class: each class must take events of
+        the family no earlier class took, the classes must cover them all,
+        there must be one edge tuple per class, and each edge must lie
+        inside its class.  A class is connected exactly when its edges make
+        ``len(members) - 1`` unions that merge, so a class that lists an
+        event twice never is.  Each witness's head filter is built once,
+        from the ``Event.sources_mask`` of an event built for it alone, so
+        the replay shares nothing with the family's ``source_masks``; every
         edge it witnesses compares the two arc masks, read from
         ``family.masks``, under that filter.
         """
@@ -225,12 +225,12 @@ class BetaPartition:
         base, masks = self.family.base, self.family.masks
         head_filters: dict[int, int] = {}
         uf = _UnionFind(len(masks))
-        seen: set[int] = set()
+        unseen = set(range(len(masks)))
         for members, edges in zip(self.classes, self.class_edges):
             member_set = set(members)
-            if seen & member_set:
+            if not member_set <= unseen:
                 return False
-            seen |= member_set
+            unseen -= member_set
             merges = 0
             for left, right, k in edges:
                 if not (left in member_set and right in member_set and k in member_set):
@@ -244,7 +244,7 @@ class BetaPartition:
                 merges += uf.union(left, right)
             if merges != len(members) - 1:
                 return False
-        return seen == set(range(len(masks)))
+        return not unseen
 
     def to_json_dict(self) -> dict:
         fam = self.family

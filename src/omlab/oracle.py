@@ -36,7 +36,8 @@ pair (structure id, inputs heard), and no nested view is built or
 hashed.  One breadth-first pass over the groups of words sharing an id
 labels the word components.
 
-The protocol, the decision table and the chain read structures too.  On
+The protocol, the decision table and the chain read structures too,
+those of the final search, and each is built when first read.  On
 success the decision labelling *is* a protocol: a node starts from its
 depth-0 structure and its input, and each round sends that structure
 with the heard inputs that are 1.  A structure holds a trie of the next
@@ -66,7 +67,7 @@ evidence but never a claim beyond h; the report records h explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from operator import or_
 from typing import Any
@@ -77,25 +78,17 @@ from .graphs import mask_nodes
 from .simulator import ProtocolSpec, ProtocolError
 from .solvability import optimal_broadcast_rounds
 
-ViewContent = Any  # nested tuples; (node, value) at depth 0
-
-
-@dataclass(frozen=True)
-class Execution:
-    init: tuple[int, ...]
-    word: tuple[int, ...]
-
 
 def execution_views(
     family: EventFamily, word: tuple[int, ...], init: tuple[int, ...]
-) -> tuple[ViewContent, ...]:
+) -> tuple[Any, ...]:
     """Final view content of every node for one execution.
 
     Depth-0 views are ``(node, value)``; the view after a round pairs the
     previous view with the (sorted) delivering in-neighbours' views.
     """
     n = family.base.node_count
-    views: list[ViewContent] = [(v, init[v]) for v in range(n)]
+    views: list[Any] = [(v, init[v]) for v in range(n)]
     for letter in word:
         event = family.events[letter]
         views = [
@@ -205,10 +198,10 @@ def _decision_table(views: _Views, needs: list[int]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class IndistinguishabilityChain:
-    """Executions from an all-0 input to an all-1 input, each adjacent pair
-    indistinguishable to ``shared_nodes[i]`` after ``depth`` rounds."""
+    """(init, word) executions from an all-0 input to an all-1 input, each
+    adjacent pair indistinguishable to ``shared_nodes[i]`` after ``depth`` rounds."""
 
-    executions: tuple[Execution, ...]
+    executions: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     shared_nodes: tuple[int, ...]
     depth: int
 
@@ -220,42 +213,54 @@ def verify_chain(chain: IndistinguishabilityChain, family: EventFamily) -> bool:
         return False
     n = family.base.node_count
     for ex in execs:
-        if len(ex.init) != n or any(v not in (0, 1) for v in ex.init):
+        if not isinstance(ex, tuple) or len(ex) != 2:
             return False
-        if len(ex.word) != chain.depth:
+        init, word = ex
+        if len(init) != n or any(v not in (0, 1) for v in init):
             return False
-        if any(not 0 <= i < len(family) for i in ex.word):
+        if len(word) != chain.depth:
             return False
-    if set(execs[0].init) != {0} or set(execs[-1].init) != {1}:
+        if any(not 0 <= i < len(family) for i in word):
+            return False
+    if set(execs[0][0]) != {0} or set(execs[-1][0]) != {1}:
         return False
-    left = execution_views(family, execs[0].word, execs[0].init)
-    for node, ex in zip(chain.shared_nodes, execs[1:]):
-        if not 0 <= node < n:
+    views = [execution_views(family, word, init) for init, word in execs]
+    for node, left, right in zip(chain.shared_nodes, views, views[1:]):
+        if not 0 <= node < n or left[node] != right[node]:
             return False
-        right = execution_views(family, ex.word, ex.init)
-        if left[node] != right[node]:
-            return False
-        left = right
     return True
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of the bounded-horizon consensus search.
+    """Outcome of the bounded-horizon consensus search, and its final search.
 
-    On success ``decision_table`` maps the ``repr`` of every final view, as
-    ``execution_views`` builds it, to the protocol's decision on that view.
+    The proofs are built from ``search`` on first read: on success
+    ``protocol`` and ``decision_table``, the ``repr`` of every final view,
+    as ``execution_views`` builds it, to its decision; on failure ``witness``.
     """
 
     max_horizon: int
     rounds: int | None
-    protocol: ProtocolSpec | None
-    decision_table: dict[str, int] | None
-    witness: IndistinguishabilityChain | None
+    search: _Search
 
     @property
     def solvable(self) -> bool:
         return self.rounds is not None
+
+    @cached_property
+    def protocol(self) -> ProtocolSpec | None:
+        search = self.search
+        return full_information_protocol(search.views, search.needs) if self.solvable else None
+
+    @cached_property
+    def decision_table(self) -> dict[str, int] | None:
+        search = self.search
+        return _decision_table(search.views, search.needs) if self.solvable else None
+
+    @cached_property
+    def witness(self) -> IndistinguishabilityChain | None:
+        return None if self.solvable else self.search.mixing_chain()
 
     @property
     def horizon_table(self) -> tuple[tuple[int, bool], ...]:
@@ -280,11 +285,8 @@ class OracleResult:
             data["witness"] = {
                 "depth": self.witness.depth,
                 "executions": [
-                    {
-                        "init": list(ex.init),
-                        "scenario": family.names_of(ex.word),
-                    }
-                    for ex in self.witness.executions
+                    {"init": list(init), "scenario": family.names_of(word)}
+                    for init, word in self.witness.executions
                 ],
                 "shared_nodes": [
                     family.base.label(v) for v in self.witness.shared_nodes
@@ -298,25 +300,21 @@ def min_consensus_rounds(
 ) -> OracleResult:
     """Least r <= max_horizon with an r-round consensus protocol, with proof.
 
-    Returns the protocol and its decision table, ``repr`` of each final view
-    to its decision, on success; on failure at ``max_horizon``, returns the
-    mixing chain showing why that horizon is not enough.
+    The result keeps the search at r, or else at ``max_horizon``, and
+    builds from it, on first read, the protocol and its decision table on
+    success or the mixing chain showing why ``max_horizon`` is not enough.
     """
     if max_horizon < 0:
         raise InputError("horizon must be non-negative")
     views = _Views(family)
-    search: _Search | None = None
     for r in range(max_horizon + 1):
         budget.check("max_executions", (1 << family.base.node_count) * len(family)**r)
         if r:
             views.extend()
         search = _Search(family, r, views)
         if search.solvable:
-            needs = search.needs()
-            protocol = full_information_protocol(views, needs)
-            return OracleResult(max_horizon, r, protocol, _decision_table(views, needs), None)
-    assert search is not None
-    return OracleResult(max_horizon, None, None, None, search.mixing_chain())
+            break
+    return OracleResult(max_horizon, r if search.solvable else None, search)
 
 
 class _Views:
@@ -409,6 +407,7 @@ class _Search:
                 common[w] = mask
         self.solvable = self.start is None
 
+    @cached_property
     def needs(self) -> list[int]:
         """B(C) of every structure id's word component, by id: the inputs
         a node with that id must see all 1 to decide 1."""
@@ -469,9 +468,9 @@ class _Search:
             tuple(map(self.execution, reversed(path))), tuple(reversed(nodes)), self.rounds
         )
 
-    def execution(self, idx: int) -> Execution:
+    def execution(self, idx: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         init, word = divmod(idx, self.k**self.rounds)
-        return Execution(
+        return (
             tuple(init >> (self.n - 1 - v) & 1 for v in range(self.n)),
             tuple(word // self.k**i % self.k for i in reversed(range(self.rounds))),
         )
@@ -516,7 +515,8 @@ def equal_rounds_audit(
     reporting; the report's horizon is b.  Non-broadcastable convex input
     is reported with broadcast unsolvable and the oracle's answer up to
     the largest horizon h <= |V| whose 2^|V| * k^h executions fit the
-    budget's execution cap; the report's horizon is that h.
+    budget's execution cap; the report's horizon is that h.  Only round
+    counts are read, so no protocol, decision table or chain is built.
     """
     if not is_convex(family):
         raise InputError("the equal-rounds audit applies to convex families only")

@@ -160,10 +160,14 @@ def test_beta_verify_catches_a_missing_event(h_scheme):
         ("o1", ((0, 1, 2, 2),), ((AlphaWitness(0, 2, 1), AlphaWitness(0, 1, 2)),)),
         # Both edges hold and there are two, but the second closes a cycle: one merge.
         ("o1", ((0, 1, 2),), ((AlphaWitness(0, 1, 2), AlphaWitness(1, 0, 2)),)),
+        # O1 has events 0-2: the class and an edge name an event 3 it does not have.
+        ("o1", ((0, 1, 2, 3),), ((AlphaWitness(0, 3, 2),),)),
+        ("o1", ((0, 1, 2, 3),), ((AlphaWitness(0, 1, 3),),)),
     ],
     ids=["cached-witness-edge-fails", "witness-outside-class", "classes-overlap",
          "edges-do-not-span", "edge-tuples-missing", "edge-tuple-left-over",
-         "class-lists-an-event-twice", "edges-close-a-cycle"],
+         "class-lists-an-event-twice", "edges-close-a-cycle",
+         "edge-names-an-event-outside-the-family", "witness-outside-the-family"],
 )
 def test_beta_verify_refutes_forged_partitions(request, fixture, classes, class_edges):
     bp = beta_partition(request.getfixturevalue(fixture))

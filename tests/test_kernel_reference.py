@@ -42,7 +42,7 @@ from omlab import oracle
 from omlab.bundled import NAMES, crash_scheme_prefixes, h_one_round, load_family
 from omlab.equivalence import _UnionFind
 from omlab.graphs import sources_of_arcs
-from omlab.oracle import Execution, IndistinguishabilityChain, execution_views
+from omlab.oracle import IndistinguishabilityChain, execution_views
 from omlab import simulator
 from omlab.simulator import (
     CheckReport,
@@ -440,9 +440,9 @@ def reference_oracle(family: EventFamily, max_horizon: int):
     n, k = family.base.node_count, len(family)
     table = []
     for r in range(max_horizon + 1):
-        execs = [Execution(x, w) for x in product((0, 1), repeat=n)
+        execs = [(x, w) for x in product((0, 1), repeat=n)
                  for w in product(range(k), repeat=r)]
-        views = [execution_views(family, ex.word, ex.init) for ex in execs]
+        views = [execution_views(family, w, x) for x, w in execs]
         uf = _UnionFind(len(execs))
         groups: dict = {}
         for idx, contents in enumerate(views):
@@ -453,9 +453,9 @@ def reference_oracle(family: EventFamily, max_horizon: int):
                 group.append(idx)
         root = [uf.find(i) for i in range(len(execs))]
         uniform: dict[int, set[int]] = {}
-        for idx, ex in enumerate(execs):
-            if len(set(ex.init)) == 1:
-                uniform.setdefault(root[idx], set()).add(ex.init[0])
+        for idx, (x, _w) in enumerate(execs):
+            if len(set(x)) == 1:
+                uniform.setdefault(root[idx], set()).add(x[0])
         mixed = [c for c, values in uniform.items() if values == {0, 1}]
         table.append((r, not mixed))
         if not mixed:
@@ -463,8 +463,8 @@ def reference_oracle(family: EventFamily, max_horizon: int):
             decisions = {content: decide.get(root[idx], 0)
                          for idx, contents in enumerate(views) for content in contents}
             return table, decisions, None
-    start = next(i for i, ex in enumerate(execs)
-                 if root[i] == mixed[0] and set(ex.init) == {0})
+    start = next(i for i, (x, _w) in enumerate(execs)
+                 if root[i] == mixed[0] and set(x) == {0})
     prev = {start: (start, -1)}
     frontier, goal = [start], None
     while goal is None and frontier:
@@ -474,7 +474,7 @@ def reference_oracle(family: EventFamily, max_horizon: int):
                 for other in groups[content]:
                     if goal is None and other not in prev:
                         prev[other] = (idx, owner)
-                        if set(execs[other].init) == {1}:
+                        if set(execs[other][0]) == {1}:
                             goal = other
                         frontier.append(other)
     path, nodes = [goal], []

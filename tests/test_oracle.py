@@ -32,7 +32,7 @@ from omlab import (
     optimal_broadcast_rounds,
     path_digraph,
 )
-from omlab import oracle
+from omlab import cli, oracle
 from omlab.bundled import load_family
 from omlab.oracle import equal_rounds_audit, min_consensus_rounds, verify_chain
 from omlab.simulator import exhaustive_check
@@ -70,9 +70,10 @@ def test_oracle_checks_the_execution_budget():
         min_consensus_rounds(load_family("O1-2node"), 3, Budget(max_executions=50))
 
 
-def _with_execution(chain, i, **fields):
+def _with_execution(chain, i, init=None, word=None):
     executions = list(chain.executions)
-    executions[i] = replace(executions[i], **fields)
+    old_init, old_word = executions[i]
+    executions[i] = (old_init if init is None else init, old_word if word is None else word)
     return replace(chain, executions=tuple(executions))
 
 
@@ -90,7 +91,7 @@ def test_verify_chain_builds_each_executions_views_once(monkeypatch):
     views = oracle.execution_views
     monkeypatch.setattr(oracle, "execution_views", counted)
     assert verify_chain(chain, family)
-    assert built == [(ex.word, ex.init) for ex in chain.executions]
+    assert built == [(word, init) for init, word in chain.executions]
 
 
 @pytest.mark.parametrize(
@@ -109,20 +110,59 @@ def test_verify_chain_builds_each_executions_views_once(monkeypatch):
                               shared_nodes=chain.shared_nodes[::-1]),
         lambda chain: replace(chain, shared_nodes=(2,) + chain.shared_nodes[1:]),
         lambda chain: replace(chain, shared_nodes=(1,) + chain.shared_nodes[1:]),
+        lambda chain: replace(chain, executions=chain.executions[:2]
+                              + ((*chain.executions[2], 0),) + chain.executions[3:]),
     ],
     ids=["one-execution", "shared-nodes-short", "input-length", "input-value",
          "word-length", "depth", "letter-out-of-range", "endpoint-not-all-0", "reversed",
-         "shared-node-is-n", "shared-views-differ"],
+         "shared-node-is-n", "shared-views-differ", "execution-not-a-pair"],
 )
 def test_verify_chain_refutes_a_chain_with_one_field_changed(forge):
     family = load_family("O1-2node")
     chain = min_consensus_rounds(family, 1).witness
     assert verify_chain(chain, family)
-    assert chain.shared_nodes[0] == 0 and chain.executions[2].word == (1,)
+    assert chain.shared_nodes[0] == 0 and chain.executions[2][1] == (1,)
     assert not verify_chain(forge(chain), family)
 
 
-@pytest.mark.parametrize(
+def _spy_on_proofs(monkeypatch) -> list[str]:
+    """Record the name of each proof builder the oracle calls."""
+    built: list[str] = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def recorded(*args):
+            built.append(name)
+            return original(*args)
+        monkeypatch.setattr(owner, name, recorded)
+
+    spy(oracle, "full_information_protocol")
+    spy(oracle, "_decision_table")
+    spy(oracle._Search, "mixing_chain")
+    return built
+
+
+def test_each_proof_is_built_once_on_first_read(monkeypatch):
+    built = _spy_on_proofs(monkeypatch)
+    solved = min_consensus_rounds(load_family("fig12"), 3)
+    failed = min_consensus_rounds(load_family("O1-2node"), 2)
+    assert solved.solvable and not failed.solvable and built == []
+    for _ in range(2):
+        assert solved.witness is None and failed.protocol is failed.decision_table is None
+        protocol, table, chain = solved.protocol, solved.decision_table, failed.witness
+        assert built == ["full_information_protocol", "_decision_table", "mixing_chain"]
+    assert (protocol, table, chain) == (solved.protocol, solved.decision_table, failed.witness)
+
+
+def test_oracle_text_output_builds_no_proof(monkeypatch, capsys):
+    built = _spy_on_proofs(monkeypatch)
+    assert cli.main(["oracle", "--cycle", "4", "--bounded", "1", "--max-horizon", "3"]) == 0
+    assert capsys.readouterr().out.startswith("consensus solvable in 3 round(s)")
+    assert built == []
+
+
+AUDIT_FAMILIES = pytest.mark.parametrize(
     "base, f, metric",
     [
         (complete_digraph(3), 1, "global"),
@@ -133,6 +173,17 @@ def test_verify_chain_refutes_a_chain_with_one_field_changed(forge):
     ],
     ids=["K3-f1", "C4-f1", "K1-f1", "P3-send-f1"],
 )
+
+
+@AUDIT_FAMILIES
+def test_equal_rounds_audit_builds_no_proof(base, f, metric, monkeypatch):
+    family = generate_bounded_omissions(base, f, metric)
+    built = _spy_on_proofs(monkeypatch)
+    equal_rounds_audit(family)
+    assert built == []
+
+
+@AUDIT_FAMILIES
 def test_equal_rounds_audit_matches_the_full_search(base, f, metric):
     """The audit searches up to b - 1 rounds; the search up to the
     broadcast round count b itself must give the same count."""
