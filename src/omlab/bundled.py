@@ -77,10 +77,9 @@ def crash_scheme_prefixes(
         raise InputError("horizon must be non-negative")
     if g.node_count != 2 or len(g.arcs) != 2:
         raise InputError("the crash scheme is defined on the complete 2-node digraph")
-    # Bit 0 of an arc mask is the arc (0, 1), bit 1 the arc (1, 0).
-    family = EventFamily(
-        g, (0b11, 0b10, 0b01), ("ok", f"crash-{g.label(0)}", f"crash-{g.label(1)}")
-    )
+    full = (1 << len(g.arcs)) - 1
+    silent = [full ^ 1 << g.arc_bit[(u, 1 - u)] for u in (0, 1)]
+    family = EventFamily(g, (full, *silent), ("ok", *(f"crash-{label}" for label in g.labels)))
     words = {(0,) * horizon}
     for crashed in (1, 2):
         for start in range(horizon):

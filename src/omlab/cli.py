@@ -191,7 +191,7 @@ def _render(args: argparse.Namespace, **formats) -> None:
 
 def _verdict_text(verdict: Verdict, family: EventFamily) -> str:
     lines = [f"{verdict.problem}: {verdict.answer.value}"]
-    lines.append(f"rule: {verdict.rule} ({RULE_TEXT.get(verdict.rule, '')})")
+    lines.append(f"rule: {verdict.rule} ({RULE_TEXT[verdict.rule]})")
     payload = witness_to_json_dict(verdict.witness, family)
     if payload is not None:
         lines.append("witness: " + json.dumps(payload))

@@ -17,15 +17,21 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', r"\"") + '"'
 
 
+def _dot(name: str, lines: list[str]) -> str:
+    """One DOT digraph named ``name`` around ``lines``."""
+    return "\n".join([f"digraph {_quote(name)} {{", *lines, "}"])
+
+
+def _doubled(highlight_mask: int, u: int) -> str:
+    """The attribute that draws node ``u`` as a double circle when it is highlighted."""
+    return " [shape=doublecircle]" if highlight_mask >> u & 1 else ""
+
+
 def digraph_dot(g: Digraph, name: str = "G", highlight_mask: int = 0) -> str:
-    lines = [f"digraph {_quote(name)} {{"]
-    for u in range(g.node_count):
-        shape = " [shape=doublecircle]" if highlight_mask >> u & 1 else ""
-        lines.append(f"  {_quote(g.label(u))}{shape};")
-    for tail, head in g.sorted_arcs:
-        lines.append(f"  {_quote(g.label(tail))} -> {_quote(g.label(head))};")
-    lines.append("}")
-    return "\n".join(lines)
+    return _dot(name, [
+        *(f"  {_quote(g.label(u))}{_doubled(highlight_mask, u)};" for u in range(g.node_count)),
+        *(f"  {_quote(g.label(t))} -> {_quote(g.label(h))};" for t, h in g.sorted_arcs),
+    ])
 
 
 def _event_cluster(
@@ -33,9 +39,9 @@ def _event_cluster(
 ) -> list[str]:
     g = event.base
     lines = [f"  subgraph cluster_{index} {{", f"    label={_quote(title)};"]
-    for u in range(g.node_count):
-        shape = " [shape=doublecircle]" if highlight_mask >> u & 1 else ""
-        lines.append(f"    {_quote(f'{index}:{g.label(u)}')} [label={_quote(g.label(u))}]{shape};")
+    for u, label in enumerate(g.labels):
+        shape = _doubled(highlight_mask, u)
+        lines.append(f"    {_quote(f'{index}:{label}')} [label={_quote(label)}]{shape};")
     for tail, head in event.sorted_arcs:
         lines.append(
             f"    {_quote(f'{index}:{g.label(tail)}')} -> {_quote(f'{index}:{g.label(head)}')};"
@@ -50,19 +56,15 @@ def _event_cluster(
 
 
 def event_dot(event: Event, name: str = "event") -> str:
-    lines = [f"digraph {_quote(name)} {{"]
-    lines.extend(_event_cluster(event, 0, name, event.sources_mask))
-    lines.append("}")
-    return "\n".join(lines)
+    return _dot(name, _event_cluster(event, 0, name, event.sources_mask))
 
 
 def family_dot(family: EventFamily, name: str = "family") -> str:
     """All events side by side; present arcs solid, omitted dashed, sources doubled."""
-    lines = [f"digraph {_quote(name)} {{"]
-    for i, event in enumerate(family.events):
-        lines.extend(_event_cluster(event, i, family.name(i), event.sources_mask))
-    lines.append("}")
-    return "\n".join(lines)
+    return _dot(name, [
+        line for i, event in enumerate(family.events)
+        for line in _event_cluster(event, i, family.name(i), event.sources_mask)
+    ])
 
 
 def verdict_dot(verdict: Verdict, family: EventFamily) -> str:
@@ -74,20 +76,14 @@ def verdict_dot(verdict: Verdict, family: EventFamily) -> str:
     if isinstance(witness, NoSourceEventWitness):
         event = Event(family.base, family.masks[witness.event])
         return event_dot(event, family.name(witness.event))
-    incompat: IncompatibilityWitness | None = None
+    if isinstance(witness, BetaClassWitness):
+        witness = witness.incompatibility
+    clusters: list[str] = []
     if isinstance(witness, IncompatibilityWitness):
-        incompat = witness
-    elif isinstance(witness, BetaClassWitness):
-        incompat = witness.incompatibility
-    lines = [f"digraph {_quote(title)} {{"]
-    if incompat is not None:
-        for pos, (idx, mask) in enumerate(zip(incompat.events, incompat.source_masks)):
+        for pos, (idx, mask) in enumerate(zip(witness.events, witness.source_masks)):
             sources = ",".join(family.base.label(u) for u in mask_nodes(mask))
-            lines.extend(
-                _event_cluster(
-                    Event(family.base, family.masks[idx]), pos,
-                    f"{family.name(idx)} (sources: {sources})", mask,
-                )
+            clusters += _event_cluster(
+                Event(family.base, family.masks[idx]), pos,
+                f"{family.name(idx)} (sources: {sources})", mask,
             )
-    lines.append("}")
-    return "\n".join(lines)
+    return _dot(title, clusters)

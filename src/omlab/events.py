@@ -86,7 +86,7 @@ from typing import Iterable, Literal, Sequence
 from .budget import DEFAULT_BUDGET, Budget, InputError
 from .graphs import (
     Arc, Digraph, arc_fault, array_fault, array_from_json, digraph_from_json_dict,
-    digraph_to_json_dict, mask_nodes, node_mask, sources_of_arcs,
+    digraph_to_json_dict, mask_nodes, node_mask, per_node_masks, sources_of_arcs,
 )
 
 OmissionMetric = Literal["global", "send", "recv"]
@@ -120,17 +120,11 @@ class Event:
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.base.node_count
-        for tail, head in self.sorted_arcs:
-            masks[tail] |= 1 << head
-        return tuple(masks)
+        return per_node_masks(self.base.node_count, self.sorted_arcs)
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.base.node_count
-        for tail, head in self.sorted_arcs:
-            masks[head] |= 1 << tail
-        return tuple(masks)
+        return per_node_masks(self.base.node_count, ((h, t) for t, h in self.sorted_arcs))
 
     @cached_property
     def sources_mask(self) -> int:

@@ -1,16 +1,17 @@
 """Directed graphs over dense integer nodes, with bitmask node sets.
 
-Nodes are the integers ``0 .. node_count-1``; optional string labels are
-attached for I/O only.  Sets of nodes are plain ``int`` bitmasks (bit ``u``
-set means node ``u`` is in the set), which keeps reachability and
-source-set computations cheap on the small graphs this package targets.
-Arcs are ``(tail, head)`` pairs.
+Nodes are the integers ``0 .. node_count-1``; string labels, ``"0"`` to
+``"n-1"`` unless given, are attached for I/O only.  Sets of nodes are
+plain ``int`` bitmasks (bit ``u`` set means node ``u`` is in the set),
+which keeps reachability and source-set computations cheap on the small
+graphs this package targets.  Arcs are ``(tail, head)`` pairs.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .budget import InputError
@@ -26,6 +27,14 @@ def node_mask(nodes: Iterable[int]) -> int:
     for u in nodes:
         mask |= 1 << u
     return mask
+
+
+def per_node_masks(node_count: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Per node, the OR of ``1 << bit`` over the ``(node, bit)`` pairs that name it."""
+    masks = [0] * node_count
+    for node, bit in pairs:
+        masks[node] |= 1 << bit
+    return tuple(masks)
 
 
 def mask_nodes(mask: int) -> tuple[int, ...]:
@@ -50,7 +59,7 @@ class Digraph:
 
     node_count: int
     arcs: frozenset[Arc]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None = None  # stored as a tuple; None labels node u str(u)
 
     def __post_init__(self) -> None:
         if self.node_count < 0:
@@ -61,12 +70,12 @@ class Digraph:
                 raise InputError(f"arc ({tail},{head}) out of range for {self.node_count} nodes")
             if tail == head:
                 raise InputError(f"self-loop ({tail},{head}) rejected")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.node_count:
-                raise InputError("labels must cover every node")
-            if len(set(self.labels)) != self.node_count:
-                raise InputError("labels must be unique")
+        labels = tuple(map(str, range(self.node_count)) if self.labels is None else self.labels)
+        object.__setattr__(self, "labels", labels)
+        if len(labels) != self.node_count:
+            raise InputError("labels must cover every node")
+        if len(set(labels)) != self.node_count:
+            raise InputError("labels must be unique")
 
     # -- basic views --
 
@@ -85,34 +94,25 @@ class Digraph:
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.node_count
-        for tail, head in self.arcs:
-            masks[tail] |= 1 << head
-        return tuple(masks)
+        return per_node_masks(self.node_count, self.arcs)
 
     @cached_property
     def in_arc_bits(self) -> tuple[int, ...]:
         """Per node, bitmask over arc positions of the arcs entering it."""
-        masks = [0] * self.node_count
-        for arc, bit in self.arc_bit.items():
-            masks[arc[1]] |= 1 << bit
-        return tuple(masks)
+        return per_node_masks(self.node_count, ((h, i) for (_, h), i in self.arc_bit.items()))
 
     @cached_property
     def out_arc_bits(self) -> tuple[int, ...]:
-        masks = [0] * self.node_count
-        for arc, bit in self.arc_bit.items():
-            masks[arc[0]] |= 1 << bit
-        return tuple(masks)
+        return per_node_masks(self.node_count, ((t, i) for (t, _), i in self.arc_bit.items()))
 
     # -- labels --
 
     def label(self, u: int) -> str:
-        return self.labels[u] if self.labels is not None else str(u)
+        return self.labels[u]
 
     @cached_property
     def label_index(self) -> dict[str, int]:
-        return {self.label(u): u for u in range(self.node_count)}
+        return {label: u for u, label in enumerate(self.labels)}
 
     def node(self, label: str) -> int:
         try:
@@ -193,24 +193,19 @@ def _arc_flow(g: Digraph, s: int, t: int) -> int:
 
 # ---- standard constructions ------------------------------------------------
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"v{i}" for i in range(n))
-
-
-def complete_digraph(n: int, labels: tuple[str, ...] | None = None) -> Digraph:
-    arcs = {(u, v) for u in range(n) for v in range(n) if u != v}
-    return Digraph(n, frozenset(arcs), labels or _default_labels(n))
+def complete_digraph(n: int) -> Digraph:
+    return symmetric_digraph(n, combinations(range(n), 2))
 
 
 def symmetric_digraph(
     n: int, edges: Iterable[tuple[int, int]], labels: tuple[str, ...] | None = None
 ) -> Digraph:
-    """Symmetric digraph from undirected edges."""
+    """Symmetric digraph from undirected edges, labelled ``v<u>`` unless ``labels`` is given."""
     arcs = set()
     for u, v in edges:
         arcs.add((u, v))
         arcs.add((v, u))
-    return Digraph(n, frozenset(arcs), labels or _default_labels(n))
+    return Digraph(n, frozenset(arcs), labels or tuple(f"v{i}" for i in range(n)))
 
 
 def cycle_digraph(n: int) -> Digraph:
@@ -234,7 +229,7 @@ def hypercube_digraph(dim: int) -> Digraph:
 def digraph_to_json_dict(g: Digraph) -> dict:
     """``{"nodes": [...labels...], "arcs": [[tail_label, head_label], ...]}``"""
     return {
-        "nodes": [g.label(u) for u in range(g.node_count)],
+        "nodes": list(g.labels),
         "arcs": [[g.label(t), g.label(h)] for t, h in g.sorted_arcs],
     }
 

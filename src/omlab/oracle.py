@@ -206,16 +206,23 @@ class IndistinguishabilityChain:
     depth: int
 
 
+def _ints(items: Any) -> bool:
+    """Whether ``items`` is a tuple of ints."""
+    return isinstance(items, tuple) and all(isinstance(x, int) for x in items)
+
+
 def verify_chain(chain: IndistinguishabilityChain, family: EventFamily) -> bool:
     """Re-simulate the chain and confirm every claimed coincidence."""
-    execs = chain.executions
-    if len(execs) < 2 or len(chain.shared_nodes) != len(execs) - 1:
+    execs, nodes = chain.executions, chain.shared_nodes
+    if not _ints(nodes) or len(execs) < 2 or len(nodes) != len(execs) - 1:
         return False
     n = family.base.node_count
     for ex in execs:
         if not isinstance(ex, tuple) or len(ex) != 2:
             return False
         init, word = ex
+        if not (_ints(init) and _ints(word)):
+            return False
         if len(init) != n or any(v not in (0, 1) for v in init):
             return False
         if len(word) != chain.depth:
@@ -225,7 +232,7 @@ def verify_chain(chain: IndistinguishabilityChain, family: EventFamily) -> bool:
     if set(execs[0][0]) != {0} or set(execs[-1][0]) != {1}:
         return False
     views = [execution_views(family, word, init) for init, word in execs]
-    for node, left, right in zip(chain.shared_nodes, views, views[1:]):
+    for node, left, right in zip(nodes, views, views[1:]):
         if not 0 <= node < n or left[node] != right[node]:
             return False
     return True

@@ -296,7 +296,7 @@ class BroadcastGame:
         """The distinct successors of ``state``, fewest informed nodes first."""
         everything = self._all
         grown = state
-        groups = [(everything, 0)] if everything else []  # (events, nodes they starve)
+        groups = [(everything, 0)]  # (events, nodes they starve)
         for v in mask_nodes(self._full & ~state):
             fed = 0
             for tail, events in self._feeds[v]:

@@ -58,6 +58,12 @@ MUTANTS = [
     Mutant("chain-pair-check-dropped", "oracle",
            "        if not isinstance(ex, tuple) or len(ex) != 2:\n            return False\n", "",
            (f"{CHAIN}[execution-not-a-pair]",)),
+    Mutant("chain-int-check-dropped", "oracle",
+           "return isinstance(items, tuple) and all(isinstance(x, int) for x in items)",
+           "return True",
+           tuple(f"{CHAIN}[{case}]" for case in (
+               "input-an-int", "word-an-int", "letter-a-string", "letter-a-float",
+               "shared-node-a-string", "shared-node-a-float"))),
     # OracleResult
     Mutant("witness-built-for-a-solvable-result", "oracle",
            "return None if self.solvable else self.search.mixing_chain()",
@@ -99,6 +105,20 @@ MUTANTS = [
     Mutant("incompatibility-empty-source-accepted", "solvability",
            "sources_mask != mask or mask == 0:", "sources_mask != mask:",
            (f"{SOLVABILITY}test_incompatibility_witness_refuses_an_event_with_no_source",)),
+    # the per-event neighbour masks that Event.sources_mask and the sweep read
+    Mutant("event-out-masks-reversed", "events",
+           "per_node_masks(self.base.node_count, self.sorted_arcs)",
+           "per_node_masks(self.base.node_count, ((h, t) for t, h in self.sorted_arcs))",
+           (f"{SOLVABILITY}test_incompatibility_witness_replays_without_the_family_kernel",
+            "tests/test_equivalence.py::test_alpha_witness_holds")),
+    Mutant("event-in-masks-reversed", "events",
+           "((h, t) for t, h in self.sorted_arcs)", "self.sorted_arcs",
+           (f"{KERNEL}test_sweep_delivers_what_run_delivers[fig12]",)),
+    # the DOT writer
+    Mutant("dot-closing-brace-dropped", "dot",
+           '*lines, "}"])', "*lines])",
+           ("tests/test_dot.py::test_digraph_ids_close_on_every_label",
+            "tests/test_dot.py::test_family_ids_close_on_every_label_and_event_name")),
     # the exhaustive check
     Mutant("check-run-validity-dropped", "simulator",
            "if len(set(init)) == 1 and any(value != init[0] for value in decided):", "if False:",

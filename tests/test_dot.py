@@ -59,11 +59,16 @@ def read_ids(line: str) -> tuple[list[str], str]:
 
 
 def assert_ids_close(text: str, allowed: set[str]) -> list[str]:
-    """Every line reads as DOT syntax around IDs from ``allowed``; returns the IDs."""
+    """Every line reads as DOT syntax around IDs from ``allowed``, and the last
+    line closes the one graph that the first opens; returns the IDs."""
     seen = []
-    for line in text.splitlines():
+    lines = text.splitlines()
+    depth = 0
+    for number, line in enumerate(lines, 1):
         ids, skeleton = read_ids(line)
         assert SKELETON.fullmatch(skeleton), (line, skeleton)
+        depth += skeleton.count("{") - skeleton.count("}")
+        assert (depth == 0) == (number == len(lines)), (number, line, depth)
         assert set(ids) <= allowed, (line, ids)
         if "[label=@]" in skeleton:
             # A cluster node's ID is its cluster index, a colon and the label it shows.

@@ -228,6 +228,15 @@ def test_json_round_trip():
     assert digraph_to_json_dict(again) == data
 
 
+def test_unlabelled_json_round_trip():
+    """An unlabelled graph is labelled "0" to "n-1", so it equals its JSON read back."""
+    rng = random.Random(38)
+    for n in range(6):
+        g = random_digraph(rng, n)
+        assert g.labels == tuple(map(str, range(n)))
+        assert digraph_from_json_dict(digraph_to_json_dict(g)) == g
+
+
 def test_json_rejects_unknown_node():
     with pytest.raises(ValueError):
         digraph_from_json_dict({"nodes": ["a"], "arcs": [["a", "b"]]})

@@ -70,6 +70,11 @@ def test_oracle_checks_the_execution_budget():
         min_consensus_rounds(load_family("O1-2node"), 3, Budget(max_executions=50))
 
 
+def _with_pair(chain, execution):
+    """The chain with its third execution replaced by ``execution``."""
+    return replace(chain, executions=chain.executions[:2] + (execution,) + chain.executions[3:])
+
+
 def _with_execution(chain, i, init=None, word=None):
     executions = list(chain.executions)
     old_init, old_word = executions[i]
@@ -110,12 +115,19 @@ def test_verify_chain_builds_each_executions_views_once(monkeypatch):
                               shared_nodes=chain.shared_nodes[::-1]),
         lambda chain: replace(chain, shared_nodes=(2,) + chain.shared_nodes[1:]),
         lambda chain: replace(chain, shared_nodes=(1,) + chain.shared_nodes[1:]),
-        lambda chain: replace(chain, executions=chain.executions[:2]
-                              + ((*chain.executions[2], 0),) + chain.executions[3:]),
+        lambda chain: _with_pair(chain, (*chain.executions[2], 0)),
+        lambda chain: _with_pair(chain, (5, (0,))),
+        lambda chain: _with_pair(chain, ((0, 0), 7)),
+        lambda chain: _with_pair(chain, ((0, 0), ("x",))),
+        lambda chain: _with_pair(chain, ((0, 0), (0.0,))),
+        lambda chain: replace(chain, shared_nodes=("a",) + chain.shared_nodes[1:]),
+        lambda chain: replace(chain, shared_nodes=(0.0,) + chain.shared_nodes[1:]),
     ],
     ids=["one-execution", "shared-nodes-short", "input-length", "input-value",
          "word-length", "depth", "letter-out-of-range", "endpoint-not-all-0", "reversed",
-         "shared-node-is-n", "shared-views-differ", "execution-not-a-pair"],
+         "shared-node-is-n", "shared-views-differ", "execution-not-a-pair",
+         "input-an-int", "word-an-int", "letter-a-string", "letter-a-float",
+         "shared-node-a-string", "shared-node-a-float"],
 )
 def test_verify_chain_refutes_a_chain_with_one_field_changed(forge):
     family = load_family("O1-2node")
