@@ -83,7 +83,7 @@ class AlphaWitness(NamedTuple):
 
 
 class _UnionFind:
-    """Disjoint sets over ``0..n-1``, with path halving."""
+    """Disjoint sets over ``0..n-1``, with path halving and one merge, ``union``."""
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
@@ -94,26 +94,8 @@ class _UnionFind:
             parent[x] = x = parent[parent[x]]
         return x
 
-    def join(self, group: list[int]) -> list[int]:
-        """Join every member of ``group`` to the first; return those that were apart from it.
-
-        The first member's root is found once, and every other root found
-        is hung under it, so it stays the root for the whole group.
-        """
-        parent = self.parent
-        root = self.find(group[0])
-        apart = []
-        for x in group[1:]:
-            r = x
-            while parent[r] != r:
-                parent[r] = r = parent[parent[r]]
-            if r != root:
-                parent[r] = root
-                apart.append(x)
-        return apart
-
     def union(self, a: int, b: int) -> bool:
-        """Hang ``b``'s root under ``a``'s, walking both here; return whether they differed."""
+        """Hang ``b``'s root under ``a``'s, which stays a root; return whether they differed."""
         parent = self.parent
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
@@ -132,15 +114,15 @@ def _connect(
     among the members is taken once, in member order, with its first
     member with that mask as the witness: its head filter is built once,
     the members are grouped by the arcs they deliver into that source
-    set, and each group's first member is joined with the rest.  A
-    witness whose groups are all single members joins nothing and is
-    skipped.  A witness whose head filter contains the filter of one
-    already grouped is not grouped at all: each of its groups would lie
-    inside one earlier group, already joined.  The all-arcs filter counts
-    as grouped from the start: the members' masks are distinct, so it
-    would group each alone.  Every join that merges two components
-    becomes a witness edge, in order, so the edges form a spanning
-    forest.  The scan stops as soon as the members are connected.
+    set, and each later member of a group is merged with the group's
+    first by ``union``.  A witness whose groups are all single members
+    joins nothing and is skipped.  A witness whose head filter contains
+    the filter of one already grouped is not grouped at all: each of its
+    groups would lie inside one earlier group, already joined.  The
+    all-arcs filter counts as grouped from the start: the members' masks
+    are distinct, so it would group each alone.  Every union that merges
+    two components becomes a witness edge, in order, so the edges form a
+    spanning forest.  The scan stops as soon as the members are connected.
 
     Returns the connected components (member indices in member order),
     the witness edges inside each component, and, when the members split,
@@ -175,11 +157,11 @@ def _connect(
             continue
         for group in groups.values():
             if len(group) > 1:
-                apart = uf.join(group)
-                if apart:
-                    components -= len(apart)
-                    first = group[0]
-                    joins.extend((first, pos, k) for pos in apart)
+                first = group[0]
+                for pos in group[1:]:
+                    if uf.union(first, pos):
+                        components -= 1
+                        joins.append((first, pos, k))
     # Each edge is built by ``tuple.__new__``, without the named tuple's Python-level ``__new__``.
     new = tuple.__new__
     if components == 1:

@@ -86,7 +86,7 @@ from typing import Iterable, Literal, Sequence
 from .budget import DEFAULT_BUDGET, Budget, InputError
 from .graphs import (
     Arc, Digraph, arc_fault, array_fault, array_from_json, digraph_from_json_dict,
-    digraph_to_json_dict, mask_nodes, node_mask, per_node_masks, sources_of_arcs,
+    digraph_to_json_dict, first_repeat, mask_nodes, node_mask, per_node_masks, sources_of_arcs,
 )
 
 OmissionMetric = Literal["global", "send", "recv"]
@@ -184,10 +184,10 @@ class EventFamily:
             if len(self.names) != len(masks):
                 raise InputError("names must cover every event")
             if len(set(self.names)) != len(self.names):
-                first, _ = _first_repeat(self.names)
+                first, _ = first_repeat(self.names)
                 raise InputError(f"event names must be unique: {self.names[first]!r} repeated")
         if len(set(masks)) != len(masks):
-            first, again = map(self.name, _first_repeat(masks))
+            first, again = map(self.name, first_repeat(masks))
             raise InputError(f"duplicate events in family: {first} and {again}")
 
     @cached_property
@@ -314,12 +314,6 @@ class EventFamily:
                     return False
                 missing ^= low
         return True
-
-
-def _first_repeat(items: Sequence) -> tuple[int, int]:
-    """Indices ``i < j`` of the first item ``j`` equal to an earlier item ``i``."""
-    seen: dict = {}
-    return next((seen[x], j) for j, x in enumerate(items) if seen.setdefault(x, j) != j)
 
 
 def _closure(adjacency: Sequence[list[tuple[int, int]]], root: int, events: int) -> list[int]:

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .budget import InputError
 
@@ -205,7 +205,9 @@ def symmetric_digraph(
     for u, v in edges:
         arcs.add((u, v))
         arcs.add((v, u))
-    return Digraph(n, frozenset(arcs), labels or tuple(f"v{i}" for i in range(n)))
+    if labels is None:
+        labels = tuple(f"v{i}" for i in range(n))
+    return Digraph(n, frozenset(arcs), labels)
 
 
 def cycle_digraph(n: int) -> Digraph:
@@ -264,6 +266,12 @@ def array_from_json(data, key: str, where: str) -> list | tuple:
     raise array_fault(data, key, where)
 
 
+def first_repeat(items: Sequence) -> tuple[int, int]:
+    """Indices ``i < j`` of the first item ``j`` equal to an earlier item ``i``."""
+    seen: dict = {}
+    return next((seen[x], j) for j, x in enumerate(items) if seen.setdefault(x, j) != j)
+
+
 def digraph_from_json_dict(data: dict) -> Digraph:
     """The digraph ``digraph_to_json_dict`` wrote, read by the schema in ``events``."""
     where = "malformed digraph JSON"
@@ -274,7 +282,7 @@ def digraph_from_json_dict(data: dict) -> Digraph:
             raise InputError(f"{where}: node label {label!r} is not a string")
     index = {label: u for u, label in enumerate(nodes)}
     if len(index) != len(nodes):
-        raise InputError("duplicate node names in digraph JSON")
+        raise InputError(f"{where}: node label {nodes[first_repeat(nodes)[1]]!r} repeated")
     arcs = set()
     try:
         for arc in raw_arcs:

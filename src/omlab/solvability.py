@@ -282,7 +282,6 @@ class BroadcastGame:
 
     def __init__(self, family: EventFamily, budget: Budget = DEFAULT_BUDGET) -> None:
         budget.check("max_game_nodes", family.base.node_count)
-        self.family = family
         self._all = (1 << len(family)) - 1
         self._full = family.base.full_mask
         self._memo: dict[int, Rounds] = {self._full: 0}

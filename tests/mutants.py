@@ -97,6 +97,18 @@ MUTANTS = [
            "if member_set & (set(range(len(masks))) - unseen):",
            (f"{BETA}[edge-names-an-event-outside-the-family]",
             f"{BETA}[witness-outside-the-family]")),
+    # the class partition's one merge, which the kernel and BetaPartition.verify share
+    Mutant("connect-records-an-edge-for-every-union", "equivalence",
+           "if uf.union(first, pos):", "if uf.union(first, pos) or True:",
+           ("tests/test_partition_reference.py::test_partition_matches_golden[k4-34-40]",
+            f"{SOLVABILITY}test_consensus_never_solvable_for_nonconvex_unbroadcastable")),
+    Mutant("union-always-says-apart", "equivalence",
+           "return a != b", "return True",
+           (f"{BETA}[edges-close-a-cycle]",)),
+    Mutant("union-hangs-the-first-root-under-the-other", "equivalence",
+           "parent[b] = a\n", "parent[a] = b\n",
+           ("tests/test_equivalence.py::test_union_over_a_group_hangs_it_under_the_first"
+            "_members_root",)),
     # IncompatibilityWitness.holds
     Mutant("incompatibility-source-subset-accepted", "solvability",
            "sources_mask != mask or mask == 0:", "sources_mask & mask != mask or mask == 0:",

@@ -209,7 +209,7 @@ def test_bad_values_exit_64_with_one_line_error(argv, capsys, tmp_path):
         (["audit", "equal-rounds", "--bundled", "H-2node"],
          "the equal-rounds audit applies to convex families only"),
         (["gen", "--graph", "DUPLICATE_NODES", "--bounded", "1"],
-         "duplicate node names in digraph JSON"),
+         "malformed digraph JSON: node label 'a' repeated"),
         (["gen", "--graph", "NO_ARCS", "--bounded", "1"], "malformed digraph JSON: 'arcs'"),
         (["gen", "--complete", "3", "--bounded", "1", "-o", "missing/out.json"],
          "cannot write missing/out.json: No such file or directory"),

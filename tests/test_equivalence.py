@@ -18,7 +18,7 @@ from omlab import (
     mask_nodes,
     node_mask,
 )
-from omlab.equivalence import _connect, _head_filter
+from omlab.equivalence import _connect, _head_filter, _UnionFind
 
 from conftest import A, B, C, D, BLACK, WHITE
 
@@ -173,6 +173,21 @@ def test_beta_verify_refutes_forged_partitions(request, fixture, classes, class_
     bp = beta_partition(request.getfixturevalue(fixture))
     assert bp.verify()
     assert not replace(bp, classes=classes, class_edges=class_edges).verify()
+
+
+def test_union_over_a_group_hangs_it_under_the_first_members_root():
+    """``_connect`` merges a group by ``union(first, x)``: ``first``'s root stays the root."""
+    rng = random.Random(39)
+    for _ in range(300):
+        n = rng.randrange(1, 12)
+        uf = _UnionFind(n)
+        for _ in range(rng.randrange(n)):
+            uf.union(rng.randrange(n), rng.randrange(n))
+        group = rng.sample(range(n), rng.randrange(1, n + 1))
+        root = uf.find(group[0])
+        for x in group[1:]:
+            uf.union(group[0], x)
+        assert [uf.find(x) for x in group] == [root] * len(group)
 
 
 def test_alpha_witness_is_a_named_tuple():

@@ -477,7 +477,9 @@ TWO_NODE_GRAPH = {"nodes": ["white", "black"], "arcs": [["white", "black"], ["bl
         ({"graph": TWO_NODE_GRAPH, "events": [{"arcs": [{"white": 1, "black": 2}]}]},
          "malformed event entry 0: arc {'white': 1, 'black': 2} is not a pair"),
         ({"graph": {"nodes": ["white", "white"], "arcs": []}, "events": [{"arcs": []}]},
-         "duplicate node names in digraph JSON"),
+         "malformed digraph JSON: node label 'white' repeated"),
+        ({"graph": {"nodes": ["a", "b", "b", "a"], "arcs": []}, "events": [{"arcs": []}]},
+         "malformed digraph JSON: node label 'b' repeated"),
         ({"graph": {"nodes": [0, 1], "arcs": []}, "events": [{"arcs": []}]},
          "malformed digraph JSON: node label 0 is not a string"),
         ({"graph": {"nodes": ["white", "black"], "arcs": [["white", "white"]]},
@@ -495,8 +497,8 @@ TWO_NODE_GRAPH = {"nodes": ["white", "black"], "arcs": [["white", "black"], ["bl
          "entry-without-arcs", "entry-not-an-object", "entry-a-string", "entry-arcs-an-object",
          "unknown-label", "label-not-a-string", "arc-not-in-base", "event-self-loop",
          "graph-arc-object", "event-arc-object", "graph-duplicate-labels",
-         "graph-integer-labels", "graph-self-loop", "name-an-array", "duplicate-events",
-         "duplicate-names"],
+         "graph-first-repeated-label", "graph-integer-labels", "graph-self-loop", "name-an-array",
+         "duplicate-events", "duplicate-names"],
 )
 def test_family_json_errors_name_the_fault(data, message, tmp_path, capsys):
     with pytest.raises(ValueError) as caught:

@@ -46,6 +46,14 @@ def test_rejects_duplicate_labels():
         Digraph(2, frozenset(), labels=("x", "x"))
 
 
+def test_symmetric_digraph_refuses_empty_labels_as_digraph_does():
+    for build in (lambda: Digraph(2, frozenset(), labels=()),
+                  lambda: symmetric_digraph(2, [(0, 1)], labels=())):
+        with pytest.raises(InputError, match="^labels must cover every node$"):
+            build()
+    assert symmetric_digraph(0, [], labels=()).labels == ()
+
+
 def test_label_lookup():
     g = symmetric_digraph(2, [(0, 1)], labels=("white", "black"))
     assert g.node("black") == 1
