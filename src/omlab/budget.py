@@ -21,7 +21,7 @@ to 64.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 DEFAULT_MAX_FAMILY_EVENTS = 1 << 20
 DEFAULT_MAX_GAME_NODES = 20
@@ -38,16 +38,22 @@ class InputError(ValueError):
     """An argument, file or setting is malformed or out of range."""
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_family_events: int = DEFAULT_MAX_FAMILY_EVENTS
-    max_game_nodes: int = DEFAULT_MAX_GAME_NODES
-    max_executions: int = DEFAULT_MAX_EXECUTIONS
+class Budget(NamedTuple(
+    "Budget", [("max_family_events", int), ("max_game_nodes", int), ("max_executions", int)]
+)):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise InputError(f"budget cap {f.name} must be positive")
+    def __new__(
+        cls,
+        max_family_events: int = DEFAULT_MAX_FAMILY_EVENTS,
+        max_game_nodes: int = DEFAULT_MAX_GAME_NODES,
+        max_executions: int = DEFAULT_MAX_EXECUTIONS,
+    ) -> Budget:
+        caps = (max_family_events, max_game_nodes, max_executions)
+        for name, cap in zip(cls._fields, caps):
+            if cap <= 0:
+                raise InputError(f"budget cap {name} must be positive")
+        return tuple.__new__(cls, caps)
 
     def check(self, cap: str, amount: int) -> None:
         """Raise ``BudgetExceededError`` naming ``cap`` when ``amount`` exceeds it."""
@@ -64,11 +70,10 @@ class Budget:
         if raw.isdecimal():
             return cls(max_executions=int(raw), max_family_events=int(raw))
         caps: dict[str, int] = {}
-        names = {f.name for f in fields(cls)}
         for part in raw.split(","):
             key, sep, value = part.partition("=")
             key = key.strip()
-            if not sep or key not in names or not value.strip().isdecimal():
+            if not sep or key not in cls._fields or not value.strip().isdecimal():
                 raise InputError(f"cannot parse entry: {part!r}")
             if key in caps:
                 raise InputError(f"repeated entry: {part!r}")

@@ -13,7 +13,6 @@ family.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from typing import Any, Mapping
 
 from .budget import InputError
@@ -30,6 +29,9 @@ def load_family(name: str) -> EventFamily:
     """The bundled example ``name``, read from ``data/<name in lower case>.json``."""
     if name not in NAMES:
         raise InputError(f"unknown bundled example {name!r} (known: {', '.join(NAMES)})")
+    # Imported here: on Python 3.12 and later, ``importlib.resources`` imports ``inspect``.
+    from importlib import resources
+
     text = resources.files("omlab.data").joinpath(f"{name.lower()}.json").read_text()
     return family_from_json_dict(json.loads(text))
 

@@ -40,7 +40,6 @@ Solvability analysis handles them separately as immediately fatal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -179,8 +178,7 @@ def _connect(
     return list(pieces.values()), list(piece_edges.values()), keeper
 
 
-@dataclass(frozen=True)
-class BetaPartition:
+class BetaPartition(NamedTuple):
     """Stabilized partition plus spanning witness edges for each class."""
 
     family: EventFamily

@@ -47,8 +47,8 @@ its members once, the first time it is asked.  A generated family also
 skips the constructor's checks, which its construction proves: its
 masks are strictly increasing in arc-tuple order, so none repeats, and
 each is the full mask with some bits cleared, so each fits the base.
-Every other family, and every ``dataclasses.replace`` of a generated
-one, is built by ``EventFamily(base, masks, names)`` and checked.
+Every other family, and every family built again from a generated
+one's fields, is built by ``EventFamily(base, masks, names)`` and checked.
 
 Family JSON has one schema, what ``family_to_json_dict`` writes; the
 graph inside it is what ``graphs.digraph_to_json_dict`` writes.
@@ -76,24 +76,23 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
 from math import comb
 from operator import and_, or_
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .budget import DEFAULT_BUDGET, Budget, InputError
 from .graphs import (
     Arc, Digraph, arc_fault, array_fault, array_from_json, digraph_from_json_dict,
-    digraph_to_json_dict, first_repeat, mask_nodes, node_mask, per_node_masks, sources_of_arcs,
+    digraph_to_json_dict, first_repeat, mask_nodes, node_mask, per_node_masks, refuse_assignment,
+    sources_of_arcs,
 )
 
 OmissionMetric = Literal["global", "send", "recv"]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple("Event", [("base", Digraph), ("arc_mask", int)])):
     """One letter of the omission alphabet: the arcs delivered in a round.
 
     ``arc_mask`` is the whole event: bit ``i`` set means the arc
@@ -101,14 +100,12 @@ class Event:
     ``event_from_arcs``.
     """
 
-    base: Digraph
-    arc_mask: int
+    def __new__(cls, base: Digraph, arc_mask: int) -> Event:
+        if not 0 <= arc_mask < 1 << len(base.arcs):
+            raise InputError(f"arc mask {arc_mask:#x} out of range for {len(base.arcs)} base arcs")
+        return tuple.__new__(cls, (base, arc_mask))
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.arc_mask < 1 << len(self.base.arcs):
-            raise InputError(
-                f"arc mask {self.arc_mask:#x} out of range for {len(self.base.arcs)} base arcs"
-            )
+    __setattr__ = __delattr__ = refuse_assignment
 
     @cached_property
     def sorted_arcs(self) -> tuple[Arc, ...]:
@@ -147,8 +144,9 @@ def event_from_arcs(base: Digraph, arcs: Iterable[Arc]) -> Event:
     return Event(base, sum(1 << bit[a] for a in arcs))
 
 
-@dataclass(frozen=True)
-class EventFamily:
+class EventFamily(NamedTuple(
+    "EventFamily", [("base", Digraph), ("masks", tuple), ("names", tuple | None)]
+)):
     """Finite ordered set of distinct events over one base graph.
 
     ``EventFamily(base, masks, names=None)`` is the one public constructor:
@@ -157,38 +155,41 @@ class EventFamily:
     mask gets the message ``Event`` gives it), that ``names``, when given,
     names every event once, and that no event repeats, by one ``set`` of
     the masks.  Only a failed check looks for the first repeat, to name
-    it.  ``generate_bounded_omissions`` alone sets the fields itself and
+    it.  ``generate_bounded_omissions`` alone builds the tuple itself and
     skips these checks, which its masks pass by construction (the
-    generator's docstring says why).  A family keeps no index from mask
-    to position.  Equality and hashing read ``base``, ``masks`` and
+    generator's docstring says why).  ``_replace`` would skip them too,
+    so nothing here calls it; ``len`` counts the events, so ``_make``
+    refuses every family.  A family keeps no index from mask to
+    position.  Equality and hashing read ``base``, ``masks`` and
     ``names``.  ``events`` is a view of the masks as ``Event`` objects,
     built the first time it is read; code that needs one event builds
     ``Event(family.base, family.masks[i])``.
     """
 
-    base: Digraph
-    masks: tuple[int, ...]
-    names: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "masks", tuple(self.masks))
-        masks = self.masks
+    def __new__(
+        cls, base: Digraph, masks: Iterable[int], names: Iterable[str] | None = None
+    ) -> EventFamily:
+        masks = tuple(masks)
         if not masks:
             raise InputError("an event family needs at least one event")
-        limit = 1 << len(self.base.arcs)
+        limit = 1 << len(base.arcs)
         if min(masks) < 0 or max(masks) >= limit:
             # The first bad mask, with the message ``Event`` gives it.
-            Event(self.base, next(x for x in masks if not 0 <= x < limit))
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
-            if len(self.names) != len(masks):
+            Event(base, next(x for x in masks if not 0 <= x < limit))
+        if names is not None:
+            names = tuple(names)
+            if len(names) != len(masks):
                 raise InputError("names must cover every event")
-            if len(set(self.names)) != len(self.names):
-                first, _ = first_repeat(self.names)
-                raise InputError(f"event names must be unique: {self.names[first]!r} repeated")
+            if len(set(names)) != len(names):
+                first, _ = first_repeat(names)
+                raise InputError(f"event names must be unique: {names[first]!r} repeated")
+        family = tuple.__new__(cls, (base, masks, names))
         if len(set(masks)) != len(masks):
-            first, again = map(self.name, first_repeat(masks))
+            first, again = map(family.name, first_repeat(masks))
             raise InputError(f"duplicate events in family: {first} and {again}")
+        return family
+
+    __setattr__ = __delattr__ = refuse_assignment
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
@@ -426,8 +427,9 @@ def generate_bounded_omissions(
     There is at least one mask, the full one.  Every mask is the full
     mask with bits cleared, so it fits the base.  The lists stay in
     strictly increasing arc-tuple order, so no mask repeats.  The
-    family's fields are ``base``, the masks as a tuple, ``names=None``
-    and the preset ``convex``, exactly what the constructor would keep.
+    family's fields are ``base``, the masks as a tuple and ``names=None``,
+    exactly what the constructor would keep, and its ``__dict__`` holds
+    only the preset ``convex``.
     Raises BudgetExceededError when the family would exceed the budget's
     family cap.
     """
@@ -466,11 +468,9 @@ def generate_bounded_omissions(
             moved = omit[:1] == empty
             grown.append(tail[:moved] + kept + tail[moved:])
         lists = grown
-    # Built without ``__post_init__``: the masks are distinct and fit the base.
-    family = object.__new__(EventFamily)
-    fields = {"base": base, "masks": tuple(lists[0]), "names": None, "convex": True}
-    for field, value in fields.items():
-        object.__setattr__(family, field, value)
+    # Built without the constructor's checks: the masks are distinct and fit the base.
+    family = tuple.__new__(EventFamily, (base, tuple(lists[0]), None))
+    family.__dict__["convex"] = True
     return family
 
 

@@ -9,10 +9,9 @@ graphs this package targets.  Arcs are ``(tail, head)`` pairs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import InputError
 
@@ -49,33 +48,42 @@ def mask_nodes(mask: int) -> tuple[int, ...]:
 
 # ---- digraph ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Digraph:
+def refuse_assignment(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of a record whose ``__dict__`` only
+    ``cached_property`` fills, which writes it directly."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+class Digraph(NamedTuple(
+    "Digraph", [("node_count", int), ("arcs", frozenset), ("labels", tuple)]
+)):
     """Immutable digraph.  Arc set is deduplicated via ``frozenset``.
 
     Self-loops are rejected: delivery of a node's own state to itself is
     implicit in the round semantics, so a loop is a modelling mistake.
+    ``labels`` is stored as a tuple; None labels node u ``str(u)``.
     """
 
-    node_count: int
-    arcs: frozenset[Arc]
-    labels: tuple[str, ...] | None = None  # stored as a tuple; None labels node u str(u)
-
-    def __post_init__(self) -> None:
-        if self.node_count < 0:
+    def __new__(
+        cls, node_count: int, arcs: Iterable[Arc], labels: Sequence[str] | None = None
+    ) -> Digraph:
+        if node_count < 0:
             raise InputError("node_count must be non-negative")
-        object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
-        for tail, head in self.arcs:
-            if not (0 <= tail < self.node_count and 0 <= head < self.node_count):
-                raise InputError(f"arc ({tail},{head}) out of range for {self.node_count} nodes")
+        arcs = frozenset(tuple(a) for a in arcs)
+        for tail, head in arcs:
+            if not (0 <= tail < node_count and 0 <= head < node_count):
+                raise InputError(f"arc ({tail},{head}) out of range for {node_count} nodes")
             if tail == head:
                 raise InputError(f"self-loop ({tail},{head}) rejected")
-        labels = tuple(map(str, range(self.node_count)) if self.labels is None else self.labels)
-        object.__setattr__(self, "labels", labels)
-        if len(labels) != self.node_count:
+        labels = tuple(map(str, range(node_count)) if labels is None else labels)
+        if len(labels) != node_count:
             raise InputError("labels must cover every node")
-        if len(set(labels)) != self.node_count:
-            raise InputError("labels must be unique")
+        if len(set(labels)) != node_count:
+            first, _ = first_repeat(labels)
+            raise InputError(f"labels must be unique: {labels[first]!r} repeated")
+        return tuple.__new__(cls, (node_count, arcs, labels))
+
+    __setattr__ = __delattr__ = refuse_assignment
 
     # -- basic views --
 

@@ -66,15 +66,14 @@ evidence but never a claim beyond h; the report records h explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
 from operator import or_
-from typing import Any
+from typing import Any, NamedTuple
 
 from .budget import DEFAULT_BUDGET, Budget, InputError
 from .events import EventFamily, is_convex
-from .graphs import mask_nodes
+from .graphs import mask_nodes, refuse_assignment
 from .simulator import ProtocolSpec, ProtocolError
 from .solvability import optimal_broadcast_rounds
 
@@ -196,8 +195,7 @@ def _decision_table(views: _Views, needs: list[int]) -> dict[str, int]:
 
 # ---- the component search -----------------------------------------------------
 
-@dataclass(frozen=True)
-class IndistinguishabilityChain:
+class IndistinguishabilityChain(NamedTuple):
     """(init, word) executions from an all-0 input to an all-1 input, each
     adjacent pair indistinguishable to ``shared_nodes[i]`` after ``depth`` rounds."""
 
@@ -238,8 +236,9 @@ def verify_chain(chain: IndistinguishabilityChain, family: EventFamily) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple(
+    "OracleResult", [("max_horizon", int), ("rounds", int | None), ("search", "_Search")]
+)):
     """Outcome of the bounded-horizon consensus search, and its final search.
 
     The proofs are built from ``search`` on first read: on success
@@ -247,9 +246,7 @@ class OracleResult:
     as ``execution_views`` builds it, to its decision; on failure ``witness``.
     """
 
-    max_horizon: int
-    rounds: int | None
-    search: _Search
+    __setattr__ = __delattr__ = refuse_assignment
 
     @property
     def solvable(self) -> bool:
@@ -485,8 +482,7 @@ class _Search:
 
 # ---- equal-rounds audit ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class EqualRoundsReport:
+class EqualRoundsReport(NamedTuple):
     broadcast_source: int | None
     broadcast_rounds: int | None
     consensus_rounds: int | None

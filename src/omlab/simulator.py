@@ -30,9 +30,8 @@ reporting a different value (or none) later is a protocol error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import DEFAULT_BUDGET, Budget, InputError
 from .events import EventFamily
@@ -43,8 +42,7 @@ class ProtocolError(RuntimeError):
     """A protocol violated the engine's contract (e.g. changed a decision)."""
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(NamedTuple):
     """Deterministic per-node algorithm as four functions.
 
     ``init(node, value)`` builds the initial state; ``message(node,
@@ -65,8 +63,7 @@ class ProtocolSpec:
     halting_round: int | None = None
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     word: tuple[int, ...]
     init: tuple[int, ...]
     states: tuple[tuple[Any, ...], ...]  # states[r] = configuration after round r
@@ -292,16 +289,14 @@ def event_detection_consensus(
 
 # ---- exhaustive checking --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "termination" | "validity" | "agreement"
     word: tuple[int, ...]
     init: tuple[int, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     protocol: str
     horizon: int
     runs: int

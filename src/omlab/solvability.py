@@ -40,11 +40,10 @@ scanned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import reduce
 from operator import or_
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .budget import DEFAULT_BUDGET, Budget, BudgetExceededError, InputError
 from .equivalence import BetaPartition, beta_partition
@@ -69,22 +68,19 @@ EXIT_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class CommonSourceWitness:
+class CommonSourceWitness(NamedTuple):
     """Nodes that are sources of every event in the family."""
 
     nodes_mask: int
 
 
-@dataclass(frozen=True)
-class NoSourceEventWitness:
+class NoSourceEventWitness(NamedTuple):
     """Index of an event from which no node reaches everyone."""
 
     event: int
 
 
-@dataclass(frozen=True)
-class IncompatibilityWitness:
+class IncompatibilityWitness(NamedTuple):
     """Events that each have sources but share none."""
 
     events: tuple[int, ...]
@@ -106,17 +102,17 @@ class IncompatibilityWitness:
         return inter == 0
 
 
-@dataclass(frozen=True)
-class BetaClassWitness:
+class BetaClassWitness(NamedTuple):
     """A class of the partition together with its incompatibility witness.
 
     ``partition`` is the class partition the class was taken from, kept so
-    that callers can report it without computing it again.
+    that callers can report it without computing it again.  Like every
+    field, it takes part in ``==`` and ``repr``.
     """
 
     class_events: tuple[int, ...]
     incompatibility: IncompatibilityWitness
-    partition: BetaPartition = field(compare=False, repr=False)
+    partition: BetaPartition
 
 
 Witness = Union[
@@ -124,8 +120,7 @@ Witness = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     problem: str  # "broadcast" | "consensus"
     answer: Answer
     rule: str
@@ -226,7 +221,7 @@ def check_consensus(
         )
     if is_convex(family):
         verdict = check_broadcastable(family, budget)
-        return replace(verdict, problem="consensus", rule="convex-broadcast-equivalence")
+        return verdict._replace(problem="consensus", rule="convex-broadcast-equivalence")
     common = family.common_sources_mask()
     if common:
         # Flooding the common source's value and deciding it solves
@@ -362,8 +357,7 @@ def optimal_broadcast_rounds(
 
 # ---- connectivity threshold sweep ------------------------------------------------
 
-@dataclass(frozen=True)
-class ThresholdRow:
+class ThresholdRow(NamedTuple):
     f: int
     answer: Answer
     expected_solvable: bool

@@ -131,6 +131,24 @@ MUTANTS = [
            '*lines, "}"])', "*lines])",
            ("tests/test_dot.py::test_digraph_ids_close_on_every_label",
             "tests/test_dot.py::test_family_ids_close_on_every_label_and_event_name")),
+    # the constructor checks of the records that refuse bad input
+    Mutant("budget-zero-cap-accepted", "budget",
+           "if cap <= 0:", "if cap < 0:",
+           ("tests/test_budget.py::test_zero_cap_is_rejected[0-max_family_events]",
+            "tests/test_budget.py::test_zero_cap_is_rejected[max_executions=0-max_executions]")),
+    Mutant("digraph-self-loop-accepted", "graphs",
+           'raise InputError(f"self-loop ({tail},{head}) rejected")', "pass",
+           ("tests/test_graphs.py::test_rejects_self_loops_by_default",)),
+    Mutant("event-mask-range-check-dropped", "events",
+           "if not 0 <= arc_mask < 1 << len(base.arcs):", "if False:",
+           ("tests/test_events.py::test_event_mask_must_fit_the_base",
+            "tests/test_events.py::test_family_from_masks_rejects_what_the_event_path_rejects"
+            "[negative]")),
+    Mutant("family-duplicate-refusal-dropped", "events",
+           "if len(set(masks)) != len(masks):", "if False:",
+           ("tests/test_events.py::test_family_rejects_duplicates",
+            "tests/test_events.py::test_family_from_masks_rejects_what_the_event_path_rejects"
+            "[duplicate]")),
     # the exhaustive check
     Mutant("check-run-validity-dropped", "simulator",
            "if len(set(init)) == 1 and any(value != init[0] for value in decided):", "if False:",

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -131,14 +130,14 @@ def test_beta_verify_catches_tampering(o1):
     # Forge a relation that does not hold: the sources of "ok" (both nodes)
     # can tell omit-white and omit-black apart.
     forged = (AlphaWitness(left=1, right=2, witness=0),)
-    tampered = replace(bp, class_edges=(forged,))
+    tampered = bp._replace(class_edges=(forged,))
     assert not tampered.verify()
 
 
 def test_beta_verify_catches_a_missing_event(h_scheme):
     bp = beta_partition(h_scheme)
     assert bp.classes == ((0,), (1,))
-    assert not replace(bp, classes=bp.classes[:1], class_edges=bp.class_edges[:1]).verify()
+    assert not bp._replace(classes=bp.classes[:1], class_edges=bp.class_edges[:1]).verify()
 
 
 @pytest.mark.parametrize(
@@ -172,7 +171,7 @@ def test_beta_verify_catches_a_missing_event(h_scheme):
 def test_beta_verify_refutes_forged_partitions(request, fixture, classes, class_edges):
     bp = beta_partition(request.getfixturevalue(fixture))
     assert bp.verify()
-    assert not replace(bp, classes=classes, class_edges=class_edges).verify()
+    assert not bp._replace(classes=classes, class_edges=class_edges).verify()
 
 
 def test_union_over_a_group_hangs_it_under_the_first_members_root():

@@ -42,8 +42,14 @@ def test_rejects_self_loops_by_default():
 
 
 def test_rejects_duplicate_labels():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^labels must be unique: 'x' repeated$"):
         Digraph(2, frozenset(), labels=("x", "x"))
+
+
+def test_duplicate_labels_are_named_by_the_first_repeat():
+    """The first label equal to an earlier one, as graph JSON names it."""
+    with pytest.raises(InputError, match="^labels must be unique: 'b' repeated$"):
+        Digraph(4, frozenset(), labels=("a", "b", "b", "a"))
 
 
 def test_symmetric_digraph_refuses_empty_labels_as_digraph_does():

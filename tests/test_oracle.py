@@ -15,7 +15,6 @@ up to |V| rounds.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -72,14 +71,14 @@ def test_oracle_checks_the_execution_budget():
 
 def _with_pair(chain, execution):
     """The chain with its third execution replaced by ``execution``."""
-    return replace(chain, executions=chain.executions[:2] + (execution,) + chain.executions[3:])
+    return chain._replace(executions=chain.executions[:2] + (execution,) + chain.executions[3:])
 
 
 def _with_execution(chain, i, init=None, word=None):
     executions = list(chain.executions)
     old_init, old_word = executions[i]
     executions[i] = (old_init if init is None else init, old_word if word is None else word)
-    return replace(chain, executions=tuple(executions))
+    return chain._replace(executions=tuple(executions))
 
 
 # O1's chain at horizon 1 runs (0,0) ok, (0,0) omit-white, (1,0) omit-white, ...,
@@ -102,26 +101,26 @@ def test_verify_chain_builds_each_executions_views_once(monkeypatch):
 @pytest.mark.parametrize(
     "forge",
     [
-        lambda chain: replace(chain, executions=chain.executions[:1]),
-        lambda chain: replace(chain, shared_nodes=chain.shared_nodes[:-1]),
+        lambda chain: chain._replace(executions=chain.executions[:1]),
+        lambda chain: chain._replace(shared_nodes=chain.shared_nodes[:-1]),
         lambda chain: _with_execution(chain, 2, init=(1, 0, 0)),
         lambda chain: _with_execution(chain, 2, init=(1, 2)),
         lambda chain: _with_execution(chain, 2, word=(1, 1)),
-        lambda chain: replace(chain, depth=2),
+        lambda chain: chain._replace(depth=2),
         lambda chain: _with_execution(chain, 2, word=(3,)),
         lambda chain: _with_execution(chain, 0, init=(0, 1)),
         # Every step still shares its node's view; only the endpoints are wrong.
-        lambda chain: replace(chain, executions=chain.executions[::-1],
-                              shared_nodes=chain.shared_nodes[::-1]),
-        lambda chain: replace(chain, shared_nodes=(2,) + chain.shared_nodes[1:]),
-        lambda chain: replace(chain, shared_nodes=(1,) + chain.shared_nodes[1:]),
+        lambda chain: chain._replace(executions=chain.executions[::-1],
+                                     shared_nodes=chain.shared_nodes[::-1]),
+        lambda chain: chain._replace(shared_nodes=(2,) + chain.shared_nodes[1:]),
+        lambda chain: chain._replace(shared_nodes=(1,) + chain.shared_nodes[1:]),
         lambda chain: _with_pair(chain, (*chain.executions[2], 0)),
         lambda chain: _with_pair(chain, (5, (0,))),
         lambda chain: _with_pair(chain, ((0, 0), 7)),
         lambda chain: _with_pair(chain, ((0, 0), ("x",))),
         lambda chain: _with_pair(chain, ((0, 0), (0.0,))),
-        lambda chain: replace(chain, shared_nodes=("a",) + chain.shared_nodes[1:]),
-        lambda chain: replace(chain, shared_nodes=(0.0,) + chain.shared_nodes[1:]),
+        lambda chain: chain._replace(shared_nodes=("a",) + chain.shared_nodes[1:]),
+        lambda chain: chain._replace(shared_nodes=(0.0,) + chain.shared_nodes[1:]),
     ],
     ids=["one-execution", "shared-nodes-short", "input-length", "input-value",
          "word-length", "depth", "letter-out-of-range", "endpoint-not-all-0", "reversed",

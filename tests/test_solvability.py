@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
 from functools import reduce
 from itertools import combinations
 from operator import and_
@@ -130,7 +129,7 @@ def test_incompatibility_witness_with_an_altered_mask_is_refuted():
         for node in range(4):
             masks = list(witness.source_masks)
             masks[pos] ^= 1 << node
-            assert not replace(witness, source_masks=tuple(masks)).holds(family)
+            assert not witness._replace(source_masks=tuple(masks)).holds(family)
 
 
 def test_incompatibility_witness_replays_without_the_family_kernel(o1):
@@ -143,7 +142,7 @@ def test_incompatibility_witness_replays_without_the_family_kernel(o1):
     masks[first], masks[second] = masks[second], masks[first]
     forged.__dict__["source_masks"] = tuple(masks)
     assert witness.holds(forged)
-    assert not replace(witness, source_masks=(masks[first], masks[second])).holds(forged)
+    assert not witness._replace(source_masks=(masks[first], masks[second])).holds(forged)
 
 
 def _sources_family(n: int, source_sets) -> EventFamily:
@@ -257,10 +256,10 @@ def test_incompatible_subset_search_is_capped_by_max_game_nodes():
 def test_incompatibility_witness_refuses_forged_indices(o1):
     witness = check_broadcastable(o1).witness
     assert witness.events == (1, 2) and witness.holds(o1)
-    assert not replace(witness, events=(-2, -1)).holds(o1)
-    extra = replace(witness, source_masks=witness.source_masks + (o1.source_masks[0],))
+    assert not witness._replace(events=(-2, -1)).holds(o1)
+    extra = witness._replace(source_masks=witness.source_masks + (o1.source_masks[0],))
     assert not extra.holds(o1)
-    assert not replace(witness, events=(1, len(o1))).holds(o1)
+    assert not witness._replace(events=(1, len(o1))).holds(o1)
 
 
 def test_incompatibility_witness_refuses_a_claimed_source_set_smaller_than_the_true_one(
@@ -303,7 +302,7 @@ def test_consensus_no_source_event(two_node, ok_event, monkeypatch):
     assert searches == [1]
     assert verdict.answer is Answer.UNSOLVABLE
     assert verdict.rule == "no-source-event"
-    assert verdict == replace(check_broadcastable(family), problem="consensus")
+    assert verdict == check_broadcastable(family)._replace(problem="consensus")
 
 
 def test_fig12_consensus_solvable_by_reduction(fig12):
